@@ -11,8 +11,9 @@ the DES because its figure of merit is the migration transient — on
 
 ``--check`` enforces the two contracts the fast path ships with:
 
-* **speedup floor**: aggregate speedup >= 100x (observed ~400x on the
-  reference machine; individual cells range ~160x-1800x), and
+* **speedup floor**: aggregate speedup >= 25x (observed ~90x on the
+  reference machine; individual cells range ~40x-180x since block-drawn
+  YCSB operations made the DES cells 2-13x faster), and
 * **error ceiling**: every comparison within the pinned tolerances of
   :data:`repro.analytic.validate.PINNED_TOLERANCES` — the same bounds
   the golden-grid test pins, so CI fails loudly if a model change
@@ -43,7 +44,7 @@ from repro.analytic.validate import (
 from repro.parallel import tasks
 
 #: Aggregate warm-speedup floor ``--check`` enforces.
-SPEEDUP_FLOOR = 100.0
+SPEEDUP_FLOOR = 25.0
 
 RECORD_COUNT = 16_384
 TOTAL_OPS = 20_000

@@ -3,7 +3,7 @@
 The paper's steady-state sweeps (figs 3-5, 8) converge to fixed points
 of one self-consistency map over the ``repro.hw`` bandwidth/latency
 knots; this package solves that map directly instead of simulating
-every event, at a >=100x per-point speedup with calibrated, pinned
+every event, at a >=25x per-point speedup with calibrated, pinned
 error bounds:
 
 * :mod:`~repro.analytic.model` — the shared fixed-point solver and the

@@ -66,7 +66,7 @@ from ..mem.policy import InterleavePolicy, WeightedInterleavePolicy
 from ..sim.rng import DEFAULT_SEED
 from ..sim.stats import LatencyHistogram
 from ..units import KIB, PAGE_SIZE, gb_per_s
-from ..workloads.distributions import ScrambledZipfianChooser, ZipfianChooser
+from ..workloads.distributions import ZipfianChooser, fnv_scramble
 from ..workloads.ycsb import WORKLOADS, YcsbSpec
 
 __all__ = [
@@ -115,28 +115,11 @@ def zipf_rank_pmf(item_count: int, theta: float = 0.99) -> np.ndarray:
     return _rank_pmf_cached(item_count, theta)
 
 
-_FNV_PRIME = np.uint64(ScrambledZipfianChooser._FNV_PRIME)
-_FNV_OFFSET = np.uint64(ScrambledZipfianChooser._FNV_OFFSET)
-
-
-def _fnv_hash_vector(values: np.ndarray) -> np.ndarray:
-    """Vectorized FNV-style scramble, identical to the chooser's."""
-    v = values.astype(np.uint64)
-    h = np.full(v.shape, _FNV_OFFSET, dtype=np.uint64)
-    mask = np.uint64(0xFF)
-    shift = np.uint64(8)
-    with np.errstate(over="ignore"):
-        for _ in range(8):
-            h = (h ^ (v & mask)) * _FNV_PRIME
-            v = v >> shift
-    return h
-
-
 @lru_cache(maxsize=16)
 def _scrambled_key_pmf_cached(item_count: int, theta: float) -> np.ndarray:
     rank_pmf = zipf_rank_pmf(item_count, theta)
     ranks = np.arange(item_count, dtype=np.uint64)
-    keys = (_fnv_hash_vector(ranks) % np.uint64(item_count)).astype(np.int64)
+    keys = (fnv_scramble(ranks) % np.uint64(item_count)).astype(np.int64)
     mass = np.bincount(keys, weights=rank_pmf, minlength=item_count)
     mass.setflags(write=False)
     return mass

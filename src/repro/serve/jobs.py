@@ -266,10 +266,11 @@ class JobManager:
         job = self._jobs.get(request.payload)
         if job is None or job.terminal:
             return
-        job.transition(JobState.FAILED, "deadline expired while queued")
-        write_journal(self.jobs_dir, job)
-        job.emit({"event": "shed", "state": job.state.value,
-                  "reason": job.reason})
+        with job.events_cond:
+            job.transition(JobState.FAILED, "deadline expired while queued")
+            write_journal(self.jobs_dir, job)
+            job.emit({"event": "shed", "state": job.state.value,
+                      "reason": job.reason})
 
     def _evict_terminal(self) -> None:
         # Bound the table: oldest terminal records (and their journal +
@@ -442,12 +443,15 @@ class JobManager:
 
     def _land_terminal(self, job: Job, state: JobState, reason: str,
                        error: Optional[Dict[str, Any]] = None) -> None:
-        with self._lock:
+        # The final state and its event land under the event lock
+        # together: a stream reader that sees the job terminal must also
+        # see its last event, or the stream ends one event short.
+        with self._lock, job.events_cond:
             job.error = error
             job.transition(state, reason)
             write_journal(self.jobs_dir, job)
-        job.emit({"event": state.value, "state": state.value,
-                  "reason": reason})
+            job.emit({"event": state.value, "state": state.value,
+                      "reason": reason})
 
     # -- results ------------------------------------------------------------
 
@@ -496,10 +500,11 @@ class JobManager:
             if job is None or job.terminal:
                 return job
             if job.state is JobState.QUEUED:
-                job.transition(JobState.CANCELLED, "cancelled by client")
-                write_journal(self.jobs_dir, job)
-                job.emit({"event": "cancelled", "state": job.state.value,
-                          "reason": job.reason})
+                with job.events_cond:
+                    job.transition(JobState.CANCELLED, "cancelled by client")
+                    write_journal(self.jobs_dir, job)
+                    job.emit({"event": "cancelled", "state": job.state.value,
+                              "reason": job.reason})
                 return job
             job.cancel_intent = "cancel"
             job.cancel.set()

@@ -129,10 +129,7 @@ def zipfian_trace(
     """Zipfian-popular pages, scattered over the space (KV-store-like)."""
     rng = rng or np.random.default_rng(0)
     chooser = ScrambledZipfianChooser(page_count, theta=theta)
-    pages = np.fromiter(
-        (chooser.next_key(rng) for _ in range(accesses)),
-        dtype=np.int64, count=accesses,
-    )
+    pages = chooser.keys(rng.random(accesses))
     return PageTrace(pages, _writes(rng, accesses, write_fraction), page_count)
 
 

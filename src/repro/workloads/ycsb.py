@@ -6,15 +6,15 @@
 * **D** — 95 % read / 5 % insert, latest distribution.
 
 Record size defaults to the YCSB default the paper uses: 1 KB values.
-The generator is an iterator of :class:`Operation` objects so the KV
-store client can drive it closed-loop.
+The generator hands out :class:`Operation` values one at a time so the
+KV store client can drive it closed-loop; it draws them in blocks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List, NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class OpType(enum.Enum):
     INSERT = "insert"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """One request: an op type and the key it targets."""
 
     op: OpType
@@ -82,9 +81,22 @@ WORKLOADS: Dict[str, YcsbSpec] = {
     ),
 }
 
+#: Uniform variates drawn from the generator's stream per refill.
+_BLOCK = 2048
+
+_OP_TYPES = (OpType.READ, OpType.UPDATE, OpType.INSERT)
+
 
 class YcsbGenerator:
-    """Draws a stream of operations for a spec over ``record_count`` keys."""
+    """Draws a stream of operations for a spec over ``record_count`` keys.
+
+    Operations are drawn in blocks, but the stream is the one a per-op
+    draw gives: each operation takes one variate for its type, and each
+    read or update takes the next variate for its key.  Inserts append
+    a fresh key at the end of the space, and later draws see the grown
+    space.  The generator owns ``rng``: it draws ahead of the operations
+    handed out, so nothing else may draw from the same stream.
+    """
 
     def __init__(
         self,
@@ -95,31 +107,72 @@ class YcsbGenerator:
         if record_count <= 0:
             raise WorkloadError("record_count must be positive")
         self.spec = spec
-        self.record_count = record_count
         self._rng = rng
-        self._chooser = self._make_chooser()
+        self._chooser = self._make_chooser(record_count)
+        self._ops: List[Operation] = []
+        self._next = 0
+        self._inserted: List[int] = [0]  # inserts among the first i ops of the block
+        self._block_count = record_count  # key-space size at the block's start
+        self._carry = np.empty(0)  # a drawn op-type variate still awaiting its key
 
-    def _make_chooser(self) -> KeyChooser:
+    def _make_chooser(self, record_count: int) -> KeyChooser:
         if self.spec.distribution == "zipfian":
-            return ScrambledZipfianChooser(self.record_count)
+            return ScrambledZipfianChooser(record_count)
         if self.spec.distribution == "latest":
-            return LatestChooser(self.record_count)
-        return UniformChooser(self.record_count)
+            return LatestChooser(record_count)
+        return UniformChooser(record_count)
+
+    @property
+    def record_count(self) -> int:
+        """Keys in the space after the operations handed out so far."""
+        return self._block_count + self._inserted[self._next]
 
     def next_operation(self) -> Operation:
         """Draw the next operation."""
-        r = self._rng.random()
-        if r < self.spec.read_fraction:
-            return Operation(OpType.READ, self._chooser.next_key(self._rng))
-        if r < self.spec.read_fraction + self.spec.update_fraction:
-            return Operation(OpType.UPDATE, self._chooser.next_key(self._rng))
-        # Insert: append a fresh key at the end of the space.
-        new_key = self.record_count
-        self.record_count += 1
-        self._chooser.grow(self.record_count)
-        return Operation(OpType.INSERT, new_key)
+        if self._next == len(self._ops):
+            self._draw_block()
+        op = self._ops[self._next]
+        self._next += 1
+        return op
 
     def operations(self, count: int) -> Iterator[Operation]:
         """Yield ``count`` operations."""
         for _ in range(count):
             yield self.next_operation()
+
+    def _draw_block(self) -> None:
+        """Turn the carried variate plus a fresh block into operations."""
+        self._block_count = self.record_count
+        u = np.concatenate((self._carry, self._rng.random(_BLOCK)))
+        update_cut = self.spec.read_fraction + self.spec.update_fraction
+        # Variate i opens an operation unless it is the key of a read or
+        # update opened at i - 1.  An insert variate is never followed by
+        # a key, so the pattern restarts after any variate at or above
+        # the insert cut (after a key variate the next one opens an op
+        # anyway); between restarts, op-type and key variates alternate.
+        at = np.arange(len(u))
+        restart = np.zeros(len(u), dtype=bool)
+        restart[0] = True
+        restart[1:] = u[:-1] >= update_cut
+        opens = at[(at - np.maximum.accumulate(np.where(restart, at, 0))) % 2 == 0]
+        first = u[opens]
+        kinds = (first >= self.spec.read_fraction).astype(np.int64) + (
+            first >= update_cut
+        )
+        if kinds[-1] != 2 and opens[-1] == len(u) - 1:
+            # The last read or update's key variate is in the next block.
+            self._carry = u[-1:]
+            opens, kinds = opens[:-1], kinds[:-1]
+        else:
+            self._carry = np.empty(0)
+        inserts = kinds == 2
+        inserted = np.concatenate(([0], np.cumsum(inserts)))
+        counts = self._block_count + inserted[:-1]
+        keys = counts.copy()  # an insert's key is the space size before it
+        keyed = ~inserts
+        keys[keyed] = self._chooser.keys(u[opens[keyed] + 1], counts[keyed])
+        self._ops = list(
+            map(Operation, map(_OP_TYPES.__getitem__, kinds.tolist()), keys.tolist())
+        )
+        self._inserted = inserted.tolist()
+        self._next = 0

@@ -2,12 +2,14 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
 from repro.cache import SweepCache, load_resume_manifest
 from repro.parallel import merge_metrics_documents, run_sweep
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import JobManager, build_sweep_spec, demo_sweep_spec
 from repro.serve.protocol import (
     Job,
@@ -158,6 +160,37 @@ class TestCancellation:
 
     def test_cancel_unknown_job_is_none(self, manager):
         assert manager.cancel("nope-000000") is None
+
+    def test_stream_reader_sees_final_state_with_its_event(
+        self, tmp_path, monkeypatch
+    ):
+        """A reader woken between the final state and its event must not
+        see the job terminal with the event still missing."""
+        manager = JobManager(_config(), cache=SweepCache(root=str(tmp_path / "cache")))
+        _, job = manager.submit(DEMO)  # scheduler not started: stays queued
+        journaled = threading.Event()
+        real_write = jobs_module.write_journal
+
+        def slow_write(jobs_dir, record):
+            real_write(jobs_dir, record)
+            if record.terminal:
+                journaled.set()
+                time.sleep(0.2)  # hold the window open for the reader
+
+        monkeypatch.setattr(jobs_module, "write_journal", slow_write)
+        seen = {}
+
+        def reader():
+            journaled.wait(5.0)
+            seen["events"], seen["terminal"] = manager.wait_events(job, 1, 5.0)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        manager.cancel(job.id)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert seen["terminal"]
+        assert [e["event"] for e in seen["events"]] == ["cancelled"]
 
 
 class TestDeadlines:

@@ -1,5 +1,7 @@
 """Tests for key distributions."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.workloads import (
     UniformChooser,
     ZipfianChooser,
 )
+from repro.workloads.distributions import fnv_scramble, zeta
 
 
 @pytest.fixture
@@ -94,7 +97,7 @@ class TestScrambledZipfian:
         assert counts.max() > 30_000 / 100_000 * 50
 
     def test_deterministic_scramble(self):
-        assert ScrambledZipfianChooser._fnv_hash(12345) == ScrambledZipfianChooser._fnv_hash(12345)
+        assert fnv_scramble(np.array([12345])) == fnv_scramble(np.array([12345]))
 
 
 class TestLatest:
@@ -111,3 +114,61 @@ class TestLatest:
         assert all(0 <= k < 200 for k in keys)
         newest = sum(1 for k in keys if k >= 190)
         assert newest / len(keys) > 0.2
+
+
+class TestBlockKeys:
+    @pytest.mark.parametrize(
+        "make",
+        [UniformChooser, ZipfianChooser, ScrambledZipfianChooser, LatestChooser],
+        ids=lambda c: c.__name__,
+    )
+    def test_block_equals_one_at_a_time(self, make):
+        c = make(20_000)
+        rng = np.random.default_rng(4)
+        one_by_one = [c.next_key(rng) for _ in range(3000)]
+        block = c.keys(np.random.default_rng(4).random(3000))
+        assert block.dtype == np.int64
+        assert block.tolist() == one_by_one
+
+    def test_per_draw_key_space_sizes(self):
+        """A draw under ``counts[i]`` equals a chooser grown to that size."""
+        u = np.random.default_rng(8).random(400)
+        counts = np.repeat(np.arange(5_000, 5_004), 100)
+        block = ScrambledZipfianChooser(5_000).keys(u, counts)
+        for n in range(5_000, 5_004):
+            grown = ScrambledZipfianChooser(5_000)
+            grown.grow(n)
+            at = counts == n
+            assert block[at].tolist() == grown.keys(u[at]).tolist()
+
+
+class TestZeta:
+    def test_sequential_sum(self):
+        total = 0.0
+        for i in range(1, 10_001):
+            total += 1.0 / i**0.99
+            if i in (1, 2, 4_096, 10_000):
+                assert zeta(i, 0.99) == total
+
+    def test_grow_is_constant_time(self):
+        # Re-summing up to 10 000 terms per grow would take seconds here.
+        c = ZipfianChooser(9_000)
+        start = time.perf_counter()
+        for n in range(9_001, 29_001):
+            c.grow(n)
+        assert time.perf_counter() - start < 2.0
+        assert c.zetan == ZipfianChooser(29_000).zetan
+
+
+def test_fnv_scramble_matches_masked_integer_hash():
+    def reference(value):
+        h = 0xCBF29CE484222325
+        for _ in range(8):
+            h = ((h ^ (value & 0xFF)) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            value >>= 8
+        return h
+
+    values = [0, 1, 255, 256, 12345, 2**40 + 17, 2**63 - 1]
+    assert fnv_scramble(np.array(values, dtype=np.int64)).tolist() == [
+        reference(v) for v in values
+    ]

@@ -1,5 +1,7 @@
 """Tests for the YCSB generator."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,98 @@ class TestGenerator:
         counts.sort()
         top_10pct = counts[-len(counts) // 10 :].sum()
         assert top_10pct / counts.sum() > 0.5
+
+
+# -- block draws reproduce the per-op stream ---------------------------------
+
+THETA = 0.99
+
+
+@lru_cache(maxsize=None)
+def _reference_zeta(n):
+    total = 0.0
+    for i in range(1, min(n, 10_000) + 1):
+        total += 1.0 / i**THETA
+    if n <= 10_000:
+        return total
+    s = 1.0 - THETA
+    return total + (n**s - 10_000**s) / s
+
+
+def _reference_rank(n, u):
+    zetan = _reference_zeta(n)
+    eta = (1.0 - (2.0 / n) ** (1.0 - THETA)) / (1.0 - _reference_zeta(2) / zetan)
+    uz = u * zetan
+    if uz < 1.0:
+        return 0
+    if uz < 1.0 + 0.5**THETA:
+        return 1
+    return min(int(n * (eta * u - eta + 1.0) ** (1.0 / (1.0 - THETA))), n - 1)
+
+
+def _reference_fnv(value):
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h = ((h ^ (value & 0xFF)) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        value >>= 8
+    return h
+
+
+def _reference_key(distribution, n, u):
+    if distribution == "zipfian":
+        return _reference_fnv(_reference_rank(n, u)) % n
+    if distribution == "latest":
+        return n - 1 - _reference_rank(n, u)
+    return min(int(u * n), n - 1)
+
+
+def _reference_stream(spec, record_count, rng, count):
+    """One op at a time: a variate picks the type, a read or update's key
+    takes the next one, and an insert appends key ``n`` to the space."""
+    n = record_count
+    ops = []
+    for _ in range(count):
+        r = rng.random()
+        if r < spec.read_fraction:
+            ops.append((OpType.READ, _reference_key(spec.distribution, n, rng.random())))
+        elif r < spec.read_fraction + spec.update_fraction:
+            ops.append((OpType.UPDATE, _reference_key(spec.distribution, n, rng.random())))
+        else:
+            ops.append((OpType.INSERT, n))
+            n += 1
+    return ops, n
+
+
+MIXED = YcsbSpec(
+    "mixed", read_fraction=0.6, update_fraction=0.2, insert_fraction=0.2,
+    distribution="zipfian",
+)
+UNIFORM = YcsbSpec("uniform", read_fraction=0.9, insert_fraction=0.1, distribution="uniform")
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 0xC0FFEE])
+    @pytest.mark.parametrize(
+        "spec", [*WORKLOADS.values(), MIXED, UNIFORM], ids=lambda s: s.name
+    )
+    def test_matches_per_op_reference(self, spec, seed):
+        # 6000 ops span several blocks, so odd-length insert runs leave a
+        # read's key variate to the next block at some boundaries.
+        expected, grown = _reference_stream(spec, 1000, np.random.default_rng(seed), 6000)
+        gen = YcsbGenerator(spec, 1000, np.random.default_rng(seed))
+        assert [tuple(o) for o in gen.operations(6000)] == expected
+        assert gen.record_count == grown
+
+    def test_exact_zeta_boundary_crossed_by_inserts(self):
+        spec = WORKLOADS["D"]
+        expected, grown = _reference_stream(spec, 9_950, np.random.default_rng(5), 3000)
+        gen = YcsbGenerator(spec, 9_950, np.random.default_rng(5))
+        assert [tuple(o) for o in gen.operations(3000)] == expected
+        assert grown > 10_000
+
+    def test_record_count_tracks_ops_handed_out(self, rng):
+        gen = YcsbGenerator(WORKLOADS["D"], 100, rng)
+        for _ in range(3000):
+            op = gen.next_operation()
+            if op.op is OpType.INSERT:
+                assert gen.record_count == op.key + 1
