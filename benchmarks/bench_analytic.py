@@ -11,9 +11,9 @@ the DES because its figure of merit is the migration transient — on
 
 ``--check`` enforces the two contracts the fast path ships with:
 
-* **speedup floor**: aggregate speedup >= 25x (observed ~90x on the
-  reference machine; individual cells range ~40x-180x since block-drawn
-  YCSB operations made the DES cells 2-13x faster), and
+* **speedup floor**: aggregate speedup >= 25x (observed 40-46x on the
+  reference machine; individual cells range ~20x-65x since pricing
+  KeyDB epochs as arrays made the DES cells another 2-4x faster), and
 * **error ceiling**: every comparison within the pinned tolerances of
   :data:`repro.analytic.validate.PINNED_TOLERANCES` — the same bounds
   the golden-grid test pins, so CI fails loudly if a model change

@@ -113,6 +113,18 @@ class FlashTier:
             self._resident.move_to_end(key)
             self.hits += 1
 
+    def access(self, key: int) -> bool:
+        """Serve one access to ``key``; True when it reads the SSD.
+
+        A resident value refreshes its LRU position; a miss faults the
+        value in, evicting the LRU value if the cache is full.
+        """
+        if self.is_resident(key):
+            self.note_use(key)
+            return False
+        self.fault_in(key)
+        return True
+
     def fault_in(self, key: int) -> None:
         """Bring a value into the resident set, evicting LRU if needed."""
         self.faults += 1
@@ -127,17 +139,38 @@ class FlashTier:
     # -- costing ---------------------------------------------------------------
 
     def read_time_ns(self, nbytes: int, utilization: float = 0.0) -> float:
-        """Service time of a fault read of ``nbytes``.
+        """Service time of a fault read of ``nbytes``."""
+        return float(self.read_times_ns(1, nbytes, utilization)[0])
+
+    def read_times_ns(
+        self, count: int, nbytes: int, utilization: float = 0.0
+    ) -> np.ndarray:
+        """Service times of ``count`` fault reads of ``nbytes``, in order.
 
         A share of faults (``os_cache_hit_rate``) is satisfied by the OS
         page cache — RocksDB's uncompressed SSTs double-buffer in page
-        cache, so a fault often avoids the device entirely.
+        cache, so a fault often avoids the device entirely.  Each read
+        draws one variate, so ``count`` reads at once equal ``count``
+        reads one at a time.
         """
-        if self.os_cache_hit_rate > 0.0 and self._rng.random() < self.os_cache_hit_rate:
-            return self.PAGE_CACHE_HIT_NS
-        return self.ssd.access_time_ns(nbytes, is_write=False, utilization=utilization)
+        if self.os_cache_hit_rate > 0.0:
+            hit = self._rng.random(count) < self.os_cache_hit_rate
+        else:
+            hit = np.zeros(count, dtype=bool)
+        device = self.ssd.access_time_ns(
+            nbytes, is_write=False, utilization=utilization,
+            count=count - int(np.count_nonzero(hit)),
+        )
+        return np.where(hit, self.PAGE_CACHE_HIT_NS, device)
 
-    def write_time_ns(self, nbytes: int, utilization: float = 0.0) -> float:
-        """Amortized persistence write (WAL group commit share)."""
-        raw = self.ssd.access_time_ns(nbytes, is_write=True, utilization=utilization)
+    def write_time_ns(
+        self, nbytes: int, utilization: float = 0.0, count: int = 1
+    ) -> float:
+        """Amortized persistence write (WAL group commit share).
+
+        The device accounts ``count`` such writes.
+        """
+        raw = self.ssd.access_time_ns(
+            nbytes, is_write=True, utilization=utilization, count=count
+        )
         return raw * self.write_amortization

@@ -3,12 +3,12 @@
 KeyDB runs several *server threads* over the standard Redis event loop
 (seven in the paper, §4.1.1).  The simulation advances in epochs:
 
-1. draw a batch of YCSB operations and resolve each to an
-   :class:`~repro.apps.kvstore.store.AccessPlan` (touching pages so the
+1. draw a batch of YCSB operations and resolve them to a
+   :class:`~repro.apps.kvstore.store.BatchPlan` (touching pages so the
    tiering daemons see real access history);
-2. price every plan using the *current* loaded latencies — structure
-   walks at the store's placement mix, value accesses at the key's own
-   page, SSD faults/persistence at the FLASH tier;
+2. price every operation using the *current* loaded latencies —
+   structure walks at the store's placement mix, value accesses at the
+   key's own page, SSD faults/persistence at the FLASH tier;
 3. advance the clock by ``sum(op times) / threads`` (threads drain the
    closed-loop client in parallel);
 4. feed the epoch's traffic back through the platform's bandwidth
@@ -21,12 +21,21 @@ these workloads because capacity-bound KV traffic sits far below the
 bandwidth knee (which is precisely the paper's point in §4.1.2: "our
 workload [is] primarily constrained by memory capacity rather than
 memory bandwidth").
+
+Within an epoch the clock, the latencies and the SSD utilization are
+fixed, so the epoch is priced as arrays, with the float operations of a
+per-op loop in its order (busy time is a running sum, latencies go
+through a sequential Welford update).  Two steps stay per operation:
+the store's FLASH LRU walk and, in a faulted run, the RAS gate, since
+each depends on the operations before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ...errors import (
     ConfigurationError,
@@ -42,11 +51,10 @@ from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
 from ...mem.page import Page
 from ...mem.tiering.base import TieringDaemon
-from ...overload.policy import OverloadController
 from ...sim.stats import Counter, LatencyHistogram
 from ...units import gb_per_s
 from ...workloads.ycsb import YcsbGenerator
-from .store import AccessPlan, KeyValueStore
+from .store import BatchPlan, KeyValueStore
 
 __all__ = ["KeyDbResult", "KeyDbServer"]
 
@@ -114,8 +122,6 @@ class KeyDbServer:
         self.faults: Optional[FaultInjector] = None
         self.retry_policy = RetryPolicy()
         self.recovery: Optional[RecoveryTracker] = None
-        self.overload: Optional[OverloadController] = None
-        self._op_seq = 0
 
     def attach_faults(
         self,
@@ -137,26 +143,6 @@ class KeyDbServer:
             self.retry_policy = retry_policy
         self.recovery = tracker
         injector.bind_pages(lambda: self.store.pages)
-        if self.overload is not None and not self.overload.has_fault_signal:
-            self.overload.bind_faults(injector)
-
-    def attach_overload(self, controller: OverloadController) -> None:
-        """Enable overload protection: admission, deadlines, shedding.
-
-        Each operation becomes a :class:`~repro.overload.deadline.Request`
-        stamped with an absolute deadline from the policy's budget.
-        Admission runs the controller's pipeline (capacity-loss priority
-        floor, token bucket, concurrency); admitted operations that can
-        no longer meet their deadline at the current loaded latencies
-        are shed *before* being priced — the doomed work never occupies
-        a server thread.  Priorities are assigned round-robin across the
-        policy's classes (YCSB has no native priority notion).
-
-        Without a controller the server behaves exactly as before.
-        """
-        self.overload = controller
-        if self.faults is not None and not controller.has_fault_signal:
-            controller.bind_faults(self.faults)
 
     def _path(self, node_id: int) -> MemoryPath:
         if node_id not in self._paths:
@@ -190,33 +176,43 @@ class KeyDbServer:
 
     def _price(
         self,
-        plan: AccessPlan,
+        is_write: np.ndarray,
+        nodes: np.ndarray,
+        ssd_read: np.ndarray,
         ssd_utilization: float,
         read_lat: Dict[int, float],
         write_lat: Dict[int, float],
         struct_read: float,
         struct_write: float,
-    ) -> float:
-        """Service time of one operation at current latencies."""
-        if plan.is_write:
-            node_lat = write_lat[plan.value_page.node_id]
-            struct_lat = struct_write
-        else:
-            node_lat = read_lat[plan.value_page.node_id]
-            struct_lat = struct_read
-        time_ns = self.store.profile.cpu_ns
-        time_ns += plan.struct_accesses * struct_lat
-        time_ns += plan.value_accesses * node_lat
-        if self.store.flash is not None:
-            if plan.ssd_read_bytes:
-                time_ns += self.store.flash.read_time_ns(
-                    plan.ssd_read_bytes, ssd_utilization
+    ) -> np.ndarray:
+        """Service time of each operation at current latencies.
+
+        The per-op sum, one operation after another: CPU time, plus the
+        struct walk, plus the value accesses, plus the SSD read, plus the
+        SSD write.  Elementwise float64 arithmetic rounds as scalar
+        arithmetic does, so the times are the per-op ones to the bit.
+        """
+        profile = self.store.profile
+        node_lat = np.zeros((2, max(self.platform.nodes) + 1))
+        for n in read_lat:
+            node_lat[0, n], node_lat[1, n] = read_lat[n], write_lat[n]
+        times = profile.cpu_ns + profile.struct_accesses * np.where(
+            is_write, struct_write, struct_read
+        )
+        times += profile.value_accesses * node_lat[is_write.astype(np.intp), nodes]
+        flash = self.store.flash
+        if flash is not None:
+            reads = np.flatnonzero(ssd_read)
+            if len(reads):
+                times[reads] += flash.read_times_ns(
+                    len(reads), self.store.value_size, ssd_utilization
                 )
-            if plan.ssd_write_bytes:
-                time_ns += self.store.flash.write_time_ns(
-                    plan.ssd_write_bytes, ssd_utilization
+            writes = int(np.count_nonzero(is_write))
+            if writes:
+                times[is_write] += flash.write_time_ns(
+                    self.store.value_size, ssd_utilization, count=writes
                 )
-        return time_ns
+        return times
 
     # -- degradation policy ------------------------------------------------
 
@@ -233,9 +229,9 @@ class KeyDbServer:
         return False
 
     def _apply_fault_policy(
-        self, plan: AccessPlan, counters: Counter
+        self, page: Page, counters: Counter
     ) -> "tuple[bool, float]":
-        """Gate one operation against RAS state.
+        """Gate one read of ``page`` against RAS state.
 
         Returns ``(serviceable, extra_ns)`` where ``extra_ns`` is time
         spent on retries, backoff, and failover copies.  A False first
@@ -254,7 +250,6 @@ class KeyDbServer:
 
         def attempt(_n: int) -> bool:
             nonlocal extra
-            page = plan.value_page
             try:
                 faults.check_read(page)
             except PoisonedReadError:
@@ -281,6 +276,27 @@ class KeyDbServer:
             return False, extra
         return True, extra
 
+    def _gate(
+        self, plan: BatchPlan, counters: Counter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gate every operation of an epoch, in order, before pricing.
+
+        Returns per-op arrays: the node the value is read from after any
+        failover, the extra ns spent on retries and failover, and whether
+        the operation is served.  A failover moves the page for the
+        operations after it, so the gate runs op by op.
+        """
+        nodes, extra, served = [], [], []
+        for i in plan.page_index.tolist():
+            page = plan.pages[i]
+            serviceable, extra_ns = self._apply_fault_policy(page, counters)
+            if not serviceable:
+                counters.add("ops_shed", 1)
+            nodes.append(page.node_id)
+            extra.append(extra_ns)
+            served.append(serviceable)
+        return np.array(nodes), np.array(extra), np.array(served, dtype=bool)
+
     def run(
         self,
         generator: YcsbGenerator,
@@ -297,111 +313,51 @@ class KeyDbServer:
         if total_ops <= 0 or epoch_ops <= 0:
             raise ConfigurationError("op counts must be positive")
         result = KeyDbResult()
+        profile = self.store.profile
+        # Bytes one operation moves through memory.
+        touched = self.store.value_size + 64 * (
+            profile.struct_accesses + profile.value_accesses
+        )
         ssd_utilization = 0.0
         done = 0
         while done < total_ops:
             if self.faults is not None:
                 self.faults.advance(self.now_ns)
             batch = min(epoch_ops, total_ops - done)
-            plans = []
-            for _ in range(batch):
-                op = generator.next_operation()
-                if op.is_write:
-                    plans.append(self.store.plan_set(op.key, self.now_ns))
-                else:
-                    plans.append(self.store.plan_get(op.key, self.now_ns))
-
+            keys, is_write = generator.next_batch(batch)
+            plan = self.store.plan_batch(keys, is_write, self.now_ns)
             measuring = done >= warmup_ops
-            epoch_busy_ns = 0.0
-            ssd_bytes = 0
-            node_read_bytes: Dict[int, float] = {}
-            node_write_bytes: Dict[int, float] = {}
-            shed = 0
-            read_lat, write_lat, struct_read, struct_write = self._epoch_latency_tables()
-            for plan in plans:
-                request = None
-                if self.overload is not None:
-                    arrival = self.now_ns + epoch_busy_ns / self.threads
-                    request = self.overload.make_request(
-                        arrival,
-                        priority=self._op_seq % self.overload.policy.priority_levels,
-                    )
-                    self._op_seq += 1
-                    admitted, _ = self.overload.try_admit(request, arrival)
-                    if not admitted:
-                        shed += 1
-                        result.counters.add("ops_rejected", 1)
-                        if measuring and self.recovery is not None:
-                            self.recovery.record(arrival, 0.0, ok=False)
-                        continue
-                fault_extra = 0.0
-                if self.faults is not None:
-                    serviceable, fault_extra = self._apply_fault_policy(
-                        plan, result.counters
-                    )
-                    epoch_busy_ns += fault_extra
-                    if not serviceable:
-                        shed += 1
-                        result.counters.add("ops_shed", 1)
-                        if request is not None:
-                            self.overload.shed(
-                                request,
-                                self.now_ns + epoch_busy_ns / self.threads,
-                                reason="fault",
-                            )
-                        if measuring and self.recovery is not None:
-                            self.recovery.record(
-                                self.now_ns + epoch_busy_ns / self.threads,
-                                fault_extra,
-                                ok=False,
-                            )
-                        continue
-                t = self._price(
-                    plan, ssd_utilization, read_lat, write_lat, struct_read, struct_write
-                )
-                if (
-                    request is not None
-                    and self.overload.policy.shed_doomed
-                    and request.doomed(request.arrival_ns + fault_extra, t)
-                ):
-                    # The op cannot meet its deadline even if serviced
-                    # now: shed it before it occupies a server thread.
-                    shed += 1
-                    result.counters.add("ops_shed_doomed", 1)
-                    self.overload.shed(request, request.arrival_ns)
-                    if measuring and self.recovery is not None:
-                        self.recovery.record(request.arrival_ns, 0.0, ok=False)
-                    continue
-                epoch_busy_ns += t
-                finish_ns = self.now_ns + epoch_busy_ns / self.threads
-                deadline_missed: Optional[bool] = None
-                if request is not None:
-                    deadline_missed = not self.overload.complete(
-                        request, finish_ns, t + fault_extra
-                    )
-                    if deadline_missed:
-                        result.counters.add("deadline_misses", 1)
-                if measuring:
-                    if plan.is_write:
-                        result.write_latency.record(t + fault_extra)
-                    else:
-                        result.read_latency.record(t + fault_extra)
-                    if self.recovery is not None:
-                        self.recovery.record(
-                            finish_ns,
-                            t + fault_extra,
-                            ok=True,
-                            deadline_missed=deadline_missed,
-                        )
-                ssd_bytes += plan.ssd_read_bytes + plan.ssd_write_bytes
-                node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
-                )
-                if plan.is_write:
-                    node_write_bytes[node] = node_write_bytes.get(node, 0.0) + touched
-                else:
-                    node_read_bytes[node] = node_read_bytes.get(node, 0.0) + touched
+            tables = self._epoch_latency_tables()
+            if self.faults is None:
+                node_of_page = np.array([page.node_id for page in plan.pages])
+                nodes = node_of_page[plan.page_index]
+                extra = np.zeros(batch)
+                served = np.ones(batch, dtype=bool)
+            else:
+                nodes, extra, served = self._gate(plan, result.counters)
+            is_write, nodes, ssd_read = (
+                is_write[served], nodes[served], plan.ssd_read[served]
+            )
+            times = self._price(is_write, nodes, ssd_read, ssd_utilization, *tables)
+            # Busy time is a running sum, left to right, over each op's
+            # gate time and then its service time (none for a shed op).
+            # Adding 0.0 leaves the sum unchanged.
+            steps = np.zeros(2 * batch)
+            steps[0::2] = extra
+            steps[1::2][served] = times
+            busy = np.cumsum(steps)
+            epoch_busy_ns = float(busy[-1])
+            latencies = times + extra[served]
+            if measuring:
+                result.write_latency.record_all(latencies[is_write].tolist())
+                result.read_latency.record_all(latencies[~is_write].tolist())
+                if self.recovery is not None:
+                    self._record_recovery(busy, served, extra, latencies)
+            ssd_bytes = self.store.value_size * int(np.count_nonzero(ssd_read))
+            if self.store.flash is not None:
+                ssd_bytes += self.store.value_size * int(np.count_nonzero(is_write))
+            node_read_bytes = self._node_bytes(nodes[~is_write], touched)
+            node_write_bytes = self._node_bytes(nodes[is_write], touched)
 
             epoch_ns = epoch_busy_ns / self.threads
             # Tiering daemon reacts to the access history of this epoch.
@@ -416,17 +372,13 @@ class KeyDbServer:
             self.now_ns += epoch_ns
             done += batch
             if measuring:
-                result.ops += batch - shed
+                result.ops += len(times)
                 result.elapsed_ns += epoch_ns
             result.counters.add("ssd_bytes", ssd_bytes)
 
             # Refresh utilizations and the access-weighted node mix from
             # this epoch's traffic.
             self._refresh_utilization(node_read_bytes, node_write_bytes, epoch_ns)
-            if self.overload is not None:
-                self.overload.note_utilization(
-                    max(self._utilization.values(), default=0.0), self.now_ns
-                )
             total_touched = sum(node_read_bytes.values()) + sum(node_write_bytes.values())
             if total_touched > 0:
                 self._access_mix = {
@@ -436,6 +388,36 @@ class KeyDbServer:
                 }
             ssd_utilization = self._ssd_utilization(ssd_bytes, epoch_ns)
         return result
+
+    @staticmethod
+    def _node_bytes(nodes: np.ndarray, touched: int) -> Dict[int, float]:
+        """Bytes the operations on ``nodes`` move, per node."""
+        return {
+            node: float(count * touched)
+            for node, count in enumerate(np.bincount(nodes).tolist())
+            if count
+        }
+
+    def _record_recovery(
+        self,
+        busy: np.ndarray,
+        served: np.ndarray,
+        extra: np.ndarray,
+        latencies: np.ndarray,
+    ) -> None:
+        """Report each gated operation to the recovery tracker, in order.
+
+        ``busy`` holds the running busy time after each gate and after
+        each service; an op finishes (or is shed) when its last step ends.
+        """
+        assert self.recovery is not None
+        at = (self.now_ns + busy / self.threads).tolist()
+        served_latency = iter(latencies.tolist())
+        for i, (ok, extra_ns) in enumerate(zip(served.tolist(), extra.tolist())):
+            if ok:
+                self.recovery.record(at[2 * i + 1], next(served_latency), ok=True)
+            else:
+                self.recovery.record(at[2 * i], extra_ns, ok=False)
 
     def _refresh_utilization(
         self,

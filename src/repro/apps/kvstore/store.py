@@ -7,7 +7,8 @@ optional FLASH tier (KeyDB FLASH / RocksDB over NVMe) for data beyond
 
 The simulation works at *operation* granularity.  Each GET/SET resolves
 the key to its value page and returns a :class:`AccessPlan` describing
-what the operation touches:
+what the operation touches (:meth:`KeyValueStore.plan_batch` resolves a
+whole epoch of them as arrays, a :class:`BatchPlan`):
 
 * ``struct_accesses`` dependent accesses to shared server structures
   (hash table buckets, robj headers, event-loop state) whose placement
@@ -25,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ...errors import ConfigurationError
 from ...mem.address_space import AddressSpace
 from ...mem.page import Page
@@ -32,7 +35,7 @@ from ...mem.policy import MemPolicy
 from ...units import KIB
 from .flash import FlashTier
 
-__all__ = ["ServiceProfile", "AccessPlan", "KeyValueStore"]
+__all__ = ["ServiceProfile", "AccessPlan", "BatchPlan", "KeyValueStore"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,23 @@ class AccessPlan:
     ssd_write_bytes: int = 0
     #: Bytes of value moved through memory (for bandwidth accounting).
     value_bytes: int = 0
+
+
+@dataclass
+class BatchPlan:
+    """What a batch of operations touches, op by op; priced by the server.
+
+    Every operation makes the profile's struct and value accesses and
+    moves one value; with a FLASH tier, every write also pays the
+    persistence write.  Per-op arrays are in operation order.
+    """
+
+    #: The distinct pages the batch touches.
+    pages: List[Page]
+    #: Index into ``pages`` of each operation's value page.
+    page_index: np.ndarray
+    #: Whether each operation first reads its value from the SSD.
+    ssd_read: np.ndarray
 
 
 class KeyValueStore:
@@ -165,11 +185,8 @@ class KeyValueStore:
         page = self.page_of(key)
         page.touch(now_ns, is_write=False)
         ssd_read = 0
-        if self.flash is not None and not self.flash.is_resident(key):
+        if self.flash is not None and self.flash.access(key):
             ssd_read = self.value_size
-            self.flash.fault_in(key)
-        elif self.flash is not None:
-            self.flash.note_use(key)
         return AccessPlan(
             key=key,
             is_write=False,
@@ -194,11 +211,8 @@ class KeyValueStore:
         ssd_read = 0
         ssd_write = 0
         if self.flash is not None:
-            if not self.flash.is_resident(key):
+            if self.flash.access(key):
                 ssd_read = self.value_size  # read-modify-write fault
-                self.flash.fault_in(key)
-            else:
-                self.flash.note_use(key)
             ssd_write = self.value_size
         return AccessPlan(
             key=key,
@@ -210,6 +224,53 @@ class KeyValueStore:
             ssd_write_bytes=ssd_write,
             value_bytes=self.value_size,
         )
+
+    def plan_batch(
+        self, keys: np.ndarray, is_write: np.ndarray, now_ns: float
+    ) -> BatchPlan:
+        """Plan a batch of SETs (``is_write``) and GETs, in operation order.
+
+        Leaves the store as :meth:`plan_set` and :meth:`plan_get` called
+        op by op at ``now_ns`` do.  Page heat is updated once per touched
+        page.  The FLASH LRU is walked op by op, because residency and
+        churn draws depend on the ops before.  The walk also registers
+        inserted values at their place in the order.
+        """
+        start = self.record_count
+        grown = np.maximum.accumulate(
+            np.where(is_write & (keys >= start), keys + 1, start)
+        )
+        before = np.concatenate(([start], grown[:-1]))
+        outside = (keys < 0) | (~is_write & (keys >= before))
+        if outside.any():
+            key = int(keys[outside.argmax()])
+            raise KeyError(f"key {key} outside record space")
+        if self.flash is None:
+            self._grow_to(int(grown[-1]) if len(keys) else start)
+            ssd_read = np.zeros(len(keys), dtype=bool)
+        else:
+            access = self.flash.access
+            misses = []
+            for key, write in zip(keys.tolist(), is_write.tolist()):
+                if write and key >= self.record_count:
+                    self._grow_to(key + 1)
+                misses.append(access(key))
+            ssd_read = np.array(misses, dtype=bool)
+        if self._pages_per_value == 1:
+            index = keys // self.values_per_page
+        else:
+            index = keys * self._pages_per_value
+        touches = np.bincount(index)
+        writes = np.bincount(index[is_write], minlength=len(touches))
+        distinct = np.flatnonzero(touches)
+        pages = [self.pages[i] for i in distinct.tolist()]
+        for page, count, written in zip(
+            pages, touches[distinct].tolist(), writes[distinct].tolist()
+        ):
+            page.touch_many(now_ns, count, written)
+        slot = np.empty(len(touches), dtype=np.intp)
+        slot[distinct] = np.arange(len(distinct))
+        return BatchPlan(pages, slot[index], ssd_read)
 
     # -- placement statistics -------------------------------------------------
 

@@ -92,12 +92,17 @@ class SsdDevice:
         self.bytes_written = 0
 
     def access_time_ns(
-        self, size_bytes: int, is_write: bool, utilization: float = 0.0
+        self,
+        size_bytes: int,
+        is_write: bool,
+        utilization: float = 0.0,
+        count: int = 1,
     ) -> float:
         """Service time for one transfer of ``size_bytes``.
 
         ``utilization`` in [0, 1) inflates the time with a 1/(1-u) queueing
-        factor, as for the memory paths.
+        factor, as for the memory paths.  The byte counters account
+        ``count`` such transfers.
         """
         if size_bytes < 0:
             raise CapacityError("transfer size must be >= 0")
@@ -107,11 +112,11 @@ class SsdDevice:
         if is_write:
             latency = self.spec.write_latency_ns
             bandwidth = self.spec.write_bandwidth_bytes_per_s
-            self.bytes_written += size_bytes
+            self.bytes_written += size_bytes * count
         else:
             latency = self.spec.read_latency_ns
             bandwidth = self.spec.read_bandwidth_bytes_per_s
-            self.bytes_read += size_bytes
+            self.bytes_read += size_bytes * count
         transfer_ns = size_bytes / bandwidth * 1e9
         return (latency + transfer_ns) / (1.0 - u)
 

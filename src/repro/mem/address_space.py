@@ -98,16 +98,29 @@ class AddressSpace:
     # -- allocation ----------------------------------------------------------
 
     def allocate_pages(self, count: int, policy: MemPolicy) -> List[Page]:
-        """Allocate ``count`` pages placed by ``policy``."""
+        """Allocate ``count`` pages placed by ``policy``.
+
+        All or nothing: when a page cannot be placed, the pages this
+        call already reserved go back to the inventory before the
+        :class:`~repro.errors.AllocationError` propagates.
+        """
         if count < 0:
             raise AllocationError("cannot allocate a negative number of pages")
+        size = self.page_size
+        free = self.inventory.free_bytes()  # kept current below
+        first_id = self._next_page_id
         new_pages: List[Page] = []
-        for _ in range(count):
-            node = policy.place(self.inventory.free_bytes(), self.page_size)
-            self.inventory.reserve(node, self.page_size)
-            page = Page(self._next_page_id, node, self.page_size)
-            self._next_page_id += 1
-            new_pages.append(page)
+        try:
+            for page_id in range(first_id, first_id + count):
+                node = policy.place(free, size)
+                self.inventory.reserve(node, size)
+                free[node] -= size
+                new_pages.append(Page(page_id, node, size))
+        except AllocationError:
+            for page in new_pages:
+                self.inventory.release(page.node_id, size)
+            raise
+        self._next_page_id = first_id + count
         self.pages.extend(new_pages)
         return new_pages
 

@@ -62,6 +62,22 @@ class Page:
         if is_write:
             self.write_count += 1
 
+    def touch_many(self, now_ns: float, count: int, writes: int = 0) -> None:
+        """Record ``count`` accesses at ``now_ns``, ``writes`` of them writes.
+
+        Leaves the page exactly as ``count`` calls of :meth:`touch` at
+        ``now_ns`` do: the first decays the heat, the rest see no time
+        pass, and each adds 1.0 on its own (``+ count`` can round
+        differently).
+        """
+        self.touch(now_ns)
+        heat = self.heat
+        for _ in range(1, count):
+            heat += 1.0
+        self.heat = heat
+        self.access_count += count - 1
+        self.write_count += writes
+
     def heat_at(self, now_ns: float) -> float:
         """The decayed heat as of ``now_ns`` without recording an access."""
         if self.last_access_ns == -float("inf"):

@@ -23,7 +23,7 @@ deterministic, so simulations reproduce exactly.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, PolicyError
 
@@ -138,6 +138,7 @@ class WeightedInterleavePolicy(MemPolicy):
             if w <= 0 or int(w) != w:
                 raise PolicyError(f"weight for node {node} must be a positive integer")
         self._weights = {node: int(w) for node, w in weights.items()}
+        self._total = sum(self._weights.values())
         self._current: Dict[int, int] = {node: 0 for node in weights}
 
     @classmethod
@@ -165,20 +166,24 @@ class WeightedInterleavePolicy(MemPolicy):
         """The long-run share of pages placed on ``node``."""
         if node not in self._weights:
             raise PolicyError(f"node {node} is not part of this policy")
-        return self._weights[node] / sum(self._weights.values())
+        return self._weights[node] / self._total
 
     def place(self, free_bytes: Dict[int, int], page_size: int) -> int:
         # Smooth weighted round-robin (nginx's algorithm): bump each
         # node's current weight by its configured weight, pick the
-        # largest that fits, then subtract the total from the winner.
-        total = sum(self._weights.values())
-        eligible: List[int] = []
-        for node in self._weights:
-            self._current[node] += self._weights[node]
-            if self._fits(node, free_bytes, page_size):
-                eligible.append(node)
-        if not eligible:
+        # largest that fits (the lowest node id on a tie), then subtract
+        # the total from the winner.
+        current = self._current
+        winner: Optional[int] = None
+        best = 0
+        for node, weight in self._weights.items():
+            value = current[node] + weight
+            current[node] = value
+            if self._fits(node, free_bytes, page_size) and (
+                winner is None or value > best or (value == best and node < winner)
+            ):
+                winner, best = node, value
+        if winner is None:
             raise AllocationError(f"weighted-interleave nodes {self.nodes()} are full")
-        winner = max(eligible, key=lambda n: (self._current[n], -n))
-        self._current[winner] -= total
+        current[winner] -= self._total
         return winner

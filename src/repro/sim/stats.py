@@ -13,6 +13,7 @@ growth factor.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -46,6 +47,27 @@ class RunningStat:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def record_all(self, values: Sequence[float]) -> None:
+        """Add each of ``values`` in order, exactly as :meth:`record` does.
+
+        Welford's update is sequential, so the loop stays; it just runs
+        on locals.  Pass a list of floats: numpy scalars are slow here.
+        """
+        if not values:
+            return
+        count, mean, m2 = self.count, self._mean, self._m2
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self._mean, self._m2 = count, mean, m2
+        low, high = min(values), max(values)
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
 
     def record_many(self, value: float, count: int) -> None:
         """Add ``count`` identical samples in O(1).
@@ -166,6 +188,19 @@ class LatencyHistogram:
         idx = self._bucket_index(value)
         self._buckets[idx] = self._buckets.get(idx, 0) + count
         self.stat.record_many(value, count)
+
+    def record_all(self, values: Sequence[float]) -> None:
+        """Record each of ``values`` once, in order.
+
+        The same state as one :meth:`record` call per value: each
+        distinct value is bucketed once, and the mean, variance, min and
+        max follow the values in order.
+        """
+        buckets = self._buckets
+        for value, count in collections.Counter(values).items():
+            idx = self._bucket_index(value)
+            buckets[idx] = buckets.get(idx, 0) + count
+        self.stat.record_all(values)
 
     def percentile(self, p: float) -> float:
         """Return the value at percentile ``p`` (0 < p <= 100).

@@ -6,15 +6,17 @@
 * **D** — 95 % read / 5 % insert, latest distribution.
 
 Record size defaults to the YCSB default the paper uses: 1 KB values.
-The generator hands out :class:`Operation` values one at a time so the
-KV store client can drive it closed-loop; it draws them in blocks.
+The generator draws operations in blocks.  It hands them out one
+:class:`Operation` at a time, for a client that drives it closed-loop,
+or as arrays of keys and write flags, for a server that resolves a whole
+epoch at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -96,6 +98,11 @@ class YcsbGenerator:
     a fresh key at the end of the space, and later draws see the grown
     space.  The generator owns ``rng``: it draws ahead of the operations
     handed out, so nothing else may draw from the same stream.
+
+    :meth:`next_operation` and :meth:`next_batch` hand out the same
+    stream and may be interleaved.  A block is kept as arrays; its
+    :class:`Operation` tuples are built only once :meth:`next_operation`
+    reaches it.
     """
 
     def __init__(
@@ -109,7 +116,9 @@ class YcsbGenerator:
         self.spec = spec
         self._rng = rng
         self._chooser = self._make_chooser(record_count)
-        self._ops: List[Operation] = []
+        self._keys = np.empty(0, dtype=np.int64)
+        self._kinds = np.empty(0, dtype=np.int64)  # indices into _OP_TYPES
+        self._ops: List[Operation] = []  # the block's tuples, once built
         self._next = 0
         self._inserted: List[int] = [0]  # inserts among the first i ops of the block
         self._block_count = record_count  # key-space size at the block's start
@@ -129,16 +138,43 @@ class YcsbGenerator:
 
     def next_operation(self) -> Operation:
         """Draw the next operation."""
-        if self._next == len(self._ops):
-            self._draw_block()
+        if self._next >= len(self._ops):
+            self._build_ops()
         op = self._ops[self._next]
         self._next += 1
         return op
+
+    def next_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` operations as ``(keys, is_write)`` arrays.
+
+        The same operations ``count`` calls of :meth:`next_operation`
+        hand out, without building a tuple per operation.
+        """
+        keys: List[np.ndarray] = []
+        kinds: List[np.ndarray] = []
+        while count > 0:
+            if self._next == len(self._keys):
+                self._draw_block()
+            end = min(self._next + count, len(self._keys))
+            keys.append(self._keys[self._next : end])
+            kinds.append(self._kinds[self._next : end])
+            count -= end - self._next
+            self._next = end
+        return np.concatenate(keys), np.concatenate(kinds) != 0
 
     def operations(self, count: int) -> Iterator[Operation]:
         """Yield ``count`` operations."""
         for _ in range(count):
             yield self.next_operation()
+
+    def _build_ops(self) -> None:
+        """The current block's tuples; draws the next block when it is used up."""
+        if self._next == len(self._keys):
+            self._draw_block()
+        self._ops = list(
+            map(Operation, map(_OP_TYPES.__getitem__, self._kinds.tolist()),
+                self._keys.tolist())
+        )
 
     def _draw_block(self) -> None:
         """Turn the carried variate plus a fresh block into operations."""
@@ -171,8 +207,7 @@ class YcsbGenerator:
         keys = counts.copy()  # an insert's key is the space size before it
         keyed = ~inserts
         keys[keyed] = self._chooser.keys(u[opens[keyed] + 1], counts[keyed])
-        self._ops = list(
-            map(Operation, map(_OP_TYPES.__getitem__, kinds.tolist()), keys.tolist())
-        )
+        self._keys, self._kinds = keys, kinds
+        self._ops = []
         self._inserted = inserted.tolist()
         self._next = 0

@@ -91,6 +91,25 @@ class TestKeyValueStore:
         assert plan.is_write
         assert store.record_count == 101
 
+    def test_plan_batch_rejects_reads_outside_the_space(self, space, platform):
+        store = make_store(space, platform, records=100)
+        # The write to key 100 grows the space, so only the read of 101 fails.
+        keys = np.array([5, 100, 100, 101])
+        with pytest.raises(KeyError):
+            store.plan_batch(keys, np.array([False, True, False, False]), 0.0)
+        with pytest.raises(KeyError):
+            store.plan_batch(np.array([-1]), np.array([True]), 0.0)
+
+    def test_plan_batch_grows_and_touches(self, space, platform):
+        store = make_store(space, platform, records=100)
+        keys = np.array([100, 101, 100, 3])
+        plan = store.plan_batch(keys, np.array([True, True, False, False]), 7.0)
+        assert store.record_count == 102
+        assert [p.access_count for p in plan.pages] == [1, 3]
+        assert [p.write_count for p in plan.pages] == [0, 2]
+        assert plan.pages[plan.page_index[0]] is store.page_of(100)
+        assert not plan.ssd_read.any()
+
     def test_dataset_bytes(self, space, platform):
         store = make_store(space, platform, records=1000)
         assert store.dataset_bytes() == 1000 * 1024
@@ -157,6 +176,23 @@ class TestFlashTier:
             resident=10, os_cache_hit_rate=0.999, rng=np.random.default_rng(2)
         )
         assert flash.read_time_ns(4096) == FlashTier.PAGE_CACHE_HIT_NS
+
+    @pytest.mark.parametrize("hit_rate", [0.0, 0.45])
+    def test_batched_reads_match_per_op_reads(self, hit_rate):
+        batched, looped = (
+            self.make_flash(os_cache_hit_rate=hit_rate, rng=np.random.default_rng(4))
+            for _ in range(2)
+        )
+        times = batched.read_times_ns(300, 1024, utilization=0.3)
+        assert times.tolist() == [looped.read_time_ns(1024, 0.3) for _ in range(300)]
+        assert batched.ssd.bytes_read == looped.ssd.bytes_read
+        assert batched._rng.random() == looped._rng.random()
+
+    def test_batched_writes_account_every_write(self):
+        batched, looped = self.make_flash(), self.make_flash()
+        time_ns = batched.write_time_ns(1024, 0.2, count=7)
+        assert [looped.write_time_ns(1024, 0.2) for _ in range(7)] == [time_ns] * 7
+        assert batched.ssd.bytes_written == looped.ssd.bytes_written == 7 * 1024
 
 
 class TestExperimentAssembly:

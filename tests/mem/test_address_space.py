@@ -79,6 +79,18 @@ class TestAddressSpace:
         with pytest.raises(AllocationError):
             space.allocate_pages(-1, BindPolicy([0]))
 
+    def test_failed_allocation_releases_its_pages(self, platform):
+        cxl = platform.cxl_nodes()[0].node_id
+        inv = MemoryInventory(platform, capacity_override={cxl: 3 * PAGE_SIZE})
+        space = AddressSpace(inv)
+        with pytest.raises(AllocationError):
+            space.allocate_pages(5, BindPolicy([cxl]))  # the 4th page fails
+        assert inv.used(cxl) == 0
+        assert space.pages == []
+        pages = space.allocate_pages(3, BindPolicy([cxl]))
+        assert [p.page_id for p in pages] == [0, 1, 2]
+        assert inv.used(cxl) == 3 * PAGE_SIZE
+
     def test_interleave_distribution(self, platform, inventory):
         space = AddressSpace(inventory)
         cxl = platform.cxl_nodes()[0].node_id

@@ -56,3 +56,39 @@ class TestPage:
         p = Page(0, 0)
         p.touch(100.0)
         assert p.idle_ns(600.0) == 500.0
+
+
+class TestTouchMany:
+    @staticmethod
+    def _state(page):
+        return (page.heat, page.last_access_ns, page.access_count, page.write_count)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 250])
+    @pytest.mark.parametrize("elapsed", [0.0, 1.0, 3.7e6, 1e9])
+    def test_equals_repeated_touches(self, count, elapsed):
+        grouped, looped = Page(0, 0), Page(1, 0)
+        for page in (grouped, looped):
+            for i in range(5):
+                page.touch(i * 1.3e6, is_write=i % 2 == 0)
+        now = 4 * 1.3e6 + elapsed
+        writes = count // 3
+        grouped.touch_many(now, count, writes)
+        for i in range(count):
+            looped.touch(now, is_write=i < writes)
+        assert self._state(grouped) == self._state(looped)
+
+    def test_first_touch_of_a_fresh_page(self):
+        grouped, looped = Page(0, 0), Page(1, 0)
+        grouped.touch_many(5.0, 4, 4)
+        for _ in range(4):
+            looped.touch(5.0, is_write=True)
+        assert self._state(grouped) == self._state(looped)
+
+    def test_adds_one_per_touch(self):
+        # Two +1.0 adds round differently from one +2.0 add.
+        heat = 0.02544078739100653
+        assert heat + 1.0 + 1.0 != heat + 2.0
+        page = Page(0, 0)
+        page.heat, page.last_access_ns = heat, 10.0
+        page.touch_many(10.0, 2)
+        assert page.heat == 2.0254407873910063

@@ -135,6 +135,22 @@ class TestWeightedInterleavePolicy:
         with pytest.raises(AllocationError):
             p.place(free(n0=0, n1=0), PAGE)
 
+    def test_placement_sequence_matches_max_reference(self):
+        """The winner is the highest current weight, lowest node id on a
+        tie: the sequence ``max(key=(current, -node))`` picks."""
+        weights = {3: 2, 0: 3, 5: 2, 1: 1}
+        p = WeightedInterleavePolicy(weights)
+        current = dict.fromkeys(weights, 0)
+        f = free(n0=PAGE * 40, n1=PAGE * 5, n3=PAGE * 1000, n5=PAGE * 1000)
+        for _ in range(300):
+            for node in current:
+                current[node] += weights[node]
+            eligible = [n for n in current if f.get(n, 0) >= PAGE]
+            expected = max(eligible, key=lambda n: (current[n], -n))
+            current[expected] -= sum(weights.values())
+            assert p.place(f, PAGE) == expected
+            f[expected] -= PAGE  # nodes 1 and 0 fill up along the way
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_ratio_property(self, n, m):
         """For any N:M, the share of pages on the top tier is N/(N+M)."""

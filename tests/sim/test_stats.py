@@ -130,6 +130,43 @@ class TestRecordMany:
         assert batched.max == looped.max
 
 
+class TestRecordAll:
+    @staticmethod
+    def _state(hist):
+        stat = hist.stat
+        return (dict(hist._buckets), stat.count, stat._mean, stat._m2, stat.min, stat.max)
+
+    def test_histogram_matches_per_value_records(self):
+        batched, looped = LatencyHistogram(min_value=50.0), LatencyHistogram(min_value=50.0)
+        edge = batched._bucket_value(37)
+        values = [7000.5, 50.0, 3.0, edge, 7000.5, 123456.25, edge, 50.0, 9e6, 7000.5]
+        values += [1000.0 + 0.37 * i for i in range(500)]
+        batched.record(11.0)
+        looped.record(11.0)
+        batched.record_all(values[:7])
+        batched.record_all(values[7:])
+        for v in values:
+            looped.record(v)
+        assert self._state(batched) == self._state(looped)
+        assert batched.percentiles([50, 99]) == looped.percentiles([50, 99])
+
+    def test_empty_batch_is_a_no_op(self):
+        hist = LatencyHistogram()
+        hist.record_all([])
+        assert hist.count == 0
+        assert hist.min == 0.0
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=40))
+    def test_running_stat_matches_per_value_records(self, values):
+        batched, looped = RunningStat(), RunningStat()
+        batched.record_all(values)
+        for v in values:
+            looped.record(v)
+        assert (batched.count, batched._mean, batched._m2, batched.min, batched.max) == (
+            looped.count, looped._mean, looped._m2, looped.min, looped.max
+        )
+
+
 class TestLatencyHistogram:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -193,3 +193,51 @@ class TestBlockDraws:
             op = gen.next_operation()
             if op.op is OpType.INSERT:
                 assert gen.record_count == op.key + 1
+
+
+def _as_ops(keys, is_write):
+    return list(zip(keys.tolist(), is_write.tolist()))
+
+
+def _per_op(gen, count):
+    return [(op.key, op.is_write) for op in gen.operations(count)]
+
+
+class TestNextBatch:
+    @pytest.mark.parametrize("workload", "ABCD")
+    def test_matches_next_operation_across_blocks(self, workload):
+        # 5000 ops span several 2048-variate blocks for every workload.
+        spec = WORKLOADS[workload]
+        batched = YcsbGenerator(spec, 1000, np.random.default_rng(3))
+        looped = YcsbGenerator(spec, 1000, np.random.default_rng(3))
+        ops = []
+        for count in (1, 999, 2000, 2000):
+            keys, is_write = batched.next_batch(count)
+            assert keys.dtype == np.int64 and is_write.dtype == bool
+            ops += _as_ops(keys, is_write)
+        assert ops == _per_op(looped, 5000)
+        assert batched.record_count == looped.record_count
+
+    def test_workload_d_inserts_extend_the_space(self):
+        gen = YcsbGenerator(WORKLOADS["D"], 500, np.random.default_rng(11))
+        ref = YcsbGenerator(WORKLOADS["D"], 500, np.random.default_rng(11))
+        keys, is_write = gen.next_batch(4000)
+        expected = list(ref.operations(4000))
+        assert _as_ops(keys, is_write) == [(o.key, o.is_write) for o in expected]
+        inserted = [o.key for o in expected if o.op is OpType.INSERT]
+        assert inserted == list(range(500, 500 + len(inserted)))
+        assert gen.record_count == 500 + len(inserted)
+
+    @pytest.mark.parametrize("workload", ["A", "D"])
+    def test_interleaves_with_next_operation(self, workload):
+        spec = WORKLOADS[workload]
+        mixed = YcsbGenerator(spec, 800, np.random.default_rng(5))
+        looped = YcsbGenerator(spec, 800, np.random.default_rng(5))
+        ops = []
+        for step, count in enumerate((700, 333, 1500, 1, 2100, 1024, 17)):
+            if step % 2:
+                ops += _per_op(mixed, count)
+            else:
+                ops += _as_ops(*mixed.next_batch(count))
+        assert ops == _per_op(looped, len(ops))
+        assert mixed.record_count == looped.record_count
