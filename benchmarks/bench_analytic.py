@@ -3,7 +3,8 @@
 Runs the ``--backend auto`` analytic portion of the quick Fig. 5 grid
 — every calibration cell except ``hot-promote``, which auto keeps on
 the DES because its figure of merit is the migration transient — on
-*both* backends, and reports:
+*both* models (``run_keydb_config`` and ``analytic_keydb_config``, what
+the ``fig5_cell`` task runs for each ``backend`` param), and reports:
 
 * per-cell wall clock for the DES and the (warm) analytic model,
 * per-cell relative error on throughput and read p50/p99, and
@@ -35,13 +36,14 @@ import argparse
 import sys
 import time
 
+from repro.analytic.keydb import analytic_keydb_config
 from repro.analytic.select import select_backend
 from repro.analytic.validate import (
     DEFAULT_FIG5_CELLS,
     PINNED_TOLERANCES,
     MetricError,
 )
-from repro.parallel import tasks
+from repro.apps.kvstore import run_keydb_config
 
 #: Aggregate warm-speedup floor ``--check`` enforces.
 SPEEDUP_FLOOR = 25.0
@@ -72,20 +74,20 @@ def _metrics(result):
 def measure() -> dict:
     cells = _auto_analytic_cells()
     # Warm the zipf-pmf / shared-platform caches off the clock.
-    warm_params = {"config": cells[0][0], "workload": cells[0][1],
-                   "record_count": RECORD_COUNT, "total_ops": TOTAL_OPS}
-    tasks.fig5_cell_analytic(warm_params, SEED)
+    analytic_keydb_config(cells[0][0], workload=cells[0][1],
+                          record_count=RECORD_COUNT, total_ops=TOTAL_OPS,
+                          seed=SEED)
 
     rows = []
     errors = []
     des_total = ana_total = 0.0
     for config, workload in cells:
-        params = {"config": config, "workload": workload,
-                  "record_count": RECORD_COUNT, "total_ops": TOTAL_OPS}
+        kwargs = {"workload": workload, "record_count": RECORD_COUNT,
+                  "total_ops": TOTAL_OPS, "seed": SEED}
         t0 = time.perf_counter()
-        des = tasks.fig5_cell(params, SEED)
+        des = run_keydb_config(config, **kwargs)
         t1 = time.perf_counter()
-        ana = tasks.fig5_cell_analytic(params, SEED)
+        ana = analytic_keydb_config(config, **kwargs)
         t2 = time.perf_counter()
         des_s, ana_s = t1 - t0, t2 - t1
         des_total += des_s

@@ -38,7 +38,7 @@ SPEEDUP_FLOOR = 5.0
 
 def _run(cache: SweepCache):
     """One quick Fig. 5 sweep through ``cache``; returns (result, secs)."""
-    spec = fig5_sweep_spec(record_count=16_384, total_ops=20_000, observed=True)
+    spec = fig5_sweep_spec(record_count=16_384, total_ops=20_000)
     start = time.perf_counter()
     result = run_sweep(spec, workers=1, cache=cache)
     return result, time.perf_counter() - start

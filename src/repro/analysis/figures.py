@@ -15,9 +15,10 @@ the root seed, and results are re-assembled in the historical order, so
 a parallel or cache-served figure is bit-identical to a serial cold one.
 
 Each figure also exposes its grid as a ``*_sweep_spec`` builder — the
-shared catalog behind the runners here and the ``repro sweep`` CLI
-(``observed=True`` selects the task variant that additionally snapshots
-a per-cell ``repro.metrics/v1`` document for the merged export).
+shared catalog behind the runners here and the ``repro sweep`` CLI.
+Both run the figure's one task (:mod:`repro.parallel.tasks`), which
+returns a per-cell ``repro.metrics/v1`` document with the plain value
+under ``"result"``, so a runner and ``repro sweep`` share cache entries.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..apps.kvstore.server import KeyDbResult
 from ..apps.llm import LLM_CONFIGS, LlmServingExperiment, ServingPoint
 from ..apps.spark import SPARK_CONFIGS
 from ..apps.spark.job import QueryResult
+from ..errors import ConfigurationError
 from ..hw.topology import Platform
 from ..parallel import SweepPoint, SweepSpec, run_sweep, tasks
 from ..sim.rng import DEFAULT_SEED
@@ -79,26 +81,26 @@ def _load_fractions(load_points: int) -> List[float]:
     return [0.02 + i * (1.13 / (load_points - 1)) for i in range(load_points)]
 
 
-def _backend_task(backend: str, des, analytic, auto=None):
-    """Resolve a spec builder's ``backend`` flag to a task function.
-
-    ``auto`` defaults to the analytic task: for the MLC and fig8 grids
-    every point is steady-state, so the router would route all of them
-    to the fast path anyway.  fig5 passes its true per-point router.
-    """
-    from ..analytic.select import BACKENDS
-
-    if backend not in BACKENDS:
-        from ..errors import ConfigurationError
-
+def _check_backend(backend: str) -> None:
+    if backend not in ("des", "analytic", "auto"):
         raise ConfigurationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown backend {backend!r}; expected one of "
+            f"('des', 'analytic', 'auto')"
         )
-    if backend == "des":
-        return des
-    if backend == "analytic":
-        return analytic
-    return auto if auto is not None else analytic
+
+
+def _point_backend(target: str, backend: str, params: Dict) -> str:
+    """The model one fig5/fig8 point runs on: ``auto`` resolved per point.
+
+    The analytic package is imported only under ``auto``, so a ``des``
+    spec never loads it.
+    """
+    _check_backend(backend)
+    if backend != "auto":
+        return backend
+    from ..analytic.select import select_backend
+
+    return select_backend(target, params)
 
 
 def fig3_sweep_spec(
@@ -106,19 +108,19 @@ def fig3_sweep_spec(
     mixes: Sequence[Tuple[int, int]] = FIG3_MIXES,
     load_points: int = 24,
     seed: int = DEFAULT_SEED,
-    observed: bool = False,
     backend: str = "des",
 ) -> SweepSpec:
-    """The Fig. 3 panel grid as a sweep spec (one point per distance)."""
+    """The Fig. 3 panel grid as a sweep spec (one point per distance).
+
+    Every backend runs the one allocator-backed ``MlcProbe``, so
+    ``backend`` is validated but stays out of the params: all three
+    values share one cache entry per point.
+    """
+    _check_backend(backend)
     fractions = _load_fractions(load_points)
     return SweepSpec(
         name="fig3",
-        task=_backend_task(
-            backend,
-            tasks.fig3_panel_observed if observed else tasks.fig3_panel,
-            (tasks.fig3_panel_analytic_observed if observed
-             else tasks.fig3_panel_analytic),
-        ),
+        task=tasks.fig3_panel,
         points=tuple(
             SweepPoint(
                 key=panel,
@@ -151,7 +153,7 @@ def fig3_loaded_latency(
                            backend=backend)
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()
-    return {pr.key: pr.value for pr in sweep.results}
+    return {pr.key: pr.value["result"] for pr in sweep.results}
 
 
 def fig4_sweep_spec(
@@ -161,20 +163,18 @@ def fig4_sweep_spec(
     patterns: Sequence[str] = ("sequential", "random"),
     load_points: int = 24,
     seed: int = DEFAULT_SEED,
-    observed: bool = False,
     backend: str = "des",
 ) -> SweepSpec:
-    """The Fig. 4 (pattern, mix) grid as a sweep spec."""
+    """The Fig. 4 (pattern, mix) grid as a sweep spec.
+
+    Like Fig. 3, every backend runs ``MlcProbe`` and ``backend`` stays
+    out of the params.
+    """
+    _check_backend(backend)
     fractions = _load_fractions(load_points)
     return SweepSpec(
         name="fig4",
-        task=_backend_task(
-            backend,
-            (tasks.fig4_pattern_mix_observed if observed
-             else tasks.fig4_pattern_mix),
-            (tasks.fig4_pattern_mix_analytic_observed if observed
-             else tasks.fig4_pattern_mix_analytic),
-        ),
+        task=tasks.fig4_pattern_mix,
         points=tuple(
             SweepPoint(
                 key=f"{pattern}/{r}:{w}",
@@ -218,7 +218,7 @@ def fig4_path_comparison(
     for point, pr in zip(spec.points, sweep.results):
         pattern = point.params["pattern"]
         r, w = point.params["mix"]
-        out.setdefault(pattern, {})[f"{r}:{w}"] = pr.value
+        out.setdefault(pattern, {})[f"{r}:{w}"] = pr.value["result"]
     return out
 
 
@@ -258,43 +258,31 @@ def fig5_sweep_spec(
     record_count: int = 65_536,
     total_ops: int = 100_000,
     seed: int = 0xC0FFEE,
-    observed: bool = False,
     backend: str = "des",
 ) -> SweepSpec:
     """The Fig. 5 grid as a sweep spec (one point per cell).
 
     Cells share the root seed — the paper's protocol runs every
-    configuration against the same workload draw.  ``observed=True``
-    swaps in the task variant that also snapshots a per-cell
-    ``repro.metrics/v1`` document (used by ``repro sweep fig5``).
-    ``backend="auto"`` routes steady-state cells to the analytical
-    model and the hot-promotion transient to the DES, per point.
+    configuration against the same workload draw.  Each point's
+    ``backend`` param names its model; ``backend="auto"`` puts the
+    analytical model on steady-state cells and the DES on the
+    hot-promotion transient.
     """
-    return SweepSpec(
-        name="fig5",
-        task=_backend_task(
-            backend,
-            tasks.fig5_cell_observed if observed else tasks.fig5_cell,
-            (tasks.fig5_cell_analytic_observed if observed
-             else tasks.fig5_cell_analytic),
-            tasks.fig5_cell_auto_observed if observed else tasks.fig5_cell_auto,
-        ),
-        points=tuple(
-            SweepPoint(
-                key=f"{workload}/{config}",
-                params={
-                    "workload": workload,
-                    "config": config,
-                    "record_count": record_count,
-                    "total_ops": total_ops,
-                },
-                seed=seed,
+    points = []
+    for workload in workloads:
+        for config in configs:
+            params = {
+                "workload": workload,
+                "config": config,
+                "record_count": record_count,
+                "total_ops": total_ops,
+            }
+            params["backend"] = _point_backend("fig5", backend, params)
+            points.append(
+                SweepPoint(key=f"{workload}/{config}", params=params, seed=seed)
             )
-            for workload in workloads
-            for config in configs
-        ),
-        base_seed=seed,
-    )
+    return SweepSpec(name="fig5", task=tasks.fig5_cell, points=tuple(points),
+                     base_seed=seed)
 
 
 def fig5_keydb(
@@ -324,19 +312,20 @@ def fig5_keydb(
     result = Fig5Result()
     for point, pr in zip(spec.points, sweep.results):
         workload = point.params["workload"]
-        result.results.setdefault(workload, {})[point.params["config"]] = pr.value
+        result.results.setdefault(workload, {})[point.params["config"]] = (
+            pr.value["result"]
+        )
     return result
 
 
 def fig7_sweep_spec(
     configs: Sequence[str] = tuple(SPARK_CONFIGS),
     seed: int = DEFAULT_SEED,
-    observed: bool = False,
 ) -> SweepSpec:
     """The Fig. 7 configuration columns as a sweep spec."""
     return SweepSpec(
         name="fig7",
-        task=tasks.fig7_config_observed if observed else tasks.fig7_config,
+        task=tasks.fig7_config,
         points=tuple(
             SweepPoint(key=config, params={"config": config}, seed=seed)
             for config in configs
@@ -352,7 +341,7 @@ def fig7_spark(
     spec = fig7_sweep_spec()
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()
-    return {pr.key: pr.value for pr in sweep.results}
+    return {pr.key: pr.value["result"] for pr in sweep.results}
 
 
 @dataclass
@@ -380,32 +369,20 @@ def fig8_sweep_spec(
     record_count: int = 102_400,
     total_ops: int = 150_000,
     seed: int = 0xC0FFEE,
-    observed: bool = False,
     backend: str = "des",
 ) -> SweepSpec:
-    """The Fig. 8 MMEM/CXL pair as a sweep spec."""
-    return SweepSpec(
-        name="fig8",
-        task=_backend_task(
-            backend,
-            tasks.fig8_cell_observed if observed else tasks.fig8_cell,
-            (tasks.fig8_cell_analytic_observed if observed
-             else tasks.fig8_cell_analytic),
-        ),
-        points=tuple(
-            SweepPoint(
-                key=key,
-                params={
-                    "on_cxl": on_cxl,
-                    "record_count": record_count,
-                    "total_ops": total_ops,
-                },
-                seed=seed,
-            )
-            for key, on_cxl in (("mmem", False), ("cxl", True))
-        ),
-        base_seed=seed,
-    )
+    """The Fig. 8 MMEM/CXL pair as a sweep spec (``backend`` as in Fig. 5)."""
+    points = []
+    for key, on_cxl in (("mmem", False), ("cxl", True)):
+        params = {
+            "on_cxl": on_cxl,
+            "record_count": record_count,
+            "total_ops": total_ops,
+        }
+        params["backend"] = _point_backend("fig8", backend, params)
+        points.append(SweepPoint(key=key, params=params, seed=seed))
+    return SweepSpec(name="fig8", task=tasks.fig8_cell, points=tuple(points),
+                     base_seed=seed)
 
 
 def fig8_cxl_only(
@@ -424,7 +401,8 @@ def fig8_cxl_only(
     )
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()
-    return Fig8Result(mmem=sweep.value("mmem"), cxl=sweep.value("cxl"))
+    return Fig8Result(mmem=sweep.value("mmem")["result"],
+                      cxl=sweep.value("cxl")["result"])
 
 
 @dataclass
@@ -447,12 +425,11 @@ def fig10_sweep_spec(
     backend_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
     configs: Sequence[str] = tuple(LLM_CONFIGS),
     seed: int = DEFAULT_SEED,
-    observed: bool = False,
 ) -> SweepSpec:
     """The Fig. 10(a) configuration series as a sweep spec."""
     return SweepSpec(
         name="fig10",
-        task=tasks.fig10_config_observed if observed else tasks.fig10_config,
+        task=tasks.fig10_config,
         points=tuple(
             SweepPoint(
                 key=config,
@@ -478,7 +455,7 @@ def fig10_llm(
     spec = fig10_sweep_spec(backend_counts=backend_counts)
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()
-    serving = {pr.key: pr.value for pr in sweep.results}
+    serving = {pr.key: pr.value["result"] for pr in sweep.results}
     probe = LlmServingExperiment("mmem")
     fig10b = [(t, probe.fig10b_bandwidth_gbps(t)) for t in fig10b_threads]
     fig10c = [

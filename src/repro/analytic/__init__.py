@@ -1,16 +1,16 @@
-"""The analytical fast path: closed-form steady states next to the DES.
+"""The analytical fast path: closed-form KeyDB steady states next to the DES.
 
-The paper's steady-state sweeps (figs 3-5, 8) converge to fixed points
-of one self-consistency map over the ``repro.hw`` bandwidth/latency
-knots; this package solves that map directly instead of simulating
-every event, at a >=25x per-point speedup with calibrated, pinned
-error bounds:
+The paper's KeyDB sweeps (figs 5 and 8) converge to fixed points of one
+self-consistency map over the ``repro.hw`` bandwidth/latency knots;
+this package solves that map directly instead of simulating every
+event, at a >=25x per-point speedup with calibrated, pinned error
+bounds.  A fig5/fig8 point names its model in ``params["backend"]``,
+and its one task (:mod:`repro.parallel.tasks`) imports this package
+only when that model is ``"analytic"``.  The fig3/fig4 loaded-latency
+curves have no analytic model: every backend runs the allocator-backed
+:class:`~repro.workloads.mlc.MlcProbe`.
 
-* :mod:`~repro.analytic.model` — the shared fixed-point solver and the
-  single-flow closed form over :class:`~repro.hw.bandwidth.
-  PeakBandwidthCurve` knots;
-* :mod:`~repro.analytic.mlc` — bit-exact loaded-latency curves
-  (fig3/fig4);
+* :mod:`~repro.analytic.model` — a generic damped fixed-point solver;
 * :mod:`~repro.analytic.keydb` — the KeyDB steady-state model
   (fig5/fig8);
 * :mod:`~repro.analytic.select` — the ``--backend auto`` routing
@@ -19,14 +19,7 @@ error bounds:
   grid and the pinned per-metric tolerances.
 """
 
-from .model import (
-    ANALYTIC_MODEL_VERSION,
-    FixedPoint,
-    chain_capacity,
-    single_flow_operating_point,
-    solve_fixed_point,
-)
-from .mlc import AnalyticMlcProbe
+from .model import FixedPoint, solve_fixed_point
 from .keydb import (
     analytic_keydb_config,
     analytic_keydb_cxl_only,
@@ -50,9 +43,7 @@ from .validate import (
 )
 
 __all__ = [
-    "ANALYTIC_MODEL_VERSION",
     "ANALYTIC_TARGETS",
-    "AnalyticMlcProbe",
     "BACKENDS",
     "CalibrationReport",
     "DEFAULT_FIG5_CELLS",
@@ -61,14 +52,12 @@ __all__ = [
     "PINNED_TOLERANCES",
     "analytic_keydb_config",
     "analytic_keydb_cxl_only",
-    "chain_capacity",
     "estimated_events_avoided",
     "require_analytic",
     "routing_summary",
     "run_calibration",
     "scrambled_key_pmf",
     "select_backend",
-    "single_flow_operating_point",
     "solve_fixed_point",
     "zipf_rank_pmf",
 ]

@@ -11,34 +11,22 @@ one self-consistency map
                                           knots in repro.hw)
 
 so the analytical backend solves that map directly with damped
-fixed-point iteration instead of simulating every event.  The helpers
-here are deliberately tiny: the per-application physics (which traffic
-crosses which resources) lives in :mod:`repro.analytic.mlc` and
-:mod:`repro.analytic.keydb`; this module owns only the solver and the
-closed-form single-flow operating point every model shares.
+fixed-point iteration instead of simulating every event.  This module
+owns only the generic solver; the per-application physics (which
+traffic crosses which resources) lives in :mod:`repro.analytic.keydb`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 from ..errors import ConfigurationError
-from ..hw.paths import MemoryPath
-from ..hw.topology import Platform
 
 __all__ = [
-    "ANALYTIC_MODEL_VERSION",
     "FixedPoint",
     "solve_fixed_point",
-    "chain_capacity",
-    "single_flow_operating_point",
 ]
-
-#: Version of the analytical model family.  Part of every analytic
-#: point's cache fingerprint (see :mod:`repro.cache.fingerprint`), so
-#: refining the equations can never serve stale cached results.
-ANALYTIC_MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -78,44 +66,3 @@ def solve_fixed_point(
             return FixedPoint(x, iteration, True, residual)
     return FixedPoint(x, max_iterations, False, residual)
 
-
-def chain_capacity(
-    platform: Platform, path: MemoryPath, write_fraction: float
-) -> Tuple[float, str]:
-    """Capacity (bytes/s) of a path's weakest shared resource.
-
-    Evaluates every resource's :class:`~repro.hw.bandwidth.
-    PeakBandwidthCurve` at the flow's own write fraction — exactly the
-    mix the allocator converges to when this flow is alone on the chain
-    — including any RAS derating.  Returns ``(capacity, resource_name)``.
-    """
-    best_name = path.resources[0]
-    best = float("inf")
-    for name in path.resources:
-        cap = platform.resources[name].capacity(write_fraction)
-        cap *= platform.derating(name)
-        if cap < best:
-            best, best_name = cap, name
-    return best, best_name
-
-
-def single_flow_operating_point(
-    platform: Platform,
-    path: MemoryPath,
-    offered_bytes_per_s: float,
-    write_fraction: float,
-) -> Tuple[float, float]:
-    """Closed-form ``(achieved, bottleneck_utilization)`` for one flow.
-
-    For a single demand the allocator's mix-aware max-min reduces
-    exactly to clipping at the weakest resource: every resource sees the
-    flow's own write fraction, the achieved rate is ``min(offered,
-    chain_capacity)`` and the bottleneck utilization is the achieved
-    rate over that weakest capacity.  This is machine-precision
-    equivalent to :meth:`repro.hw.topology.Platform.allocate` with one
-    demand (property-tested in ``tests/analytic``).
-    """
-    capacity, _ = chain_capacity(platform, path, write_fraction)
-    achieved = min(offered_bytes_per_s, capacity)
-    utilization = achieved / capacity if capacity > 0 else 0.0
-    return achieved, utilization

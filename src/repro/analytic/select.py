@@ -1,20 +1,23 @@
 """Per-point backend selection: which sweeps the fast path may serve.
 
-The analytical backend is a *steady-state* model.  It is exact (fig3 /
-fig4: same knots, same closed form) or calibrated to within pinned
-tolerances (fig5 / fig8: see :mod:`repro.analytic.validate`) wherever
-the DES itself converges to a fixed point — but it has nothing to say
-about genuinely history-dependent runs: overload admission transients,
-fault-injection timelines, the Spark/LLM app models, or the
+The analytical backend is a *steady-state* KeyDB model, calibrated to
+within pinned tolerances (fig5 / fig8: see :mod:`repro.analytic.validate`)
+wherever the DES itself converges to a fixed point — but it has nothing
+to say about genuinely history-dependent runs: overload admission
+transients, fault-injection timelines, the Spark/LLM app models, or the
 hot-promotion migration ramp, whose figure-of-merit *is* the transient.
 
-:func:`select_backend` encodes exactly that boundary, per sweep point:
+:func:`select_backend` encodes exactly that boundary, per sweep point.
+The fig5/fig8 spec builders write its answer into each point's
+``backend`` param:
 
 ========  =====================================================
 target    routing under ``--backend auto``
 ========  =====================================================
-fig3      analytic (closed form is bit-identical to the DES)
-fig4      analytic (same; pattern is API fidelity, not physics)
+fig3      analytic in the routing line; every backend runs the
+          one allocator-backed ``MlcProbe``, so no events are
+          avoided
+fig4      same as fig3
 fig5      analytic, except ``hot-promote`` cells -> DES (the
           migration ramp is a transient)
 fig8      analytic (single-node steady state)
@@ -47,16 +50,18 @@ __all__ = [
 #: Legal values of every ``--backend`` flag / job-spec field.
 BACKENDS = ("des", "analytic", "auto")
 
-#: Targets with an analytical counterpart for at least some points.
+#: Targets that accept ``--backend analytic``: fig5/fig8 have the KeyDB
+#: model; fig3/fig4 run their one allocator path under every backend.
 ANALYTIC_TARGETS = frozenset({"fig3", "fig4", "fig5", "fig8"})
 
 
 def select_backend(target: str, params: Mapping[str, Any]) -> str:
     """The backend ``auto`` routes one sweep point to.
 
-    Returns ``"analytic"`` for steady-state points with a calibrated
-    closed form and ``"des"`` for everything else (transients, faults,
-    app models without an analytic counterpart).
+    Returns ``"analytic"`` for steady-state points (fig5/fig8 cells with
+    a calibrated closed form, and fig3/fig4 points, which run the same
+    path either way) and ``"des"`` for everything else (transients,
+    faults, app models without an analytic counterpart).
     """
     if target not in ANALYTIC_TARGETS:
         return "des"
@@ -79,18 +84,13 @@ def require_analytic(target: str) -> None:
 def estimated_events_avoided(target: str, params: Mapping[str, Any]) -> int:
     """Roughly how many DES events one analytic-routed point skips.
 
-    KeyDB points price one event per operation; MLC points run one
-    allocator solve per (mix, load fraction).  The estimate feeds the
-    ``--backend auto`` routing summary line — an order-of-magnitude
-    narration, not an accounting identity.
+    KeyDB points price one event per operation.  MLC points (fig3/fig4)
+    run the same allocator under every backend, so they skip none.  The
+    estimate feeds the ``--backend auto`` routing summary line — an
+    order-of-magnitude narration, not an accounting identity.
     """
     if target in ("fig5", "fig8"):
         return int(params.get("total_ops", 0))
-    if target == "fig3":
-        return len(params.get("mixes", ())) * len(params.get("fractions", ()))
-    if target == "fig4":
-        # One curve per distance panel at this (pattern, mix).
-        return 4 * len(params.get("fractions", ()))
     return 0
 
 

@@ -1,18 +1,18 @@
 """Calibration of the analytical backend against the DES.
 
 The fast path earns its routing table (:mod:`repro.analytic.select`)
-empirically: :func:`run_calibration` executes the same grid of sweep
-points on *both* backends, records the per-metric relative error and
-the per-backend wall clock, and :data:`PINNED_TOLERANCES` pins the
-error every metric is allowed — with margin over the observed worst
-case, so a model regression fails the golden-grid test rather than
-silently shifting published curves.
+empirically: :func:`run_calibration` runs the same grid of KeyDB
+points through *both* models (:func:`~repro.apps.kvstore.
+run_keydb_config` vs :func:`~repro.analytic.keydb.analytic_keydb_config`
+for fig5, the ``cxl_only`` pair for fig8), records the per-metric
+relative error and the per-model wall clock, and
+:data:`PINNED_TOLERANCES` pins the error every metric is allowed — with
+margin over the observed worst case, so a model regression fails the
+golden-grid test rather than silently shifting published curves.
 
 Observed errors at the quick calibration scale (record_count 16 384,
 total_ops 20 000, seed ``0xC0FFEE``):
 
-* fig3 / fig4 loaded-latency curves: **bit-identical** (same knots,
-  same closed form — the tolerance is a float-noise guard);
 * fig5 throughput: worst cell +1.7 % (``mmem-ssd-0.2/D``); most cells
   within 0.5 %;
 * fig5 read p50/p99: within one latency-histogram bucket (the
@@ -42,8 +42,6 @@ __all__ = [
 #: the golden-grid test and ``bench_analytic --check`` both gate on
 #: these exact numbers.
 PINNED_TOLERANCES: Dict[str, float] = {
-    "fig3:achieved_bytes_per_s": 1e-9,
-    "fig3:latency_ns": 1e-9,
     "fig5:throughput_ops_per_s": 0.03,
     "fig5:read_p50_us": 0.045,
     "fig5:read_p99_us": 0.045,
@@ -141,33 +139,6 @@ def _keydb_metrics(result) -> Dict[str, float]:
     }
 
 
-def _calibrate_fig3(report: CalibrationReport, load_points: int) -> None:
-    from ..analysis.figures import FIG3_MIXES, FIG3_PANELS, _load_fractions
-    from ..parallel import tasks
-
-    fractions = _load_fractions(load_points)
-    for panel in FIG3_PANELS:
-        params = {"panel": panel, "mixes": [list(m) for m in FIG3_MIXES],
-                  "fractions": fractions}
-        t0 = time.perf_counter()
-        des = tasks.fig3_panel(params, 0)
-        t1 = time.perf_counter()
-        ana = tasks.fig3_panel_analytic(params, 0)
-        t2 = time.perf_counter()
-        report.des_elapsed_s += t1 - t0
-        report.analytic_elapsed_s += t2 - t1
-        for mix, curve in des.items():
-            for i, (dp, ap) in enumerate(zip(curve.points, ana[mix].points)):
-                report.errors.append(MetricError(
-                    "fig3", f"{panel}/{mix}[{i}]", "achieved_bytes_per_s",
-                    dp.achieved_bytes_per_s, ap.achieved_bytes_per_s,
-                ))
-                report.errors.append(MetricError(
-                    "fig3", f"{panel}/{mix}[{i}]", "latency_ns",
-                    dp.latency_ns, ap.latency_ns,
-                ))
-
-
 def _calibrate_fig5(
     report: CalibrationReport,
     cells: Sequence[Tuple[str, str]],
@@ -175,15 +146,16 @@ def _calibrate_fig5(
     total_ops: int,
     seed: int,
 ) -> None:
-    from ..parallel import tasks
+    from ..apps.kvstore import run_keydb_config
+    from .keydb import analytic_keydb_config
 
     for config, workload in cells:
-        params = {"config": config, "workload": workload,
-                  "record_count": record_count, "total_ops": total_ops}
+        kwargs = {"workload": workload, "record_count": record_count,
+                  "total_ops": total_ops, "seed": seed}
         t0 = time.perf_counter()
-        des = tasks.fig5_cell(params, seed)
+        des = run_keydb_config(config, **kwargs)
         t1 = time.perf_counter()
-        ana = tasks.fig5_cell_analytic(params, seed)
+        ana = analytic_keydb_config(config, **kwargs)
         t2 = time.perf_counter()
         report.des_elapsed_s += t1 - t0
         report.analytic_elapsed_s += t2 - t1
@@ -197,15 +169,14 @@ def _calibrate_fig5(
 def _calibrate_fig8(
     report: CalibrationReport, record_count: int, total_ops: int, seed: int
 ) -> None:
-    from ..parallel import tasks
+    from ..apps.kvstore import run_keydb_cxl_only
+    from .keydb import analytic_keydb_cxl_only
 
     for on_cxl in (False, True):
-        params = {"on_cxl": on_cxl, "record_count": record_count,
-                  "total_ops": total_ops}
         t0 = time.perf_counter()
-        des = tasks.fig8_cell(params, seed)
+        des = run_keydb_cxl_only(on_cxl, record_count, total_ops, seed)
         t1 = time.perf_counter()
-        ana = tasks.fig8_cell_analytic(params, seed)
+        ana = analytic_keydb_cxl_only(on_cxl, record_count, total_ops, seed)
         t2 = time.perf_counter()
         report.des_elapsed_s += t1 - t0
         report.analytic_elapsed_s += t2 - t1
@@ -222,8 +193,7 @@ def run_calibration(
     record_count: int = 16_384,
     total_ops: int = 20_000,
     seed: int = 0xC0FFEE,
-    load_points: int = 8,
-    figures: Sequence[str] = ("fig3", "fig5", "fig8"),
+    figures: Sequence[str] = ("fig5", "fig8"),
 ) -> CalibrationReport:
     """Run the calibration grid on both backends; collect the errors.
 
@@ -234,8 +204,6 @@ def run_calibration(
     construction to the first point.
     """
     report = CalibrationReport()
-    if "fig3" in figures:
-        _calibrate_fig3(report, load_points)
     if "fig5" in figures:
         _calibrate_fig5(report, fig5_cells, record_count, total_ops, seed)
     if "fig8" in figures:

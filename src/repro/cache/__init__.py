@@ -27,7 +27,6 @@ Knobs: ``$REPRO_CACHE_DIR`` (location), ``$REPRO_CACHE_MAX_BYTES``
 from .fingerprint import (
     FINGERPRINT_VERSION,
     canonical_params,
-    backend_identity,
     code_fingerprint,
     point_fingerprint,
     task_name,
@@ -74,7 +73,6 @@ __all__ = [
     "SweepCache",
     "VerifyReport",
     "canonical_params",
-    "backend_identity",
     "code_fingerprint",
     "default_cache_dir",
     "point_fingerprint",

@@ -15,17 +15,14 @@ on-disk cache:
 * the **code fingerprint** (:func:`code_fingerprint`) hashes every
   ``*.py`` source file of the installed ``repro`` package, so editing
   any simulator/model source silently invalidates every cached result
-  instead of serving stale physics;
-* the **backend identity** (:func:`backend_identity`) distinguishes a
-  DES result from an analytical-model result for the same ``(task,
-  params, seed)`` — the two are *near* but not bit-equal, so they must
-  never alias to one cache entry.  Tasks advertise their backend via a
-  ``__repro_backend__`` attribute (a ``(name, model_version)`` pair, or
-  a callable of ``params`` for per-point routers); tasks without one
-  are the DES.
+  instead of serving stale physics.
 
-Changing any one of the five inputs changes the fingerprint — the
-property ``tests/cache/test_fingerprint.py`` pins down.
+The execution model of a fig5/fig8 point (DES or analytic) is one of its
+params (``"backend"``), so the two models' near-but-not-equal results
+never alias to one cache entry, and wrapping a task (the chaos harness)
+cannot lose the distinction.  Changing any one of the four inputs
+changes the fingerprint — the property ``tests/cache/test_fingerprint.py``
+pins down.
 """
 
 from __future__ import annotations
@@ -35,11 +32,10 @@ import enum
 import hashlib
 import json
 import os
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional
 
 __all__ = [
     "FINGERPRINT_VERSION",
-    "backend_identity",
     "canonical_params",
     "code_fingerprint",
     "point_fingerprint",
@@ -48,7 +44,8 @@ __all__ = [
 
 #: Bump to invalidate every existing cache entry on a format change.
 #: v2: backend identity joined the payload (analytic fast path).
-FINGERPRINT_VERSION = 2
+#: v3: the backend line left the payload; the backend is a point param.
+FINGERPRINT_VERSION = 3
 
 #: Memoized code fingerprint (one source walk per process).
 _CODE_FP: Optional[str] = None
@@ -57,26 +54,6 @@ _CODE_FP: Optional[str] = None
 def task_name(task: Callable[..., Any]) -> str:
     """The stable, import-path identity of a sweep task."""
     return f"{task.__module__}.{task.__qualname__}"
-
-
-def backend_identity(
-    task: Callable[..., Any], params: Mapping[str, Any]
-) -> Tuple[str, int]:
-    """The ``(backend, model_version)`` pair a task resolves to.
-
-    Read from the task's ``__repro_backend__`` attribute: a static
-    ``(name, version)`` pair for single-backend tasks, or a callable of
-    ``params`` for router tasks that pick per point (``--backend
-    auto``).  A task without the attribute is the DES, whose model
-    version is the code fingerprint itself — hence ``("des", 0)``.
-    """
-    marker = getattr(task, "__repro_backend__", None)
-    if marker is None:
-        return ("des", 0)
-    if callable(marker):
-        marker = marker(params)
-    name, version = marker
-    return (str(name), int(version))
 
 
 def _canonical(obj: Any) -> Any:
@@ -166,20 +143,14 @@ def point_fingerprint(
     params: Mapping[str, Any],
     seed: int,
     code_fp: Optional[str] = None,
-    *,
-    backend: Optional[Tuple[str, int]] = None,
 ) -> str:
     """The content address of one sweep point's result.
 
     ``task`` is the :func:`task_name` string; ``code_fp`` defaults to
     the live :func:`code_fingerprint` and is injectable for tests.
-    ``backend`` is the resolved :func:`backend_identity` pair; ``None``
-    means the DES.
     """
     if code_fp is None:
         code_fp = code_fingerprint()
-    if backend is None:
-        backend = ("des", 0)
     payload = "\n".join(
         (
             f"v{FINGERPRINT_VERSION}",
@@ -187,7 +158,6 @@ def point_fingerprint(
             canonical_params(params),
             str(int(seed)),
             code_fp,
-            f"{backend[0]}/{int(backend[1])}",
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .fingerprint import backend_identity, point_fingerprint, task_name
+from .fingerprint import point_fingerprint, task_name
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -189,17 +189,8 @@ class SweepCache:
     def key_for(
         self, task: Callable[..., Any], params: Mapping[str, Any], seed: int
     ) -> str:
-        """The fingerprint of one (task, params, seed) point.
-
-        The task's backend identity (DES vs analytic model, see
-        :func:`~repro.cache.fingerprint.backend_identity`) joins the
-        address, so the two backends' near-but-not-equal results can
-        never serve for one another.
-        """
-        return point_fingerprint(
-            task_name(task), params, seed,
-            backend=backend_identity(task, params),
-        )
+        """The fingerprint of one (task, params, seed) point."""
+        return point_fingerprint(task_name(task), params, seed)
 
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.root, fingerprint[:2], fingerprint + _SUFFIX)

@@ -539,7 +539,7 @@ def _sweep_progress(done: int, total: int, result) -> None:
           file=sys.stderr, flush=True)
 
 
-#: Stock targets of ``repro sweep`` (all spawn-importable observed tasks).
+#: Stock targets of ``repro sweep`` (one spawn-importable task each).
 SWEEP_TARGETS = ("fig3", "fig4", "fig5", "fig7", "fig8", "fig10", "overload")
 
 
@@ -550,15 +550,16 @@ def stock_sweep_spec(
     mode: str = "controlled",
     backend: str = "des",
 ):
-    """The observed sweep spec for one stock target, at a scale.
+    """The sweep spec for one stock target, at a scale.
 
     Shared by ``repro sweep``, ``repro serve`` job specs and the chaos
     harness (``python -m repro.parallel.chaos``) so all execute the
     exact same points — which is what makes their exports
-    byte-comparable.  ``backend`` picks the execution model on targets
-    with an analytical fast path (fig3/fig4/fig5/fig8); forcing
-    ``analytic`` on any other target is a configuration error, while
-    ``auto`` quietly keeps transient-shaped targets on the DES.
+    byte-comparable.  ``backend`` picks the KeyDB model of each fig5/fig8
+    point (written into its params); fig3/fig4 accept it and run their
+    one path.  Forcing ``analytic`` on any other target is a
+    configuration error, while ``auto`` quietly keeps transient-shaped
+    targets on the DES.
     """
     if backend not in ("des", "analytic", "auto"):
         raise ConfigurationError(
@@ -573,34 +574,34 @@ def stock_sweep_spec(
         from .analysis.figures import fig3_sweep_spec
 
         return fig3_sweep_spec(load_points=8 if quick else 24,
-                               seed=seed, observed=True, backend=backend)
+                               seed=seed, backend=backend)
     if target == "fig4":
         from .analysis.figures import fig4_sweep_spec
 
         return fig4_sweep_spec(load_points=8 if quick else 24,
-                               seed=seed, observed=True, backend=backend)
+                               seed=seed, backend=backend)
     if target == "fig5":
         from .analysis.figures import fig5_sweep_spec
 
         scale = (16_384, 20_000) if quick else (65_536, 100_000)
         return fig5_sweep_spec(record_count=scale[0], total_ops=scale[1],
-                               seed=seed, observed=True, backend=backend)
+                               seed=seed, backend=backend)
     if target == "fig7":
         from .analysis.figures import fig7_sweep_spec
 
-        return fig7_sweep_spec(seed=seed, observed=True)
+        return fig7_sweep_spec(seed=seed)
     if target == "fig8":
         from .analysis.figures import fig8_sweep_spec
 
         scale = (20_480, 20_000) if quick else (102_400, 150_000)
         return fig8_sweep_spec(record_count=scale[0], total_ops=scale[1],
-                               seed=seed, observed=True, backend=backend)
+                               seed=seed, backend=backend)
     if target == "fig10":
         from .analysis.figures import fig10_sweep_spec
 
         return fig10_sweep_spec(
             backend_counts=(1, 2, 3) if quick else (1, 2, 3, 4, 5, 6),
-            seed=seed, observed=True,
+            seed=seed,
         )
     if target == "overload":
         from .overload.runner import offered_load_sweep_spec
@@ -610,7 +611,6 @@ def stock_sweep_spec(
             duration_ns=20e6 if quick else 40e6,
             record_count=4096 if quick else 16_384,
             seed=seed,
-            observed=True,
         )
     raise ConfigurationError(
         f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}"
@@ -618,7 +618,7 @@ def stock_sweep_spec(
 
 
 def _sweep_spec(args: argparse.Namespace):
-    """The observed sweep spec for one CLI invocation's flags."""
+    """The sweep spec for one CLI invocation's flags."""
     return stock_sweep_spec(
         args.target, quick=args.quick, seed=args.seed, mode=args.mode,
         backend=getattr(args, "backend", "des"),
@@ -701,9 +701,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = [
             (
                 pr.key,
-                f"{pr.value['summary'].goodput_ops_per_s / 1e3:.0f}",
-                f"{pr.value['summary'].shed_rate * 100:.1f}%",
-                f"{pr.value['summary'].deadline_miss_rate * 100:.1f}%",
+                f"{pr.value['result'].goodput_ops_per_s / 1e3:.0f}",
+                f"{pr.value['result'].shed_rate * 100:.1f}%",
+                f"{pr.value['result'].deadline_miss_rate * 100:.1f}%",
             )
             for pr in sweep.results
         ]
@@ -832,10 +832,11 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=("des", "analytic", "auto"), default="des",
-        help="execution model: the discrete-event simulator, the "
-             "calibrated analytical fast path (steady-state targets "
-             "only), or per-point auto-routing (steady states -> "
-             "analytic, transients -> des)",
+        help="KeyDB execution model (fig5/fig8): the discrete-event "
+             "simulator, the calibrated analytical fast path, or "
+             "per-point auto-routing (steady states -> analytic, "
+             "transients -> des); fig3/fig4 accept every value and run "
+             "their one allocator path; other targets reject analytic",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

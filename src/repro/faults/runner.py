@@ -325,13 +325,11 @@ def fault_sweep_spec(
     apps: Optional[List[str]] = None,
     seed: int = DEFAULT_SEED,
     quick: bool = False,
-    observed: bool = False,
 ):
     """The (app, scenario) fault cases as a sweep spec.
 
     One point per app, all pinned to the shared seed (the fault trace
-    is a function of the seed).  ``observed=True`` selects the task
-    variant that also snapshots per-case metrics.  The spec feeds
+    is a function of the seed).  The spec feeds
     :func:`repro.parallel.run_sweep` — including its result cache, so
     repeated ``repro faults run`` invocations of an unchanged scenario
     are lookups, not re-simulations.
@@ -351,7 +349,7 @@ def fault_sweep_spec(
             )
     return SweepSpec(
         name="faults",
-        task=tasks.fault_case_observed if observed else tasks.fault_case,
+        task=tasks.fault_case,
         points=tuple(
             SweepPoint(
                 key=app,

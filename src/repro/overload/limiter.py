@@ -3,10 +3,9 @@
 Three complementary throttles:
 
 * :class:`TokenBucketLimiter` — caps the *rate* of admitted work.
-  Unlike :class:`repro.sim.resources.TokenBucket` it is not bound to a
-  :class:`~repro.sim.engine.Simulator`; callers pass their own clock,
-  so the epoch-model apps (which keep a scalar ``now_ns``) can use it
-  too.
+  It is not bound to a :class:`~repro.sim.engine.Simulator`; callers
+  pass their own clock, so the epoch-model apps (which keep a scalar
+  ``now_ns``) can use it too.
 * :class:`ConcurrencyLimiter` — caps work *in flight* (Little's law:
   at fixed service time, bounding concurrency bounds queueing delay).
 * :class:`AdaptiveLimiter` — an AIMD controller that discovers the

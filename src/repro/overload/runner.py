@@ -323,7 +323,7 @@ def sweep_offered_load(
 
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()
-    return list(sweep.values())
+    return [value["result"] for value in sweep.values()]
 
 
 def offered_load_sweep_spec(
@@ -335,14 +335,11 @@ def offered_load_sweep_spec(
     seed: int = DEFAULT_SEED,
     threads: int = 7,
     discipline: QueueDiscipline = QueueDiscipline.FIFO,
-    observed: bool = False,
 ) -> "SweepSpec":
     """The goodput sweep as a :class:`~repro.parallel.jobs.SweepSpec`.
 
     Runs the (serial) capacity calibration up front so every point
-    carries a fully-resolved rate and policy; ``observed=True`` selects
-    the task variant that also snapshots per-point metrics for
-    ``repro sweep overload``.
+    carries a fully-resolved rate and policy.
     """
     from ..parallel import SweepPoint, SweepSpec, tasks
 
@@ -357,7 +354,7 @@ def offered_load_sweep_spec(
     mode = "controlled" if controlled else "uncontrolled"
     return SweepSpec(
         name="overload",
-        task=tasks.overload_point_observed if observed else tasks.overload_point,
+        task=tasks.overload_point,
         points=tuple(
             SweepPoint(
                 key=f"{mode}@{factor:.2f}x",

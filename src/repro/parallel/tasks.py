@@ -6,27 +6,21 @@ stacks lazily inside their bodies — the analysis/apps layers import
 :mod:`repro.parallel` for the runner, and eager imports here would close
 that cycle.
 
-Two shapes per family where needed:
+Each stock sweep target has exactly one task.  It reads everything it
+needs from its point params and returns the point's ``repro.metrics/v1``
+document: ``"metrics"`` is what ``repro sweep`` merges into one export
+(see :mod:`repro.parallel.merge`), and ``"result"`` holds the plain value
+(``KeyDbResult``, ``OverloadRunSummary``, ...) the figure runners
+assemble.  The figure runners, ``repro sweep`` and ``repro serve`` thus
+run the same task on the same params, and share one cache entry per
+point.
 
-* the *plain* task returns the same object the historical serial loop
-  produced (``KeyDbResult``, ``OverloadRunSummary``, ...) — this is what
-  the figure/overload/fault runners fan out over;
-* the ``*_observed`` variant additionally snapshots a per-point
-  :class:`~repro.obs.registry.MetricsRegistry` and returns its
-  ``repro.metrics/v1`` document, which ``repro sweep`` merges into one
-  export (see :mod:`repro.parallel.merge`).
-
-Steady-state families additionally have ``*_analytic`` twins backed by
-:mod:`repro.analytic` (same signature, same return shape, no event
-loop) and — for fig5, whose grid mixes steady cells with the
-hot-promotion transient — an ``*_auto`` router that picks per point via
-:func:`repro.analytic.select.select_backend`.  Emission is shared:
-whichever backend produced a result, the observed document carries the
-same metric families, so merged exports are backend-agnostic.  Each
-non-DES task advertises its backend through a ``__repro_backend__``
-attribute, which the sweep cache folds into the point fingerprint so
-analytic and DES results never alias (see
-:func:`repro.cache.fingerprint.backend_identity`).
+fig5/fig8 points name the model they run on in ``params["backend"]``
+(``"des"`` or ``"analytic"``; the spec builders resolve ``--backend
+auto`` per point through :func:`repro.analytic.select.select_backend`),
+so the backend reaches the cache fingerprint as an ordinary param.
+Whichever model produced a result, the document carries the same
+metric families, so merged exports are backend-agnostic.
 """
 
 from __future__ import annotations
@@ -37,49 +31,14 @@ __all__ = [
     "demo_point",
     "demo_point_observed",
     "fig3_panel",
-    "fig3_panel_observed",
-    "fig3_panel_analytic",
-    "fig3_panel_analytic_observed",
     "fig4_pattern_mix",
-    "fig4_pattern_mix_observed",
-    "fig4_pattern_mix_analytic",
-    "fig4_pattern_mix_analytic_observed",
     "fig5_cell",
-    "fig5_cell_observed",
-    "fig5_cell_analytic",
-    "fig5_cell_analytic_observed",
-    "fig5_cell_auto",
-    "fig5_cell_auto_observed",
     "fig7_config",
-    "fig7_config_observed",
     "fig8_cell",
-    "fig8_cell_observed",
-    "fig8_cell_analytic",
-    "fig8_cell_analytic_observed",
     "fig10_config",
-    "fig10_config_observed",
     "overload_point",
-    "overload_point_observed",
     "fault_case",
-    "fault_case_observed",
 ]
-
-
-def _analytic_backend(params: Mapping[str, Any]):
-    """``__repro_backend__`` of every pure-analytic task (lazy import)."""
-    from ..analytic.model import ANALYTIC_MODEL_VERSION
-
-    return ("analytic", ANALYTIC_MODEL_VERSION)
-
-
-def _fig5_auto_backend(params: Mapping[str, Any]):
-    """``__repro_backend__`` of the fig5 router: resolved per point."""
-    from ..analytic.model import ANALYTIC_MODEL_VERSION
-    from ..analytic.select import select_backend
-
-    if select_backend("fig5", params) == "analytic":
-        return ("analytic", ANALYTIC_MODEL_VERSION)
-    return ("des", 0)
 
 
 def demo_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
@@ -136,26 +95,22 @@ def demo_point_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
 
 
 def fig3_panel(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """One Fig. 3 panel: ``{mix: MlcCurve}`` for one distance."""
+    """One Fig. 3 panel; ``result`` is ``{mix: MlcCurve}`` for one distance."""
     from ..analysis.figures import _panel_path
     from ..hw.presets import paper_cxl_platform
+    from ..obs.registry import MetricsRegistry
     from ..workloads.mlc import MlcProbe
 
     platform = paper_cxl_platform(snc_enabled=True)
     probe = MlcProbe(platform, threads=int(params.get("threads", 16)))
-    path = _panel_path(platform, params["panel"])
-    return {
+    panel = params["panel"]
+    path = _panel_path(platform, panel)
+    curves = {
         f"{r}:{w}": probe.loaded_latency_curve(
             path, r, w, load_points=list(params["fractions"])
         )
         for r, w in params["mixes"]
     }
-
-
-def _fig3_document(curves: Dict[str, Any], panel: str) -> Dict[str, Any]:
-    """The observed document of one fig3 panel (backend-agnostic)."""
-    from ..obs.registry import MetricsRegistry
-
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "mlc_curve", "loaded-latency curve endpoints",
@@ -169,68 +124,29 @@ def _fig3_document(curves: Dict[str, Any], panel: str) -> Dict[str, Any]:
                   quantity="peak_bandwidth_gbps")
         rows.append((f"{mix} idle ns", f"{curve.idle_latency_ns:.1f}"))
         rows.append((f"{mix} peak GB/s", f"{curve.peak_bandwidth_gbps:.1f}"))
-    return {"rows": rows, "metrics": registry.as_dict()}
-
-
-def fig3_panel_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 3 panel plus its ``repro.metrics/v1`` snapshot."""
-    return _fig3_document(fig3_panel(params, seed), params["panel"])
-
-
-def fig3_panel_analytic(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """The closed-form Fig. 3 panel: bit-identical curves, no DES."""
-    from ..analysis.figures import _panel_path
-    from ..analytic.mlc import AnalyticMlcProbe
-    from ..hw.presets import paper_cxl_platform
-
-    platform = paper_cxl_platform(snc_enabled=True)
-    probe = AnalyticMlcProbe(platform, threads=int(params.get("threads", 16)))
-    path = _panel_path(platform, params["panel"])
-    return {
-        f"{r}:{w}": probe.loaded_latency_curve(
-            path, r, w, load_points=list(params["fractions"])
-        )
-        for r, w in params["mixes"]
-    }
-
-
-fig3_panel_analytic.__repro_backend__ = _analytic_backend
-
-
-def fig3_panel_analytic_observed(
-    params: Mapping[str, Any], seed: int
-) -> Dict[str, Any]:
-    """An analytic Fig. 3 panel plus its ``repro.metrics/v1`` snapshot."""
-    return _fig3_document(fig3_panel_analytic(params, seed), params["panel"])
-
-
-fig3_panel_analytic_observed.__repro_backend__ = _analytic_backend
+    return {"rows": rows, "metrics": registry.as_dict(), "result": curves}
 
 
 def fig4_pattern_mix(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """One Fig. 4 cell: ``{panel: MlcCurve}`` for one (pattern, mix)."""
+    """One Fig. 4 cell; ``result`` is ``{panel: MlcCurve}`` for one
+    (pattern, mix)."""
     from ..analysis.figures import FIG3_PANELS, _panel_path
     from ..hw.presets import paper_cxl_platform
+    from ..obs.registry import MetricsRegistry
     from ..workloads.mlc import MlcProbe
 
     platform = paper_cxl_platform(snc_enabled=True)
-    probe = MlcProbe(platform, threads=16, pattern=params["pattern"])
+    pattern = params["pattern"]
+    probe = MlcProbe(platform, threads=16, pattern=pattern)
     r, w = params["mix"]
-    return {
+    per_panel = {
         panel: probe.loaded_latency_curve(
             _panel_path(platform, panel), r, w,
             load_points=list(params["fractions"]),
         )
         for panel in FIG3_PANELS
     }
-
-
-def _fig4_document(
-    per_panel: Dict[str, Any], pattern: str, mix: str
-) -> Dict[str, Any]:
-    """The observed document of one fig4 cell (backend-agnostic)."""
-    from ..obs.registry import MetricsRegistry
-
+    mix = f"{r}:{w}"
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "mlc_curve", "loaded-latency curve endpoints",
@@ -244,73 +160,29 @@ def _fig4_document(
                   panel=panel, quantity="peak_bandwidth_gbps")
         rows.append((f"{panel} idle ns", f"{curve.idle_latency_ns:.1f}"))
         rows.append((f"{panel} peak GB/s", f"{curve.peak_bandwidth_gbps:.1f}"))
-    return {"rows": rows, "metrics": registry.as_dict()}
-
-
-def fig4_pattern_mix_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 4 cell plus its ``repro.metrics/v1`` snapshot."""
-    r, w = params["mix"]
-    return _fig4_document(
-        fig4_pattern_mix(params, seed), params["pattern"], f"{r}:{w}"
-    )
-
-
-def fig4_pattern_mix_analytic(
-    params: Mapping[str, Any], seed: int
-) -> Dict[str, Any]:
-    """The closed-form Fig. 4 cell: bit-identical curves, no DES."""
-    from ..analysis.figures import FIG3_PANELS, _panel_path
-    from ..analytic.mlc import AnalyticMlcProbe
-    from ..hw.presets import paper_cxl_platform
-
-    platform = paper_cxl_platform(snc_enabled=True)
-    probe = AnalyticMlcProbe(platform, threads=16, pattern=params["pattern"])
-    r, w = params["mix"]
-    return {
-        panel: probe.loaded_latency_curve(
-            _panel_path(platform, panel), r, w,
-            load_points=list(params["fractions"]),
-        )
-        for panel in FIG3_PANELS
-    }
-
-
-fig4_pattern_mix_analytic.__repro_backend__ = _analytic_backend
-
-
-def fig4_pattern_mix_analytic_observed(
-    params: Mapping[str, Any], seed: int
-) -> Dict[str, Any]:
-    """An analytic Fig. 4 cell plus its ``repro.metrics/v1`` snapshot."""
-    r, w = params["mix"]
-    return _fig4_document(
-        fig4_pattern_mix_analytic(params, seed), params["pattern"], f"{r}:{w}"
-    )
-
-
-fig4_pattern_mix_analytic_observed.__repro_backend__ = _analytic_backend
+    return {"rows": rows, "metrics": registry.as_dict(), "result": per_panel}
 
 
 # -- Fig. 5 / Fig. 8 (KeyDB YCSB) -------------------------------------------
 
 
-def fig5_cell(params: Mapping[str, Any], seed: int):
-    """One Fig. 5 cell: a (workload, configuration) YCSB run."""
-    from ..apps.kvstore import run_keydb_config
+def fig5_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One Fig. 5 cell; ``result`` is the (workload, configuration)
+    ``KeyDbResult``."""
+    from ..obs.registry import MetricsRegistry, histogram_samples
 
-    return run_keydb_config(
-        params["config"],
-        workload=params["workload"],
+    if params["backend"] == "analytic":
+        from ..analytic.keydb import analytic_keydb_config as run
+    else:
+        from ..apps.kvstore import run_keydb_config as run
+    config, workload = params["config"], params["workload"]
+    result = run(
+        config,
+        workload=workload,
         record_count=int(params["record_count"]),
         total_ops=int(params["total_ops"]),
         seed=seed,
     )
-
-
-def _fig5_document(result, config: str, workload: str) -> Dict[str, Any]:
-    """The observed document of one fig5 cell (backend-agnostic)."""
-    from ..obs.registry import MetricsRegistry, histogram_samples
-
     registry = MetricsRegistry()
     labels = {"config": config, "workload": workload}
     result.counters.register_into(registry, "keydb_ops", labels=dict(labels))
@@ -338,82 +210,26 @@ def _fig5_document(result, config: str, workload: str) -> Dict[str, Any]:
         "workload": workload,
         "throughput_ops_per_s": result.throughput_ops_per_s,
         "metrics": registry.as_dict(),
+        "result": result,
     }
 
 
-def fig5_cell_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 5 cell plus its ``repro.metrics/v1`` snapshot."""
-    return _fig5_document(
-        fig5_cell(params, seed), params["config"], params["workload"]
-    )
+def fig8_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One Fig. 8 half (YCSB-C bound entirely to MMEM or to CXL);
+    ``result`` is its ``KeyDbResult``."""
+    from ..obs.registry import MetricsRegistry
 
-
-def fig5_cell_analytic(params: Mapping[str, Any], seed: int):
-    """One Fig. 5 cell on the analytical steady-state backend."""
-    from ..analytic.keydb import analytic_keydb_config
-
-    return analytic_keydb_config(
-        params["config"],
-        workload=params["workload"],
-        record_count=int(params["record_count"]),
-        total_ops=int(params["total_ops"]),
-        seed=seed,
-    )
-
-
-fig5_cell_analytic.__repro_backend__ = _analytic_backend
-
-
-def fig5_cell_analytic_observed(
-    params: Mapping[str, Any], seed: int
-) -> Dict[str, Any]:
-    """An analytic Fig. 5 cell plus its ``repro.metrics/v1`` snapshot."""
-    return _fig5_document(
-        fig5_cell_analytic(params, seed), params["config"], params["workload"]
-    )
-
-
-fig5_cell_analytic_observed.__repro_backend__ = _analytic_backend
-
-
-def fig5_cell_auto(params: Mapping[str, Any], seed: int):
-    """One Fig. 5 cell, backend picked per point (``--backend auto``)."""
-    from ..analytic.select import select_backend
-
-    if select_backend("fig5", params) == "analytic":
-        return fig5_cell_analytic(params, seed)
-    return fig5_cell(params, seed)
-
-
-fig5_cell_auto.__repro_backend__ = _fig5_auto_backend
-
-
-def fig5_cell_auto_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """An auto-routed Fig. 5 cell plus its ``repro.metrics/v1`` snapshot."""
-    return _fig5_document(
-        fig5_cell_auto(params, seed), params["config"], params["workload"]
-    )
-
-
-fig5_cell_auto_observed.__repro_backend__ = _fig5_auto_backend
-
-
-def fig8_cell(params: Mapping[str, Any], seed: int):
-    """One Fig. 8 half: YCSB-C bound entirely to MMEM or to CXL."""
-    from ..apps.kvstore import run_keydb_cxl_only
-
-    return run_keydb_cxl_only(
+    if params["backend"] == "analytic":
+        from ..analytic.keydb import analytic_keydb_cxl_only as run
+    else:
+        from ..apps.kvstore import run_keydb_cxl_only as run
+    result = run(
         bool(params["on_cxl"]),
         int(params["record_count"]),
         int(params["total_ops"]),
         seed,
     )
-
-
-def _fig8_document(result, side: str) -> Dict[str, Any]:
-    """The observed document of one fig8 half (backend-agnostic)."""
-    from ..obs.registry import MetricsRegistry
-
+    side = "cxl" if params["on_cxl"] else "mmem"
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "keydb_cxl_only", "numactl-bound YCSB-C run", ("side", "quantity")
@@ -429,57 +245,20 @@ def _fig8_document(result, side: str) -> Dict[str, Any]:
         ("read p50 us", f"{p50 / 1e3:.1f}"),
         ("read p99 us", f"{p99 / 1e3:.1f}"),
     ]
-    return {"rows": rows, "metrics": registry.as_dict()}
-
-
-def fig8_cell_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 8 half plus its ``repro.metrics/v1`` snapshot."""
-    result = fig8_cell(params, seed)
-    return _fig8_document(result, "cxl" if params["on_cxl"] else "mmem")
-
-
-def fig8_cell_analytic(params: Mapping[str, Any], seed: int):
-    """One Fig. 8 half on the analytical steady-state backend."""
-    from ..analytic.keydb import analytic_keydb_cxl_only
-
-    return analytic_keydb_cxl_only(
-        bool(params["on_cxl"]),
-        int(params["record_count"]),
-        int(params["total_ops"]),
-        seed,
-    )
-
-
-fig8_cell_analytic.__repro_backend__ = _analytic_backend
-
-
-def fig8_cell_analytic_observed(
-    params: Mapping[str, Any], seed: int
-) -> Dict[str, Any]:
-    """An analytic Fig. 8 half plus its ``repro.metrics/v1`` snapshot."""
-    result = fig8_cell_analytic(params, seed)
-    return _fig8_document(result, "cxl" if params["on_cxl"] else "mmem")
-
-
-fig8_cell_analytic_observed.__repro_backend__ = _analytic_backend
+    return {"rows": rows, "metrics": registry.as_dict(), "result": result}
 
 
 # -- Fig. 7 (Spark) ----------------------------------------------------------
 
 
 def fig7_config(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """One Fig. 7 column: all TPC-H queries under one configuration."""
+    """One Fig. 7 column; ``result`` is ``{query: QueryResult}`` under one
+    configuration."""
     from ..apps.spark.experiment import run_spark_config
-
-    return run_spark_config(params["config"])
-
-
-def fig7_config_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 7 column plus its ``repro.metrics/v1`` snapshot."""
     from ..obs.registry import MetricsRegistry
 
-    per_query = fig7_config(params, seed)
     config = params["config"]
+    per_query = run_spark_config(config)
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "spark_query", "per-query TPC-H results",
@@ -493,27 +272,20 @@ def fig7_config_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]
         gauge.set(result.shuffle_fraction, config=config, query=query,
                   quantity="shuffle_fraction")
         rows.append((f"{query} total ms", f"{result.total_ns / 1e6:.2f}"))
-    return {"rows": rows, "metrics": registry.as_dict()}
+    return {"rows": rows, "metrics": registry.as_dict(), "result": per_query}
 
 
 # -- Fig. 10 (LLM serving) ---------------------------------------------------
 
 
-def fig10_config(params: Mapping[str, Any], seed: int):
-    """One Fig. 10(a) series: the backend-count sweep for one config."""
+def fig10_config(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One Fig. 10(a) series; ``result`` is the backend-count sweep
+    (``ServingPoint`` list) for one config."""
     from ..apps.llm import LlmServingExperiment
-
-    return LlmServingExperiment(params["config"]).sweep(
-        tuple(params["backend_counts"])
-    )
-
-
-def fig10_config_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A Fig. 10(a) series plus its ``repro.metrics/v1`` snapshot."""
     from ..obs.registry import MetricsRegistry
 
-    points = fig10_config(params, seed)
     config = params["config"]
+    points = LlmServingExperiment(config).sweep(tuple(params["backend_counts"]))
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "llm_serving", "serving-rate sweep samples",
@@ -531,31 +303,14 @@ def fig10_config_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any
             (f"{point.backends} backends tokens/s",
              f"{point.tokens_per_second:.0f}")
         )
-    return {"rows": rows, "metrics": registry.as_dict()}
+    return {"rows": rows, "metrics": registry.as_dict(), "result": points}
 
 
 # -- overload sweeps ---------------------------------------------------------
 
 
-def overload_point(params: Mapping[str, Any], seed: int):
-    """One offered-load factor of the goodput sweep."""
-    from ..overload.runner import run_offered_load
-
-    return run_offered_load(
-        params["rate_ops_per_s"],
-        params["policy"],
-        duration_ns=params["duration_ns"],
-        config=params["config"],
-        record_count=int(params["record_count"]),
-        seed=seed,
-        threads=int(params["threads"]),
-        label=params["label"],
-        load_factor=params["load_factor"],
-    )
-
-
-def overload_point_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """An offered-load point plus its ``repro.metrics/v1`` snapshot."""
+def overload_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One offered-load factor; ``result`` is its ``OverloadRunSummary``."""
     from ..obs.registry import MetricsRegistry
     from ..overload.runner import run_offered_load
 
@@ -572,7 +327,7 @@ def overload_point_observed(params: Mapping[str, Any], seed: int) -> Dict[str, A
         load_factor=params["load_factor"],
         registry=registry,
     )
-    return {"summary": summary, "metrics": registry.as_dict()}
+    return {"result": summary, "metrics": registry.as_dict()}
 
 
 # -- fault catalog -----------------------------------------------------------
@@ -588,19 +343,3 @@ def fault_case(params: Mapping[str, Any], seed: int):
         seed=seed,
         quick=bool(params.get("quick", False)),
     )
-
-
-def fault_case_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A fault-catalog cell plus its ``repro.metrics/v1`` snapshot."""
-    from ..faults.runner import run_faulted_app
-    from ..obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    summary = run_faulted_app(
-        params["app"],
-        params["scenario"],
-        seed=seed,
-        quick=bool(params.get("quick", False)),
-        registry=registry,
-    )
-    return {"summary": summary, "metrics": registry.as_dict()}

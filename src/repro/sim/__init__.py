@@ -7,7 +7,7 @@ This subpackage is application-agnostic.  The hardware model
 
 from .engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from .monitor import BandwidthMonitor
-from .resources import Resource, TokenBucket
+from .resources import Resource
 from .rng import DEFAULT_SEED, RngFactory
 from .stats import CdfPoint, Counter, LatencyHistogram, RunningStat, TimeSeries
 from .traffic import AllocationResult, TrafficDemand, max_min_allocate
@@ -21,7 +21,6 @@ __all__ = [
     "Timeout",
     "BandwidthMonitor",
     "Resource",
-    "TokenBucket",
     "DEFAULT_SEED",
     "RngFactory",
     "CdfPoint",

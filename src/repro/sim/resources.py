@@ -2,8 +2,7 @@
 
 :class:`Resource` models a pool of identical slots (server threads, SSD
 queue depth, migration workers).  Requests queue FIFO; each grant is an
-event the requesting process waits on.  :class:`TokenBucket` models a
-rate limit (the kernel's promotion-rate limit in §2.3 is exactly this).
+event the requesting process waits on.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Deque
 from ..errors import SimulationError
 from .engine import Event, Simulator
 
-__all__ = ["Resource", "TokenBucket"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -87,50 +86,3 @@ class Resource:
         """Number of *live* requests currently waiting for a slot."""
         return sum(1 for ev in self._waiters if not ev.triggered)
 
-
-class TokenBucket:
-    """A token-bucket rate limiter over simulated time.
-
-    Tokens accrue at ``rate`` tokens per nanosecond up to ``burst``.
-    :meth:`try_take` is non-blocking (used by the tiering daemons, which
-    skip a migration rather than stall when the promotion budget is
-    exhausted — mirroring the kernel's RPRL behaviour).
-    """
-
-    def __init__(self, sim: Simulator, rate_per_ns: float, burst: float) -> None:
-        if rate_per_ns < 0 or burst <= 0:
-            raise SimulationError("rate must be >= 0 and burst > 0")
-        self.sim = sim
-        self.rate = rate_per_ns
-        self.burst = burst
-        self._tokens = burst
-        self._last_refill = sim.now
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        if now > self._last_refill:
-            self._tokens = min(self.burst, self._tokens + (now - self._last_refill) * self.rate)
-            self._last_refill = now
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available at the current simulation time."""
-        self._refill()
-        return self._tokens
-
-    def try_take(self, amount: float) -> bool:
-        """Take ``amount`` tokens if available; returns success."""
-        if amount < 0:
-            raise SimulationError("cannot take a negative amount")
-        self._refill()
-        if self._tokens >= amount:
-            self._tokens -= amount
-            return True
-        return False
-
-    def set_rate(self, rate_per_ns: float) -> None:
-        """Adjust the refill rate (the RPRL auto-threshold does this)."""
-        if rate_per_ns < 0:
-            raise SimulationError("rate must be >= 0")
-        self._refill()
-        self.rate = rate_per_ns

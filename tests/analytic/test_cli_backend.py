@@ -53,10 +53,23 @@ class TestStockSweepSpec:
         with pytest.raises(ConfigurationError, match="backend"):
             stock_sweep_spec("fig5", quick=True, backend="magic")
 
-    def test_backend_selects_distinct_tasks(self):
+    def test_backend_selects_distinct_params(self):
         des = stock_sweep_spec("fig5", quick=True, backend="des")
         ana = stock_sweep_spec("fig5", quick=True, backend="analytic")
-        assert des.task is not ana.task
+        assert des.task is ana.task
+        for d, a in zip(des.points, ana.points):
+            assert (d.params["backend"], a.params["backend"]) == ("des", "analytic")
+            assert {**d.params, "backend": "analytic"} == a.params
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    def test_mlc_targets_run_one_path_for_every_backend(self, target):
+        specs = [stock_sweep_spec(target, quick=True, backend=backend)
+                 for backend in ("des", "analytic", "auto")]
+        for spec in specs[1:]:
+            assert spec.task is specs[0].task
+            assert [p.params for p in spec.points] == [
+                p.params for p in specs[0].points
+            ]
 
 
 class TestEndToEnd:

@@ -1,23 +1,9 @@
-"""The shared analytic machinery: solver and single-flow closed form."""
+"""The shared analytic machinery: the fixed-point solver."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analytic import (
-    chain_capacity,
-    single_flow_operating_point,
-    solve_fixed_point,
-)
+from repro.analytic import solve_fixed_point
 from repro.errors import ConfigurationError
-from repro.hw import paper_cxl_platform
-from repro.sim.traffic import TrafficDemand
-
-PLATFORM = paper_cxl_platform(snc_enabled=True)
-DRAM = PLATFORM.dram_nodes(0)[0]
-CXL = PLATFORM.cxl_nodes()[0]
-DRAM_PATH = PLATFORM.path(0, DRAM.node_id, initiator_domain=DRAM.domain)
-CXL_PATH = PLATFORM.path(0, CXL.node_id)
 
 
 class TestSolveFixedPoint:
@@ -47,51 +33,3 @@ class TestSolveFixedPoint:
             solve_fixed_point(lambda x: x, 0.0, damping=0.0)
         with pytest.raises(ConfigurationError):
             solve_fixed_point(lambda x: x, 0.0, damping=1.5)
-
-
-class TestSingleFlowClosedForm:
-    @given(
-        st.sampled_from(["dram", "cxl"]),
-        st.floats(min_value=1e6, max_value=1e12),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_allocator_with_one_demand(self, which, offered, wf):
-        """The closed form IS Platform.allocate for a lone flow."""
-        path = DRAM_PATH if which == "dram" else CXL_PATH
-        achieved, utilization = single_flow_operating_point(
-            PLATFORM, path, offered, wf
-        )
-        alloc = PLATFORM.allocate([
-            TrafficDemand(source="flow", resources=path.resources,
-                          rate=offered, write_fraction=wf)
-        ])
-        assert achieved == pytest.approx(alloc.achieved["flow"], rel=1e-12)
-        assert utilization == pytest.approx(
-            alloc.bottleneck(path.resources), rel=1e-12, abs=1e-12
-        )
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_never_exceeds_chain_capacity(self, wf):
-        cap, name = chain_capacity(PLATFORM, CXL_PATH, wf)
-        achieved, utilization = single_flow_operating_point(
-            PLATFORM, CXL_PATH, float("inf"), wf
-        )
-        assert achieved == pytest.approx(cap)
-        assert utilization == pytest.approx(1.0)
-        assert name in CXL_PATH.resources
-
-    @given(
-        st.floats(min_value=1e6, max_value=1e12),
-        st.floats(min_value=1e6, max_value=1e12),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_achieved_monotone_in_offered_load(self, lo, hi, wf):
-        if lo > hi:
-            lo, hi = hi, lo
-        a_lo, u_lo = single_flow_operating_point(PLATFORM, CXL_PATH, lo, wf)
-        a_hi, u_hi = single_flow_operating_point(PLATFORM, CXL_PATH, hi, wf)
-        assert a_lo <= a_hi + 1e-9
-        assert u_lo <= u_hi + 1e-12

@@ -1,23 +1,26 @@
-"""Monotonicity properties of the analytical models (hypothesis).
+"""Monotonicity properties of the loaded-latency models (hypothesis).
 
-The closed forms must inherit the physical orderings the DES obeys by
-construction: more offered load never lowers achieved bandwidth (or
-latency), and faster hardware — every bandwidth-curve knot scaled up —
-never lowers capacity or raises latency.
+The MLC probe and the bandwidth curves it interpolates must obey the
+physical orderings: more offered load never lowers achieved bandwidth
+(or latency), and faster hardware — every bandwidth-curve knot scaled
+up — never lowers capacity or raises latency.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytic import AnalyticMlcProbe, chain_capacity
 from repro.hw import paper_cxl_platform
 from repro.hw.bandwidth import PeakBandwidthCurve
+from repro.workloads.mlc import MlcProbe
 
 PLATFORM = paper_cxl_platform(snc_enabled=True)
 CXL = PLATFORM.cxl_nodes()[0]
 CXL_PATH = PLATFORM.path(0, CXL.node_id)
-PROBE = AnalyticMlcProbe(PLATFORM, threads=16)
+PROBE = MlcProbe(PLATFORM, threads=16)
+# The CXL chain's capacity at a 3:1 mix: a lone flow's achieved rate
+# under unbounded offered load.
+CXL_CAPACITY_3_1 = PROBE.bandwidth_matrix(reads=3, writes=1)[(0, CXL.node_id)]
 
 # Sorted offered-load fractions spanning idle through past-saturation.
 _load_grids = st.lists(
@@ -64,10 +67,9 @@ class TestLoadMonotonicity:
         curve = PROBE.loaded_latency_curve(
             CXL_PATH, reads=3, writes=1, load_points=loads
         )
-        cap, _ = chain_capacity(PLATFORM, CXL_PATH, 0.25)
         for pt in curve.points:
             assert pt.achieved_bytes_per_s <= pt.offered_bytes_per_s + 1e-6
-            assert pt.achieved_bytes_per_s <= cap + 1e-6
+            assert pt.achieved_bytes_per_s <= CXL_CAPACITY_3_1 + 1e-6
 
 
 class TestKnotMonotonicity:

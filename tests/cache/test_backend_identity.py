@@ -1,89 +1,102 @@
-"""Backend identity in the point fingerprint (v2).
+"""The execution backend of a point is one of its params.
 
-Analytic and DES runs of the *same* parameters answer different
-questions to different accuracy — they must never alias in the
-content-addressed store.  The backend marker (``__repro_backend__``)
-joins the fingerprint payload, so a des result can never be served for
-an analytic request or vice versa, and bumping the analytic model
-version invalidates exactly the analytic entries.
+Analytic and DES runs of the *same* cell answer the same question to
+different accuracy — they must never alias in the content-addressed
+store.  The fig5/fig8 spec builders write the resolved model into each
+point's ``backend`` param (``auto`` resolved per point), so the cache
+keys follow from the params alone, and a wrapped task (the chaos
+harness) keeps them apart too.
 """
 
-from repro.cache import backend_identity, point_fingerprint
+from repro.analysis.figures import fig5_sweep_spec, fig8_sweep_spec
+from repro.cache import point_fingerprint
 from repro.cache.store import SweepCache
-from repro.parallel import tasks
+from repro.cli import stock_sweep_spec
+from repro.parallel.chaos import ChaosPlan, chaos_wrap
 
-PARAMS = {"config": "mmem", "workload": "A", "total_ops": 20_000}
-
-
-def _des_task(params, seed):
-    return {"ok": True}
+PARAMS = {"config": "mmem", "workload": "A", "record_count": 1_024,
+          "total_ops": 20_000}
 
 
-def _marked_task(params, seed):
-    return {"ok": True}
+def _backends(spec):
+    return {point.key: point.params["backend"] for point in spec.points}
 
 
-_marked_task.__repro_backend__ = ("analytic", 3)
-
-
-def _routed_task(params, seed):
-    return {"ok": True}
-
-
-_routed_task.__repro_backend__ = lambda params: (
-    ("analytic", 1) if params.get("config") != "hot-promote" else ("des", 0)
-)
+def _assert_keys_follow_backend(tmp_path, chaos=None):
+    """des != analytic per cell; auto shares its routed backend's key."""
+    cache = SweepCache(str(tmp_path))
+    keys = {}
+    for backend in ("des", "analytic", "auto"):
+        spec = fig5_sweep_spec(
+            workloads=("A",), configs=("mmem", "hot-promote"),
+            record_count=1_024, total_ops=1_500, backend=backend,
+        )
+        if chaos is not None:
+            spec = chaos_wrap(spec, chaos)
+        keys[backend] = {
+            point.key: cache.key_for(spec.task, point.params, point.seed)
+            for point in spec.points
+        }
+    des, ana, auto = keys["des"], keys["analytic"], keys["auto"]
+    for key in des:
+        assert des[key] != ana[key]
+    assert auto["A/hot-promote"] == des["A/hot-promote"]
+    assert auto["A/mmem"] == ana["A/mmem"]
 
 
 class TestBackendIdentity:
     def test_unmarked_task_is_des(self):
-        assert backend_identity(_des_task, PARAMS) == ("des", 0)
+        # A stock spec built without a backend runs every fig5/fig8 point
+        # on the DES.  fig3 has one allocator path and no backend param,
+        # so every backend flag builds the same points.
+        for target in ("fig5", "fig8"):
+            spec = stock_sweep_spec(target, quick=True)
+            assert set(_backends(spec).values()) == {"des"}
+        fig3 = [stock_sweep_spec("fig3", quick=True, backend=backend).points
+                for backend in ("des", "analytic", "auto")]
+        assert all("backend" not in point.params for point in fig3[0])
+        assert fig3[0] == fig3[1] == fig3[2]
 
-    def test_static_marker(self):
-        assert backend_identity(_marked_task, PARAMS) == ("analytic", 3)
+    def test_forced_backend_fills_every_point(self):
+        for backend in ("des", "analytic"):
+            spec = stock_sweep_spec("fig5", quick=True, backend=backend)
+            assert len(spec.points) == 28
+            assert set(_backends(spec).values()) == {backend}
 
-    def test_callable_marker_routes_per_params(self):
-        assert backend_identity(_routed_task, PARAMS) == ("analytic", 1)
-        assert backend_identity(
-            _routed_task, {"config": "hot-promote"}
-        ) == ("des", 0)
+    def test_auto_resolves_per_point(self):
+        spec = stock_sweep_spec("fig5", quick=True, backend="auto")
+        routed = _backends(spec)
+        des = sorted(key for key, backend in routed.items() if backend == "des")
+        assert des == [f"{w}/hot-promote" for w in "ABCD"]
+        assert list(routed.values()).count("analytic") == 24
 
-    def test_stock_tasks_declare_their_backend(self):
-        assert backend_identity(tasks.fig5_cell, PARAMS) == ("des", 0)
-        name, version = backend_identity(tasks.fig5_cell_analytic, PARAMS)
-        assert name == "analytic" and version >= 1
-        # The auto router resolves per point.
-        assert backend_identity(tasks.fig5_cell_auto, PARAMS)[0] == "analytic"
-        assert backend_identity(
-            tasks.fig5_cell_auto, {"config": "hot-promote"}
-        ) == ("des", 0)
+    def test_fig8_auto_is_analytic(self):
+        spec = stock_sweep_spec("fig8", quick=True, backend="auto")
+        assert _backends(spec) == {"mmem": "analytic", "cxl": "analytic"}
 
 
 class TestFingerprintSeparation:
     def test_backends_never_alias(self):
-        des = point_fingerprint("fig5_cell", PARAMS, 7)
-        ana = point_fingerprint("fig5_cell", PARAMS, 7,
-                                backend=("analytic", 1))
+        des = point_fingerprint("fig5_cell", {**PARAMS, "backend": "des"}, 7)
+        ana = point_fingerprint("fig5_cell", {**PARAMS, "backend": "analytic"}, 7)
         assert des != ana
 
     def test_default_backend_is_des(self):
-        implicit = point_fingerprint("fig5_cell", PARAMS, 7)
-        explicit = point_fingerprint("fig5_cell", PARAMS, 7,
-                                     backend=("des", 0))
-        assert implicit == explicit
+        assert set(_backends(fig5_sweep_spec()).values()) == {"des"}
+        assert set(_backends(fig8_sweep_spec()).values()) == {"des"}
 
     def test_model_version_bumps_invalidate(self):
-        v1 = point_fingerprint("fig5_cell", PARAMS, 7, backend=("analytic", 1))
-        v2 = point_fingerprint("fig5_cell", PARAMS, 7, backend=("analytic", 2))
-        assert v1 != v2
+        # The code fingerprint hashes every model source, so editing the
+        # analytic model re-addresses its points.
+        params = {**PARAMS, "backend": "analytic"}
+        before = point_fingerprint("fig5_cell", params, 7, code_fp="a" * 64)
+        after = point_fingerprint("fig5_cell", params, 7, code_fp="b" * 64)
+        assert before != after
 
     def test_cache_keys_diverge_per_backend(self, tmp_path):
-        cache = SweepCache(str(tmp_path))
-        des_key = cache.key_for(tasks.fig5_cell, PARAMS, 7)
-        ana_key = cache.key_for(tasks.fig5_cell_analytic, PARAMS, 7)
-        auto_key = cache.key_for(tasks.fig5_cell_auto, PARAMS, 7)
-        assert des_key != ana_key
-        # Three distinct task names, so all three differ; the invariant
-        # that matters is the auto key matching its routed backend, which
-        # the runner exercises end to end.
-        assert len({des_key, ana_key, auto_key}) == 3
+        _assert_keys_follow_backend(tmp_path)
+
+    def test_chaos_wrapped_backends_never_alias(self, tmp_path):
+        # Every wrapped point runs chaos_task; the backend travels inside
+        # the wrapped params, so wrapping keeps the same separation.
+        _assert_keys_follow_backend(tmp_path, chaos=ChaosPlan(seed=1))

@@ -1,6 +1,7 @@
 """Cache-aware sweeps: warm hits, crash resume, failure exclusion."""
 
 import os
+import pickle
 
 import pytest
 
@@ -167,3 +168,32 @@ class TestParallelWithCache:
         assert [pr.value for pr in warm.results] == [
             pr.value for pr in serial.results
         ]
+
+
+class TestFigureRunnerSharesSweepEntries:
+    """``repro sweep`` and the figure runners run one task per figure."""
+
+    def test_fig5_runner_after_stock_sweep_executes_nothing(self, tmp_path):
+        from repro.analysis.figures import fig5_keydb
+        from repro.cli import stock_sweep_spec
+
+        # auto mixes both models: 4 DES cells, 24 analytic ones.
+        root = str(tmp_path / "cache")
+        spec = stock_sweep_spec("fig5", quick=True, backend="auto")
+        swept = run_sweep(spec, workers=1, cache=SweepCache(root=root))
+        assert swept.cache_stats.stores == len(spec.points) == 28
+
+        # The scale of `repro fig5 --quick`.
+        scale = dict(record_count=16_384, total_ops=20_000, backend="auto")
+        runner_cache = SweepCache(root=root)
+        warm = fig5_keydb(cache=runner_cache, **scale)
+        assert runner_cache.stats.hits == 28 and runner_cache.stats.misses == 0
+
+        cold = fig5_keydb(**scale)
+        # Pickled bytes compare every field (histogram buckets, Welford
+        # state, counters) of the cached and the freshly computed results.
+        for workload, per_config in cold.results.items():
+            for config, result in per_config.items():
+                assert pickle.dumps(warm.results[workload][config]) == (
+                    pickle.dumps(result)
+                )

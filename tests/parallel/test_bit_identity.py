@@ -28,7 +28,6 @@ class TestFig5BitIdentity:
             configs=("mmem", "1:1"),
             record_count=1_024,
             total_ops=1_500,
-            observed=True,
         )
         serial = _merged_json(spec, workers=1)
         parallel = _merged_json(spec, workers=2)
@@ -44,7 +43,6 @@ class TestOverloadBitIdentity:
             controlled=True,
             duration_ns=10e6,
             record_count=2_048,
-            observed=True,
         )
         serial = _merged_json(spec, workers=1)
         parallel = _merged_json(spec, workers=2)

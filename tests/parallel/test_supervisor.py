@@ -485,7 +485,7 @@ class TestHealthSidecar:
         obs_sweep = run_sweep(
             SweepSpec(
                 name="obs",
-                task=tasks.fig7_config_observed,
+                task=tasks.fig7_config,
                 points=(SweepPoint(key="mmem", params={"config": "mmem"},
                                    seed=1),),
             ),

@@ -47,8 +47,12 @@ class TestBuildSweepSpec:
     def test_backend_reaches_the_sweep_spec(self):
         des = build_sweep_spec(JobSpec(target="fig8"))
         ana = build_sweep_spec(JobSpec(target="fig8", backend="analytic"))
-        assert des.task is not ana.task
+        assert des.task is ana.task
         assert [p.key for p in des.points] == [p.key for p in ana.points]
+        assert [p.params["backend"] for p in des.points] == ["des", "des"]
+        assert [p.params["backend"] for p in ana.points] == [
+            "analytic", "analytic"
+        ]
 
     def test_auto_demo_stays_on_des(self):
         spec = build_sweep_spec(JobSpec(target="demo", backend="auto",

@@ -1,9 +1,9 @@
-"""Tests for Resource and TokenBucket."""
+"""Tests for Resource and RngFactory."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, TokenBucket
+from repro.sim import Resource, Simulator
 
 
 class TestResource:
@@ -123,67 +123,6 @@ class TestResource:
         assert served == ["p1", "p2"]
         assert res.in_use == 0
         assert res.available == 1
-
-
-class TestTokenBucket:
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            TokenBucket(sim, rate_per_ns=-1.0, burst=1.0)
-        with pytest.raises(SimulationError):
-            TokenBucket(sim, rate_per_ns=1.0, burst=0.0)
-
-    def test_starts_full(self):
-        sim = Simulator()
-        tb = TokenBucket(sim, rate_per_ns=1.0, burst=10.0)
-        assert tb.tokens == 10.0
-        assert tb.try_take(10.0)
-        assert not tb.try_take(0.1)
-
-    def test_refills_with_simulated_time(self):
-        sim = Simulator()
-        tb = TokenBucket(sim, rate_per_ns=2.0, burst=100.0)
-        assert tb.try_take(100.0)
-
-        def advance():
-            yield sim.timeout(25.0)
-
-        sim.process(advance())
-        sim.run()
-        # 25 ns at 2 tokens/ns = 50 tokens.
-        assert tb.tokens == pytest.approx(50.0)
-
-    def test_never_exceeds_burst(self):
-        sim = Simulator()
-        tb = TokenBucket(sim, rate_per_ns=1000.0, burst=5.0)
-
-        def advance():
-            yield sim.timeout(1000.0)
-
-        sim.process(advance())
-        sim.run()
-        assert tb.tokens == 5.0
-
-    def test_negative_take_rejected(self):
-        sim = Simulator()
-        tb = TokenBucket(sim, rate_per_ns=1.0, burst=1.0)
-        with pytest.raises(SimulationError):
-            tb.try_take(-1.0)
-
-    def test_set_rate(self):
-        sim = Simulator()
-        tb = TokenBucket(sim, rate_per_ns=1.0, burst=10.0)
-        tb.try_take(10.0)
-        tb.set_rate(5.0)
-
-        def advance():
-            yield sim.timeout(1.0)
-
-        sim.process(advance())
-        sim.run()
-        assert tb.tokens == pytest.approx(5.0)
-        with pytest.raises(SimulationError):
-            tb.set_rate(-1.0)
 
 
 class TestRngFactory:
