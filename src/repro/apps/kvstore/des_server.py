@@ -15,7 +15,13 @@ fast fixed-point over thousands of operations.  This module runs the
 Running both and comparing (see ``tests/apps/test_des_server.py``)
 validates the epoch scheme's shortcut: aggregate throughput agrees to
 within a few percent while the DES path additionally exposes the
-thread-contention component of the tails.
+thread-contention component of the tails.  The closed loop has no
+admission control: it self-clocks at the service rate and cannot
+overload the server.
+
+:meth:`DesKeyDbServer.run_open_loop` is the overload experiments'
+server: Poisson arrivals at a fixed offered rate, gated by the
+:class:`~repro.overload.policy.OverloadController` it is given.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ class DesKeyDbServer:
         socket: int = 0,
         clients: int = 16,
         utilization_refresh_ops: int = 2000,
-        overload: Optional[OverloadController] = None,
         tracer: Tracer = NULL_TRACER,
         engine_profile=None,
     ) -> None:
@@ -65,7 +70,6 @@ class DesKeyDbServer:
         self.socket = socket
         self.clients = clients
         self.refresh_ops = utilization_refresh_ops
-        self.overload = overload
         #: Request-scoped span recorder (no-op unless a live Tracer is
         #: passed; tracing must never perturb the simulation).
         self.tracer = tracer
@@ -75,10 +79,6 @@ class DesKeyDbServer:
         self._paths: Dict[int, MemoryPath] = {}
         self._utilization: Dict[str, float] = {}
         self._lat_cache: Dict[int, Dict[int, float]] = {}
-
-    def attach_overload(self, controller: OverloadController) -> None:
-        """Enable admission control and deadline shedding on this server."""
-        self.overload = controller
 
     def _path(self, node_id: int) -> MemoryPath:
         if node_id not in self._paths:
@@ -180,17 +180,6 @@ class DesKeyDbServer:
                 state["issued"] += 1
                 op = generator.next_operation()
                 arrival = sim.now
-                request = None
-                if self.overload is not None:
-                    request = self.overload.make_request(
-                        arrival,
-                        priority=state["issued"]
-                        % self.overload.policy.priority_levels,
-                    )
-                    admitted, _ = self.overload.try_admit(request, arrival)
-                    if not admitted:
-                        result.counters.add("ops_rejected", 1)
-                        continue
                 grant = server_threads.request()
                 yield grant
                 if op.is_write:
@@ -198,17 +187,6 @@ class DesKeyDbServer:
                 else:
                     plan = self.store.plan_get(op.key, sim.now)
                 service = self._price(plan)
-                if (
-                    request is not None
-                    and self.overload.policy.shed_doomed
-                    and request.doomed(sim.now, service)
-                ):
-                    # The thread is free again but the response could not
-                    # arrive in time: shed before burning the service time.
-                    server_threads.release()
-                    result.counters.add("ops_shed_doomed", 1)
-                    self.overload.shed(request, sim.now)
-                    continue
                 if tracer.enabled:
                     w = 1 if plan.is_write else 0
                     trace_start = sim.now
@@ -226,9 +204,6 @@ class DesKeyDbServer:
                     )
                 server_threads.release()
                 total_latency = sim.now - arrival  # queueing + service
-                if request is not None:
-                    if not self.overload.complete(request, sim.now, total_latency):
-                        result.counters.add("deadline_misses", 1)
                 if plan.is_write:
                     result.write_latency.record(total_latency)
                 else:
@@ -251,10 +226,6 @@ class DesKeyDbServer:
                     refresh_anchor["t"] = sim.now
                     node_bytes.clear()
                     node_write_bytes.clear()
-                    if self.overload is not None:
-                        self.overload.note_utilization(
-                            max(self._utilization.values(), default=0.0), sim.now
-                        )
 
         for _ in range(self.clients):
             sim.process(client())
@@ -266,6 +237,7 @@ class DesKeyDbServer:
     def run_open_loop(
         self,
         generator: YcsbGenerator,
+        controller: OverloadController,
         arrival_rate_ops_per_s: float,
         duration_ns: float,
         seed: int = 0,
@@ -276,12 +248,14 @@ class DesKeyDbServer:
         Unlike the closed loop — which self-clocks and can never
         overload the server — arrivals here come at a fixed offered
         rate regardless of completions, so offered load past the
-        capacity knee piles into the admission queue.  With an
-        :class:`~repro.overload.policy.OverloadController` attached,
-        the bounded queue rejects the excess, expired waiters are shed
-        at dispatch, and doomed work is dropped before service; without
-        one the queue is unbounded and latency grows without bound —
-        the uncontrolled baseline of the goodput experiments.
+        capacity knee piles into ``controller``'s FIFO admission queue.
+        Under a controlling policy the bounded queue and the token
+        bucket reject the excess, expired waiters are shed at dispatch,
+        and doomed work is dropped before service.  Under
+        :meth:`~repro.overload.policy.OverloadPolicy.monitor_only` the
+        queue is effectively unbounded and every arrival is served,
+        however late — the uncontrolled baseline of the goodput
+        experiments.
         """
         if arrival_rate_ops_per_s <= 0:
             raise ConfigurationError("arrival_rate_ops_per_s must be positive")
@@ -294,8 +268,9 @@ class DesKeyDbServer:
         rng = np.random.default_rng(seed)
         result = KeyDbResult()
         self._latency_tables()
-        queue = self.overload.new_queue() if self.overload is not None else None
-        backlog: Deque = deque()  # uncontrolled path: unbounded FIFO
+        queue = controller.new_queue()
+        levels = controller.policy.priority_levels
+        shed_doomed = controller.policy.shed_doomed
         idle: Deque[Event] = deque()
         state = {"done": 0, "since_refresh": 0, "closed": False}
         node_bytes: Dict[int, float] = {}
@@ -303,11 +278,6 @@ class DesKeyDbServer:
         refresh_anchor = {"t": 0.0}
         mean_gap_ns = 1e9 / arrival_rate_ops_per_s
         stop = object()  # sentinel waking idle workers at shutdown
-
-        def take_next():
-            if queue is not None:
-                return queue.take(sim.now)
-            return backlog.popleft() if backlog else None
 
         def arrivals():
             seq = 0
@@ -317,38 +287,29 @@ class DesKeyDbServer:
                     break
                 if injector is not None:
                     injector.advance(sim.now)
-                op = generator.next_operation()
-                if self.overload is not None:
-                    request = self.overload.make_request(
-                        sim.now,
-                        priority=seq % self.overload.policy.priority_levels,
-                    )
-                    request.payload = op
-                    if queue.full:
-                        self.overload.metrics.reject(REASON_QUEUE_FULL)
-                        queue.rejected_full += 1
-                        result.counters.add("ops_rejected", 1)
-                        seq += 1
-                        continue
-                    admitted, _ = self.overload.try_admit(request, sim.now)
-                    if not admitted:
-                        result.counters.add("ops_rejected", 1)
-                        seq += 1
-                        continue
-                    queue.offer(request)
-                else:
-                    backlog.append((sim.now, op))
+                request = controller.make_request(sim.now, priority=seq % levels)
+                request.payload = generator.next_operation()
+                seq += 1
+                if queue.full:
+                    controller.metrics.reject(REASON_QUEUE_FULL)
+                    queue.rejected_full += 1
+                    result.counters.add("ops_rejected", 1)
+                    continue
+                admitted, _ = controller.try_admit(request, sim.now)
+                if not admitted:
+                    result.counters.add("ops_rejected", 1)
+                    continue
+                queue.offer(request)
                 if idle:
                     idle.popleft().succeed()
-                seq += 1
             state["closed"] = True
             while idle:
                 idle.popleft().succeed(stop)
 
         def worker():
             while True:
-                entry = take_next()
-                if entry is None:
+                request = queue.take(sim.now)
+                if request is None:
                     if state["closed"]:
                         return
                     gate = sim.event()
@@ -357,12 +318,8 @@ class DesKeyDbServer:
                     if value is stop:
                         return
                     continue
-                if queue is not None:
-                    request, op = entry, entry.payload
-                    arrival = entry.arrival_ns
-                else:
-                    request = None
-                    arrival, op = entry
+                op = request.payload
+                arrival = request.arrival_ns
                 if op.is_write:
                     plan = self.store.plan_set(op.key, sim.now)
                 else:
@@ -372,13 +329,9 @@ class DesKeyDbServer:
                     service *= injector.latency_multiplier(
                         plan.value_page.node_id, sim.now
                     )
-                if (
-                    request is not None
-                    and self.overload.policy.shed_doomed
-                    and request.doomed(sim.now, service)
-                ):
+                if shed_doomed and request.doomed(sim.now, service):
                     result.counters.add("ops_shed_doomed", 1)
-                    self.overload.shed(request, sim.now)
+                    controller.shed(request, sim.now)
                     continue
                 if tracer.enabled:
                     w = 1 if plan.is_write else 0
@@ -397,9 +350,8 @@ class DesKeyDbServer:
                         degrade_ns=service - base_service,
                     )
                 latency = sim.now - arrival  # queueing + service
-                if request is not None:
-                    if not self.overload.complete(request, sim.now, latency):
-                        result.counters.add("deadline_misses", 1)
+                if not controller.complete(request, sim.now, latency):
+                    result.counters.add("deadline_misses", 1)
                 if plan.is_write:
                     result.write_latency.record(latency)
                 else:
@@ -422,18 +374,12 @@ class DesKeyDbServer:
                     refresh_anchor["t"] = sim.now
                     node_bytes.clear()
                     node_write_bytes.clear()
-                    if self.overload is not None:
-                        self.overload.note_utilization(
-                            max(self._utilization.values(), default=0.0),
-                            sim.now,
-                        )
 
         sim.process(arrivals())
         for _ in range(self.threads):
             sim.process(worker())
         sim.run()
-        if queue is not None:
-            result.counters.add("ops_shed_expired", queue.shed_expired)
+        result.counters.add("ops_shed_expired", queue.shed_expired)
         result.ops = state["done"]
         result.elapsed_ns = max(sim.now, duration_ns)
         return result

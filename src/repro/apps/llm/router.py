@@ -25,7 +25,6 @@ from ...faults.breaker import CircuitBreaker
 from ...faults.injector import FaultInjector
 from ...faults.metrics import RecoveryTracker
 from ...obs.tracing import NULL_TRACER, Tracer
-from ...overload.policy import OverloadController
 from ...sim.engine import Simulator
 from ...sim.stats import LatencyHistogram
 from ...units import GIB
@@ -58,12 +57,6 @@ class ServingResult:
     requests_failed: int = 0
     #: Sequences migrated to another backend (device loss / breaker).
     reroutes: int = 0
-    #: Requests refused at admission (queue/rate/concurrency/capacity).
-    requests_rejected: int = 0
-    #: Admitted sequences abandoned mid-decode (deadline doomed).
-    requests_shed: int = 0
-    #: Completed requests that finished past their deadline.
-    deadline_misses: int = 0
 
     @property
     def tokens_per_second(self) -> float:
@@ -104,18 +97,6 @@ class LlmRouter:
         self.breakers: List[CircuitBreaker] = []
         self.step_timeout_factor = float("inf")
         self.recovery: Optional[RecoveryTracker] = None
-        self.overload: Optional[OverloadController] = None
-
-    def attach_overload(self, controller: OverloadController) -> None:
-        """Enable admission control and per-step deadline shedding.
-
-        If a fault injector is (or later gets) attached, the controller
-        is bound to it so capacity loss raises the admitted-priority
-        floor (SLO-aware shedding).
-        """
-        self.overload = controller
-        if self.faults is not None and not controller.has_fault_signal:
-            controller.bind_faults(self.faults)
 
     def attach_faults(
         self,
@@ -158,8 +139,6 @@ class LlmRouter:
             CircuitBreaker(failure_threshold, reset_timeout_ns)
             for _ in range(self.n_backends)
         ]
-        if self.overload is not None and not self.overload.has_fault_signal:
-            self.overload.bind_faults(injector)
 
     def _pick_backend(self) -> int:
         return min(range(self.n_backends), key=lambda i: self.active_sequences[i])
@@ -175,17 +154,11 @@ class LlmRouter:
                 return i
         return None
 
-    def serve(
-        self,
-        requests: Iterable[ChatRequest],
-        arrival_times: Optional[List[float]] = None,
-    ) -> ServingResult:
+    def serve(self, requests: Iterable[ChatRequest]) -> ServingResult:
         """Run all requests to completion on the event engine.
 
-        ``arrival_times`` (ns, one per request, non-decreasing) turns
-        the run open-loop: each sequence enters at its stamped time
-        instead of all at t=0, so offered load is controlled by the
-        caller — the lever the overload experiments sweep.
+        Every sequence enters at t=0; the router assigns each to a
+        backend when it starts.
         """
         sim = Simulator()
         if self.engine_profile is not None:
@@ -216,24 +189,8 @@ class LlmRouter:
                 )
             return step_ns
 
-        def sequence(seq_id: int, request: ChatRequest, arrival_ns: float = 0.0):
-            if arrival_ns > sim.now:
-                yield sim.timeout(arrival_ns - sim.now)
+        def sequence(seq_id: int, request: ChatRequest):
             start = sim.now
-            ticket = None
-            if self.overload is not None:
-                if self.faults is not None:
-                    self.faults.advance(sim.now)
-                ticket = self.overload.make_request(
-                    sim.now,
-                    priority=seq_id % self.overload.policy.priority_levels,
-                )
-                admitted, _ = self.overload.try_admit(ticket, sim.now)
-                if not admitted:
-                    result.requests_rejected += 1
-                    if self.recovery is not None:
-                        self.recovery.record(sim.now, 0.0, ok=False)
-                    return
             # Pick the backend when the sequence actually starts, so the
             # least-loaded choice sees the real active counts (and, under
             # faults, the current health picture).
@@ -242,8 +199,6 @@ class LlmRouter:
                 idx = self._pick_healthy_backend(sim.now)
                 if idx is None:
                     result.requests_failed += 1
-                    if ticket is not None:
-                        self.overload.shed(ticket, sim.now, reason="fault")
                     if self.recovery is not None:
                         self.recovery.record(sim.now, 0.0, ok=False)
                     return
@@ -293,19 +248,6 @@ class LlmRouter:
                         yield sim.timeout(refill)
                         continue
                 step_ns = step_time(idx, seq_id)
-                if (
-                    ticket is not None
-                    and self.overload.policy.shed_doomed
-                    and ticket.doomed(sim.now, step_ns)
-                ):
-                    # Even the next decode step cannot land inside the
-                    # request deadline: free the backend immediately.
-                    leave(idx)
-                    result.requests_shed += 1
-                    self.overload.shed(ticket, sim.now)
-                    if self.recovery is not None:
-                        self.recovery.record(sim.now, 0.0, ok=False)
-                    return
                 deadline_ns = healthy_step_time(idx, seq_id) * self.step_timeout_factor
                 if self.faults is not None and step_ns > deadline_ns:
                     # Step deadline blown: count against the breaker and
@@ -316,8 +258,6 @@ class LlmRouter:
                     new = reroute(idx)
                     if new is None:
                         result.requests_failed += 1
-                        if ticket is not None:
-                            self.overload.shed(ticket, sim.now, reason="fault")
                         if self.recovery is not None:
                             self.recovery.record(sim.now, 0.0, ok=False)
                         return
@@ -356,16 +296,9 @@ class LlmRouter:
                     op.span("device", "deadline_stall", t, stall_ns)
                 op.finish(sim.now)
             result.request_latency.record(latency)
-            if ticket is not None:
-                if not self.overload.complete(ticket, sim.now, latency):
-                    result.deadline_misses += 1
 
-        request_list = list(requests)
-        if arrival_times is not None and len(arrival_times) != len(request_list):
-            raise ConfigurationError("arrival_times must match requests 1:1")
-        for seq_id, request in enumerate(request_list):
-            arrival = arrival_times[seq_id] if arrival_times is not None else 0.0
-            sim.process(sequence(seq_id, request, arrival))
+        for seq_id, request in enumerate(requests):
+            sim.process(sequence(seq_id, request))
         sim.run()
         result.elapsed_ns = sim.now
         return result

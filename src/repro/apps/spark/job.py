@@ -31,7 +31,6 @@ from ...errors import ConfigurationError
 from ...faults.injector import FaultInjector
 from ...faults.plan import FaultKind
 from ...hw.calibration import path_latency_model
-from ...overload.policy import OverloadController
 from ...workloads.tpch import QueryProfile, QueryStage
 from .cluster import ClusterConfig, tier_bandwidths
 from .executor import SparkAppSpec
@@ -93,12 +92,6 @@ class QueryResult:
     query: str
     config: str
     stages: List[StageResult] = field(default_factory=list)
-    #: Refused at admission (overload control); no stages were run.
-    rejected: bool = False
-    #: Stages skipped because the query deadline was already blown.
-    shed_stages: int = 0
-    #: Completed past its deadline (False when no deadline was set).
-    deadline_missed: bool = False
 
     @property
     def total_ns(self) -> float:
@@ -149,13 +142,6 @@ class SparkQueryRunner:
         #: Cluster wall-clock across everything this runner has executed,
         #: used to place fault windows against phase boundaries.
         self._now_ns = 0.0
-        self.overload: Optional[OverloadController] = None
-
-    def attach_overload(self, controller: OverloadController) -> None:
-        """Enable per-query admission control and deadline propagation."""
-        self.overload = controller
-        if self.faults is not None and not controller.has_fault_signal:
-            controller.bind_faults(self.faults)
 
     def attach_faults(self, injector: FaultInjector) -> None:
         """Enable RAS behaviour: degraded phases and task re-execution.
@@ -169,8 +155,6 @@ class SparkQueryRunner:
         cxl = self.config.platform.cxl_nodes()
         self._cxl_node = cxl[0].node_id if cxl else None
         self._now_ns = 0.0
-        if self.overload is not None and not self.overload.has_fault_signal:
-            self.overload.bind_faults(injector)
         #: Poison is sticky: injections are charged to the *next* phase
         #: that reads poisonable data, wherever in time they landed.
         self._poison_cursor_ns = 0.0
@@ -356,69 +340,13 @@ class SparkQueryRunner:
             result.shuffle_read_ns *= 1.0 + cfg.thrash_overhead
         return result
 
-    def run_query(
-        self,
-        profile: QueryProfile,
-        budget_ns: Optional[float] = None,
-        priority: int = 0,
-    ) -> QueryResult:
-        """Execute one TPC-H query profile; returns per-stage times.
-
-        With an overload controller attached the query first passes
-        admission (a rejected query runs no stages), and the deadline
-        implied by ``budget_ns`` (or the policy default) propagates
-        into the stage loop: between waves the runner checks the
-        remaining budget and sheds the rest of the query once it is
-        doomed — shuffle waves for a result nobody will read are never
-        launched.  Without a controller behaviour is unchanged.
-        """
+    def run_query(self, profile: QueryProfile) -> QueryResult:
+        """Execute one TPC-H query profile; returns per-stage times."""
         result = QueryResult(query=profile.name, config=self.config.name)
-        start = self._now_ns
-        ticket = None
-        if self.overload is not None:
-            ticket = self.overload.make_request(
-                start, priority=priority, budget_ns=budget_ns
-            )
-            admitted, _ = self.overload.try_admit(ticket, start)
-            if not admitted:
-                result.rejected = True
-                return result
-        for position, stage in enumerate(profile.stages):
-            if ticket is not None and self.overload.policy.shed_doomed:
-                # Cheapest available cost model for the next wave: the
-                # previous stage's wall-clock (0 for the first stage, so
-                # a query is never shed before doing any work).
-                estimate = result.stages[-1].total_ns if result.stages else 0.0
-                if ticket.doomed(self._now_ns, estimate):
-                    result.shed_stages = len(profile.stages) - position
-                    result.deadline_missed = True
-                    self.overload.shed(ticket, self._now_ns)
-                    return result
+        for stage in profile.stages:
             result.stages.append(self._run_stage(stage, self.config.app))
-        if ticket is not None:
-            made_it = self.overload.complete(
-                ticket, self._now_ns, self._now_ns - start
-            )
-            result.deadline_missed = not made_it
         return result
 
-    def run_queries(
-        self,
-        profiles: Dict[str, QueryProfile],
-        budget_ns: Optional[float] = None,
-    ) -> Dict[str, QueryResult]:
-        """Execute several queries (one Fig. 7 configuration column).
-
-        Under overload control the queries are prioritized round-robin
-        (``i % priority_levels``) so capacity-loss shedding has classes
-        to work with; ``budget_ns`` stamps each query's deadline.
-        """
-        results: Dict[str, QueryResult] = {}
-        for index, (name, profile) in enumerate(profiles.items()):
-            priority = 0
-            if self.overload is not None:
-                priority = index % self.overload.policy.priority_levels
-            results[name] = self.run_query(
-                profile, budget_ns=budget_ns, priority=priority
-            )
-        return results
+    def run_queries(self, profiles: Dict[str, QueryProfile]) -> Dict[str, QueryResult]:
+        """Execute several queries (one Fig. 7 configuration column)."""
+        return {name: self.run_query(profile) for name, profile in profiles.items()}

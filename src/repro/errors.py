@@ -28,11 +28,7 @@ __all__ = [
     "FaultError",
     "DeviceFaultError",
     "PoisonedReadError",
-    "LinkDegradedError",
     "RetryExhaustedError",
-    "OverloadError",
-    "AdmissionRejectedError",
-    "DeadlineExceededError",
 ]
 
 
@@ -102,47 +98,6 @@ class PoisonedReadError(FaultError):
         self.node_id = node_id
         super().__init__(
             message or f"poisoned read: page {page_id} on node {node_id}"
-        )
-
-
-class LinkDegradedError(FaultError):
-    """An access exceeded its deadline on a degraded/retraining link."""
-
-    def __init__(self, resource: str = "", message: str = "") -> None:
-        self.resource = resource
-        super().__init__(message or f"link {resource or '<unknown>'} degraded")
-
-
-class OverloadError(ReproError):
-    """Base class for overload-protection conditions (admission, deadlines).
-
-    Like :class:`FaultError`, these are *runtime conditions* rather than
-    programming errors: the serving stack raises them to signal that
-    work was refused or abandoned on purpose (bounded queues, admission
-    control, deadline propagation), and callers account the work as
-    shed rather than crash.
-    """
-
-
-class AdmissionRejectedError(OverloadError):
-    """A request was refused at admission (queue full, rate, capacity)."""
-
-    def __init__(self, reason: str = "", message: str = "") -> None:
-        self.reason = reason or "rejected"
-        super().__init__(message or f"admission rejected ({self.reason})")
-
-
-class DeadlineExceededError(OverloadError):
-    """A request's deadline passed (or cannot be met) mid-service."""
-
-    def __init__(
-        self, deadline_ns: float = 0.0, now_ns: float = 0.0, message: str = ""
-    ) -> None:
-        self.deadline_ns = deadline_ns
-        self.now_ns = now_ns
-        super().__init__(
-            message
-            or f"deadline {deadline_ns:.0f} ns exceeded at t={now_ns:.0f} ns"
         )
 
 

@@ -1,18 +1,20 @@
-"""Overload protection for the serving stack.
+"""Overload protection for open-loop KeyDB and ``repro serve``.
 
-Admission control (bounded queues, token-bucket and concurrency
-limiters, an adaptive AIMD limiter tracking the loaded-latency knee),
-absolute-deadline propagation with doomed-work shedding, and SLO-aware
-load shedding driven by the fault layer's capacity signal.  The apps
-(KeyDB, the LLM router, Spark) accept an :class:`OverloadController`
-and behave exactly as before when none is attached.
+Admission control (a bounded FIFO queue and a token bucket),
+absolute-deadline propagation with doomed-work shedding at dispatch,
+and SLO-aware load shedding driven by the fault layer's capacity
+signal.  Three callers run it: the offered-load sweep and the fault
+comparison, both on the open-loop DES KeyDB
+(:meth:`~repro.apps.kvstore.des_server.DesKeyDbServer.run_open_loop`,
+which takes an :class:`OverloadController`), and ``repro serve``'s
+wall-clock admission (:class:`WallClockAdmission`).
 """
 
 from .deadline import Deadline, Request
-from .limiter import AdaptiveLimiter, ConcurrencyLimiter, TokenBucketLimiter
+from .limiter import ConcurrencyLimiter, TokenBucketLimiter
 from .metrics import OverloadMetrics
 from .policy import OverloadController, OverloadPolicy
-from .queue import AdmissionQueue, QueueDiscipline
+from .queue import AdmissionQueue
 from .wallclock import AdmissionDecision, WallClock, WallClockAdmission
 from .runner import (
     OverloadRunSummary,
@@ -29,10 +31,8 @@ __all__ = [
     "Deadline",
     "Request",
     "AdmissionQueue",
-    "QueueDiscipline",
     "TokenBucketLimiter",
     "ConcurrencyLimiter",
-    "AdaptiveLimiter",
     "OverloadMetrics",
     "OverloadPolicy",
     "OverloadController",

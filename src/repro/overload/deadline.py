@@ -1,16 +1,16 @@
 """Deadline propagation primitives.
 
-Every admitted unit of work carries an absolute :class:`Deadline` in
-simulated time.  Each stage of the serving stack (KeyDB page ops, LLM
-prefill/decode steps, Spark stages) checks the *remaining* budget
-before spending effort, so work that can no longer finish in time is
-shed early instead of completing a useless response — the standard
-deadline-propagation discipline of RPC stacks, carried into the
-simulator.
+Every admitted unit of work carries an absolute :class:`Deadline`.
+The open-loop DES KeyDB checks the *remaining* budget when a worker
+picks a request up, so work that can no longer finish in time is shed
+before it burns service time, and the admission queue sheds waiters
+whose deadline passed — the standard deadline-propagation discipline
+of RPC stacks, carried into the simulator.
 
 The deadline is a plain value object; the clock it is compared against
-is whatever the caller's notion of "now" is (DES ``sim.now``, the epoch
-server's ``now_ns``, the Spark runner's analytic timeline).
+is whatever the caller's notion of "now" is (the DES ``sim.now``, or
+the host clock under ``repro serve``'s
+:class:`~repro.overload.wallclock.WallClockAdmission`).
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class Deadline:
             return True
         return now_ns + estimate_ns <= self.at_ns
 
-    def tightened(self, other: "Deadline") -> "Deadline":
-        """The stricter of two deadlines (propagation across stages)."""
-        return self if self.at_ns <= other.at_ns else other
-
 
 _REQUEST_IDS = itertools.count()
 
@@ -82,14 +78,12 @@ class Request:
     """One admitted (or candidate) unit of work moving through the stack.
 
     ``priority`` is ordinal: *higher* values are more important and are
-    shed last.  ``cost_hint_ns`` is an optional service-time estimate
-    used for doomed-work checks before the work is actually priced.
+    shed last.
     """
 
     arrival_ns: float
     deadline: Deadline = field(default_factory=Deadline)
     priority: int = 0
-    cost_hint_ns: float = 0.0
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
     #: Opaque application payload (e.g. the YCSB operation being queued).
     payload: object = None
@@ -97,8 +91,6 @@ class Request:
     def __post_init__(self) -> None:
         if self.priority < 0:
             raise ConfigurationError("priority must be >= 0")
-        if self.cost_hint_ns < 0:
-            raise ConfigurationError("cost_hint_ns must be >= 0")
 
     def remaining_ns(self, now_ns: float) -> float:
         """Deadline budget left at ``now_ns``."""

@@ -1,18 +1,16 @@
 """The overload policy and its runtime controller.
 
-:class:`OverloadPolicy` is the declarative bundle an application
-accepts — queue bound and discipline, rate/concurrency/adaptive
-limiters, default deadline budget, and shedding switches.  It is inert
-configuration; :class:`OverloadController` is the per-run state machine
-built from it that the apps actually consult:
+:class:`OverloadPolicy` is the declarative bundle the open-loop DES
+KeyDB accepts — queue bound, token-bucket rate, default deadline
+budget, and shedding switches.  It is inert configuration;
+:class:`OverloadController` is the per-run state machine built from it
+that the server actually consults:
 
 * ``make_request`` stamps arrival time, priority, and an absolute
   deadline onto a unit of work;
 * ``try_admit`` runs the admission pipeline (capacity-loss priority
-  shedding → token bucket → concurrency limit → doomed-work check) and
-  accounts every rejection by reason;
-* ``complete``/``shed``/``release`` close the loop and feed the
-  adaptive limiter;
+  shedding → token bucket) and accounts every rejection by reason;
+* ``complete``/``shed`` close the loop in the funnel metrics;
 * ``bind_faults`` connects the controller to a
   :class:`~repro.faults.injector.FaultInjector` so capacity lost to
   link degrade or device loss translates into *graceful* goodput
@@ -20,8 +18,8 @@ built from it that the apps actually consult:
   fraction, shedding the lowest-priority work first instead of letting
   every request's latency collapse together.
 
-When an app is constructed without a policy its behaviour is bit-for-
-bit identical to before — the controller is simply absent.
+The uncontrolled baseline is :meth:`OverloadPolicy.monitor_only`: it
+admits and serves everything and only measures deadlines.
 """
 
 from __future__ import annotations
@@ -33,16 +31,15 @@ from typing import List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
 from .deadline import Deadline, Request
-from .limiter import AdaptiveLimiter, ConcurrencyLimiter, TokenBucketLimiter
+from .limiter import TokenBucketLimiter
 from .metrics import OverloadMetrics
-from .queue import AdmissionQueue, QueueDiscipline
+from .queue import AdmissionQueue
 
 __all__ = ["OverloadPolicy", "OverloadController"]
 
 #: Admission-rejection reason strings (shared with metrics/tests).
 REASON_CAPACITY = "capacity-loss"
 REASON_RATE = "rate"
-REASON_CONCURRENCY = "concurrency"
 REASON_QUEUE_FULL = "queue-full"
 REASON_DOOMED = "doomed"
 REASON_EXPIRED = "expired"
@@ -50,23 +47,13 @@ REASON_EXPIRED = "expired"
 
 @dataclass(frozen=True)
 class OverloadPolicy:
-    """Declarative overload-protection configuration for one app."""
+    """Declarative overload-protection configuration for one run."""
 
-    #: Bound on waiting work (used where the app has a real queue).
+    #: Bound on waiting work (the server's FIFO admission queue).
     queue_capacity: int = 64
-    discipline: QueueDiscipline = QueueDiscipline.FIFO
     #: Token-bucket admission rate (ops/s); None disables the bucket.
     rate_ops_per_s: Optional[float] = None
     burst_ops: float = 32.0
-    #: Hard cap on in-flight work; None disables the cap.
-    max_concurrency: Optional[int] = None
-    #: Enable the AIMD limiter (requires a target or knee below).
-    adaptive: bool = False
-    adaptive_latency_target_ns: Optional[float] = None
-    #: Loaded-latency knee utilization (§3.2); the adaptive limiter
-    #: backs off when the bottleneck crosses it.
-    knee_utilization: Optional[float] = None
-    adaptive_interval_ns: float = 1e6
     #: Default absolute deadline budget stamped on requests (inf = none).
     default_budget_ns: float = math.inf
     #: Shed work that can no longer meet its deadline, early.
@@ -83,18 +70,10 @@ class OverloadPolicy:
             raise ConfigurationError("rate_ops_per_s must be positive")
         if self.burst_ops <= 0:
             raise ConfigurationError("burst_ops must be positive")
-        if self.max_concurrency is not None and self.max_concurrency <= 0:
-            raise ConfigurationError("max_concurrency must be positive")
         if self.default_budget_ns <= 0:
             raise ConfigurationError("default_budget_ns must be positive")
         if self.priority_levels < 1:
             raise ConfigurationError("priority_levels must be >= 1")
-        if self.adaptive and (
-            self.adaptive_latency_target_ns is None and self.knee_utilization is None
-        ):
-            raise ConfigurationError(
-                "adaptive control needs a latency target or knee utilization"
-            )
 
     @classmethod
     def monitor_only(cls, default_budget_ns: float = math.inf) -> "OverloadPolicy":
@@ -102,13 +81,11 @@ class OverloadPolicy:
 
         This is the uncontrolled baseline: deadlines are stamped (so
         misses and goodput are measured) but nothing is ever rejected
-        or shed — exactly today's behaviour, plus bookkeeping.
+        or shed, and late work is still served.
         """
         return cls(
             queue_capacity=2**31,
             rate_ops_per_s=None,
-            max_concurrency=None,
-            adaptive=False,
             default_budget_ns=default_budget_ns,
             shed_doomed=False,
             shed_on_capacity_loss=False,
@@ -124,48 +101,24 @@ class OverloadController:
         self.bucket: Optional[TokenBucketLimiter] = None
         if policy.rate_ops_per_s is not None:
             self.bucket = TokenBucketLimiter(policy.rate_ops_per_s, policy.burst_ops)
-        self.concurrency: Optional[ConcurrencyLimiter] = None
-        if policy.max_concurrency is not None:
-            self.concurrency = ConcurrencyLimiter(policy.max_concurrency)
-        self.adaptive: Optional[AdaptiveLimiter] = None
-        if policy.adaptive:
-            initial = policy.max_concurrency or 64
-            self.adaptive = AdaptiveLimiter(
-                initial_limit=initial,
-                min_limit=1,
-                max_limit=max(initial * 16, 64),
-                latency_target_ns=policy.adaptive_latency_target_ns,
-                knee_utilization=policy.knee_utilization,
-                adjust_interval_ns=policy.adaptive_interval_ns,
-            )
-            if self.concurrency is None:
-                self.concurrency = ConcurrencyLimiter(initial)
         self._injector: Optional[FaultInjector] = None
         self._fault_nodes: List[int] = []
-
-    @property
-    def has_fault_signal(self) -> bool:
-        """True once a fault injector is bound for capacity sensing."""
-        return self._injector is not None
 
     # -- construction helpers ---------------------------------------------
 
     def new_queue(self) -> AdmissionQueue:
-        """A bounded queue configured per the policy (for DES servers).
+        """The server's bounded FIFO queue, configured per the policy.
 
-        Requests shed while queued (expired waiting) release their
-        concurrency slot and are accounted automatically.
+        Requests shed while queued (expired waiting) are accounted in
+        the funnel automatically.
         """
 
         def _on_shed(request: Request) -> None:
             del request
             self.metrics.shed_one(REASON_EXPIRED)
-            if self.concurrency is not None:
-                self.concurrency.release()
 
         return AdmissionQueue(
             self.policy.queue_capacity,
-            self.policy.discipline,
             on_shed=_on_shed,
             shed_expired_waiters=self.policy.shed_doomed,
         )
@@ -220,35 +173,18 @@ class OverloadController:
 
     # -- the admission pipeline -------------------------------------------
 
-    def make_request(
-        self,
-        now_ns: float,
-        priority: int = 0,
-        budget_ns: Optional[float] = None,
-        cost_hint_ns: float = 0.0,
-    ) -> Request:
+    def make_request(self, now_ns: float, priority: int = 0) -> Request:
         """Stamp one unit of offered work (counts it as offered)."""
         self.metrics.offer(now_ns)
-        budget = self.policy.default_budget_ns if budget_ns is None else budget_ns
+        budget = self.policy.default_budget_ns
         deadline = Deadline() if math.isinf(budget) else Deadline.after(now_ns, budget)
-        return Request(
-            arrival_ns=now_ns,
-            deadline=deadline,
-            priority=priority,
-            cost_hint_ns=cost_hint_ns,
-        )
+        return Request(arrival_ns=now_ns, deadline=deadline, priority=priority)
 
-    def try_admit(
-        self,
-        request: Request,
-        now_ns: float,
-        est_service_ns: Optional[float] = None,
-    ) -> Tuple[bool, str]:
+    def try_admit(self, request: Request, now_ns: float) -> Tuple[bool, str]:
         """Run the admission pipeline; returns ``(admitted, reason)``.
 
-        On success the request holds a concurrency slot (if the policy
-        caps concurrency) — the caller must pair every admitted request
-        with exactly one ``complete``/``shed`` call, which releases it.
+        The caller pairs every admitted request with exactly one
+        ``complete``/``shed`` call (or the queue's expiry shedding).
         """
         if request.priority < self.priority_floor(now_ns):
             self.metrics.reject(REASON_CAPACITY)
@@ -256,18 +192,6 @@ class OverloadController:
         if self.bucket is not None and not self.bucket.try_acquire(now_ns):
             self.metrics.reject(REASON_RATE)
             return False, REASON_RATE
-        if self.concurrency is not None:
-            if self.adaptive is not None:
-                self.concurrency.set_limit(self.adaptive.limit)
-            if not self.concurrency.try_acquire():
-                self.metrics.reject(REASON_CONCURRENCY)
-                return False, REASON_CONCURRENCY
-        estimate = est_service_ns if est_service_ns is not None else request.cost_hint_ns
-        if self.policy.shed_doomed and estimate > 0 and request.doomed(now_ns, estimate):
-            if self.concurrency is not None:
-                self.concurrency.release()
-            self.metrics.reject(REASON_DOOMED)
-            return False, REASON_DOOMED
         self.metrics.admit()
         return True, "admitted"
 
@@ -277,29 +201,9 @@ class OverloadController:
         """Admitted work finished; returns True when it made its deadline."""
         missed = request.expired(now_ns)
         self.metrics.complete(now_ns, latency_ns, deadline_missed=missed)
-        if self.concurrency is not None:
-            self.concurrency.release()
-        if self.adaptive is not None:
-            self.adaptive.observe_latency(latency_ns, now_ns)
         return not missed
 
-    def shed(self, request: Request, now_ns: float, reason: str = REASON_DOOMED) -> None:
-        """Admitted work abandoned before completion."""
-        del request
-        self.metrics.shed_one(reason)
-        if self.concurrency is not None:
-            self.concurrency.release()
-
-    def note_utilization(self, utilization: float, now_ns: float) -> None:
-        """Feed the memory-system bottleneck utilization to the limiter."""
-        if self.adaptive is not None:
-            self.adaptive.observe_utilization(utilization, now_ns)
-
-    @property
-    def concurrency_limit(self) -> Optional[int]:
-        """The current in-flight cap (None when unlimited)."""
-        if self.concurrency is None:
-            return None
-        if self.adaptive is not None:
-            return self.adaptive.limit
-        return self.concurrency.limit
+    def shed(self, request: Request, now_ns: float) -> None:
+        """Admitted work abandoned at dispatch: it could not finish in time."""
+        del request, now_ns
+        self.metrics.shed_one(REASON_DOOMED)

@@ -1,45 +1,26 @@
-"""Bounded admission queues with pluggable discipline.
+"""The bounded FIFO admission queue.
 
 The first line of overload defense is a *bounded* queue with an
 explicit rejection path: an unbounded queue converts excess offered
 load into unbounded latency (the tail blowup past the bandwidth knee),
 while a bounded queue converts it into cheap, early rejections.
-
-Three disciplines:
-
-* **FIFO** — classic fairness; oldest request served first.
-* **LIFO** — tail-freshness under overload: the newest request is the
-  one most likely to still meet its deadline, so serving it first
-  maximizes goodput while the queue's stale tail is shed by the
-  deadline check at pop time (the "adaptive LIFO" trick from the SRE
-  literature).
-* **PRIORITY** — highest priority first, FIFO within a priority class.
+Waiters are served oldest first; those whose deadline passed while
+they waited are shed instead of served.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from enum import Enum
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional
 
 from ..errors import ConfigurationError
 from .deadline import Request
 
-__all__ = ["QueueDiscipline", "AdmissionQueue"]
-
-
-class QueueDiscipline(str, Enum):
-    """How a bounded admission queue orders its waiters."""
-
-    FIFO = "fifo"
-    LIFO = "lifo"
-    PRIORITY = "priority"
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
-    """A bounded queue of :class:`Request` with explicit rejection.
+    """A bounded FIFO queue of :class:`Request` with explicit rejection.
 
     ``offer`` returns ``False`` (and counts the rejection) when the
     queue is full — the caller turns that into load shedding.  ``take``
@@ -51,55 +32,38 @@ class AdmissionQueue:
     def __init__(
         self,
         capacity: int,
-        discipline: QueueDiscipline = QueueDiscipline.FIFO,
         on_shed: Optional[Callable[[Request], None]] = None,
         shed_expired_waiters: bool = True,
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError("queue capacity must be positive")
         self.capacity = capacity
-        self.discipline = QueueDiscipline(discipline)
         #: When False, ``take`` returns expired requests instead of
         #: shedding them — the monitor-only baseline serves late work.
         self.shed_expired_waiters = shed_expired_waiters
         #: Invoked for every request shed while queued (expired waiting),
-        #: so owners holding per-request state (concurrency slots,
-        #: metrics) can release it.
+        #: so owners holding per-request state (metrics, payloads) can
+        #: account for it.
         self.on_shed = on_shed
         self.rejected_full = 0
         self.shed_expired = 0
         self._fifo: Deque[Request] = deque()
-        self._heap: List[Tuple[int, int, Request]] = []
-        self._seq = itertools.count()
 
     def __len__(self) -> int:
-        if self.discipline is QueueDiscipline.PRIORITY:
-            return len(self._heap)
         return len(self._fifo)
 
     @property
     def full(self) -> bool:
         """True when another ``offer`` would be rejected."""
-        return len(self) >= self.capacity
+        return len(self._fifo) >= self.capacity
 
     def offer(self, request: Request) -> bool:
         """Enqueue ``request``; ``False`` (counted) when the queue is full."""
         if self.full:
             self.rejected_full += 1
             return False
-        if self.discipline is QueueDiscipline.PRIORITY:
-            # Max-heap on priority, FIFO within a class via the sequence.
-            heapq.heappush(self._heap, (-request.priority, next(self._seq), request))
-        else:
-            self._fifo.append(request)
+        self._fifo.append(request)
         return True
-
-    def _pop(self) -> Request:
-        if self.discipline is QueueDiscipline.PRIORITY:
-            return heapq.heappop(self._heap)[2]
-        if self.discipline is QueueDiscipline.LIFO:
-            return self._fifo.pop()
-        return self._fifo.popleft()
 
     def take(self, now_ns: float) -> Optional[Request]:
         """Dequeue the next serviceable request.
@@ -107,8 +71,8 @@ class AdmissionQueue:
         Requests that expired while queued are shed (counted) rather
         than returned; ``None`` means nothing serviceable remains.
         """
-        while len(self):
-            request = self._pop()
+        while self._fifo:
+            request = self._fifo.popleft()
             if self.shed_expired_waiters and request.expired(now_ns):
                 self.shed_expired += 1
                 if self.on_shed is not None:
@@ -125,17 +89,10 @@ class AdmissionQueue:
         lazily at pop time.
         """
         dropped: List[Request] = []
-        if self.discipline is QueueDiscipline.PRIORITY:
-            keep = [e for e in self._heap if not e[2].expired(now_ns)]
-            dropped = [e[2] for e in self._heap if e[2].expired(now_ns)]
-            if dropped:
-                self._heap = keep
-                heapq.heapify(self._heap)
-        else:
-            keep_fifo: Deque[Request] = deque()
-            for request in self._fifo:
-                (dropped if request.expired(now_ns) else keep_fifo).append(request)
-            self._fifo = keep_fifo
+        keep: Deque[Request] = deque()
+        for request in self._fifo:
+            (dropped if request.expired(now_ns) else keep).append(request)
+        self._fifo = keep
         self.shed_expired += len(dropped)
         if self.on_shed is not None:
             for request in dropped:

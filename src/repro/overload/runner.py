@@ -32,7 +32,6 @@ from ..faults.injector import FaultInjector
 from ..faults.scenarios import build_scenario
 from ..sim.rng import DEFAULT_SEED
 from .policy import OverloadController, OverloadPolicy
-from .queue import QueueDiscipline
 
 __all__ = [
     "OverloadRunSummary",
@@ -133,13 +132,12 @@ def _fresh_server(
     record_count: int,
     seed: int,
     threads: int,
-    controller: Optional[OverloadController],
     tracer=None,
     engine_profile=None,
 ):
     """A brand-new DES server + generator (state is never reused)."""
-    # Imported here, not at module top: the apps import repro.overload,
-    # so a top-level import would be circular.
+    # Imported here, not at module top: the DES server imports
+    # repro.overload, so a top-level import would be circular.
     from ..apps.kvstore.des_server import DesKeyDbServer
     from ..apps.kvstore.experiment import build_keydb_experiment
     from ..obs.tracing import NULL_TRACER
@@ -151,7 +149,6 @@ def _fresh_server(
         experiment.platform,
         experiment.server.store,
         threads=threads,
-        overload=controller,
         tracer=tracer if tracer is not None else NULL_TRACER,
         engine_profile=engine_profile,
     )
@@ -171,7 +168,7 @@ def calibrate_capacity_ops_per_s(
     *is* the capacity the offered-load factors scale against — the
     serving-stack analogue of the §3.2 loaded-latency knee.
     """
-    server, generator, _ = _fresh_server(config, record_count, seed, threads, None)
+    server, generator, _ = _fresh_server(config, record_count, seed, threads)
     result = server.run(generator, calibrate_ops)
     if result.elapsed_ns <= 0:
         raise ConfigurationError("calibration run produced no elapsed time")
@@ -182,20 +179,17 @@ def control_policy(
     capacity_ops_per_s: float,
     budget_ns: float,
     threads: int = 7,
-    discipline: QueueDiscipline = QueueDiscipline.FIFO,
-    admit_fraction: float = 0.95,
 ) -> OverloadPolicy:
     """The controlled configuration of the goodput experiments.
 
-    A token bucket pinned just under the calibrated capacity keeps the
+    A token bucket pinned at 95 % of the calibrated capacity keeps the
     admitted rate on the stable side of the knee; a short bounded queue
     converts bursts into cheap rejections; doomed work is shed; capacity
     loss raises the admitted-priority floor.
     """
     return OverloadPolicy(
         queue_capacity=max(4 * threads, 16),
-        discipline=discipline,
-        rate_ops_per_s=admit_fraction * capacity_ops_per_s,
+        rate_ops_per_s=0.95 * capacity_ops_per_s,
         burst_ops=max(2.0 * threads, 8.0),
         default_budget_ns=budget_ns,
         shed_doomed=True,
@@ -230,12 +224,16 @@ def run_offered_load(
     threads: int = 7,
     label: str = "run",
     load_factor: float = float("nan"),
-    injector: Optional[FaultInjector] = None,
+    scenario: Optional[str] = None,
     registry=None,
     tracer=None,
     engine_profile=None,
 ) -> OverloadRunSummary:
     """One open-loop run at a fixed offered rate, summarized.
+
+    ``scenario`` names a fault-catalog scenario that occupies 30–40 %
+    of the run; its injector is built on this run's fresh platform and
+    bound to the controller as its capacity signal.
 
     ``registry``/``tracer``/``engine_profile`` hook the run into the
     observability layer: the overload funnel and per-op counters bind
@@ -244,13 +242,20 @@ def run_offered_load(
     """
     controller = OverloadController(policy)
     server, generator, platform = _fresh_server(
-        config, record_count, seed, threads, controller,
+        config, record_count, seed, threads,
         tracer=tracer, engine_profile=engine_profile,
     )
-    if injector is not None:
+    injector = None
+    if scenario is not None:
+        # The injector mutates platform state as it advances, so it is
+        # built on (and never outlives) this run's platform.
+        window = (0.30 * duration_ns, 0.40 * duration_ns)
+        plan = build_scenario(scenario, platform, seed, window)
+        injector = FaultInjector(platform, plan)
         controller.bind_faults(injector)
     result = server.run_open_loop(
         generator,
+        controller,
         rate_ops_per_s,
         duration_ns,
         seed=seed,
@@ -264,7 +269,6 @@ def run_offered_load(
         if engine_profile is not None:
             engine_profile.register_into(registry)
     elapsed = max(result.elapsed_ns, 1.0)
-    del platform
     return OverloadRunSummary(
         label=label,
         offered_ops_per_s=rate_ops_per_s,
@@ -295,7 +299,6 @@ def sweep_offered_load(
     record_count: int = DEFAULT_RECORDS,
     seed: int = DEFAULT_SEED,
     threads: int = 7,
-    discipline: QueueDiscipline = QueueDiscipline.FIFO,
     workers: Optional[int] = None,
     cache=None,
     supervise=None,
@@ -317,7 +320,6 @@ def sweep_offered_load(
         record_count=record_count,
         seed=seed,
         threads=threads,
-        discipline=discipline,
     )
     from ..parallel import run_sweep
 
@@ -334,7 +336,6 @@ def offered_load_sweep_spec(
     record_count: int = DEFAULT_RECORDS,
     seed: int = DEFAULT_SEED,
     threads: int = 7,
-    discipline: QueueDiscipline = QueueDiscipline.FIFO,
 ) -> "SweepSpec":
     """The goodput sweep as a :class:`~repro.parallel.jobs.SweepSpec`.
 
@@ -348,7 +349,7 @@ def offered_load_sweep_spec(
     capacity = calibrate_capacity_ops_per_s(config, record_count, seed, threads)
     budget = default_budget_ns(capacity, threads)
     if controlled:
-        policy = control_policy(capacity, budget, threads, discipline)
+        policy = control_policy(capacity, budget, threads)
     else:
         policy = baseline_policy(budget)
     mode = "controlled" if controlled else "uncontrolled"
@@ -393,58 +394,23 @@ def run_fault_comparison(
     baseline serves everything late.  Returns per-label summaries whose
     deadline-miss rates are the headline comparison.
     """
-    from ..apps.kvstore.des_server import DesKeyDbServer
-    from ..apps.kvstore.experiment import build_keydb_experiment
-
     capacity = calibrate_capacity_ops_per_s(config, record_count, seed, threads)
     budget = default_budget_ns(capacity, threads)
-    window = (0.30 * duration_ns, 0.40 * duration_ns)
-    out: Dict[str, OverloadRunSummary] = {}
-    for label, policy in (
-        ("controlled", control_policy(capacity, budget, threads)),
-        ("uncontrolled", baseline_policy(budget)),
-    ):
-        # Fresh platform/injector per run: the injector mutates platform
-        # state as it advances.
-        experiment = build_keydb_experiment(
-            config, record_count=record_count, seed=seed, threads=threads
-        )
-        plan = build_scenario(scenario, experiment.platform, seed, window)
-        injector = FaultInjector(experiment.platform, plan)
-        controller = OverloadController(policy)
-        controller.bind_faults(injector)
-        server = DesKeyDbServer(
-            experiment.platform,
-            experiment.server.store,
-            threads=threads,
-            overload=controller,
-        )
-        result = server.run_open_loop(
-            experiment.generator,
+    return {
+        label: run_offered_load(
             load_factor * capacity,
-            duration_ns,
-            seed=seed,
-            injector=injector,
-        )
-        metrics = controller.metrics
-        elapsed = max(result.elapsed_ns, 1.0)
-        out[label] = OverloadRunSummary(
-            label=f"{label} + {scenario}",
-            offered_ops_per_s=load_factor * capacity,
-            load_factor=load_factor,
+            policy,
             duration_ns=duration_ns,
-            offered=metrics.offered,
-            admitted=metrics.admitted,
-            completed=metrics.completed,
-            good=metrics.good,
-            deadline_misses=metrics.deadline_misses,
-            rejected=metrics.total_rejected,
-            shed=metrics.total_shed,
-            goodput_ops_per_s=metrics.goodput_ops_per_s(elapsed),
-            throughput_ops_per_s=result.ops / (elapsed / 1e9),
-            shed_rate=metrics.shed_rate(),
-            deadline_miss_rate=metrics.deadline_miss_rate(),
-            p50_ns=result.read_latency.percentile(50),
-            p99_ns=result.read_latency.percentile(99),
+            config=config,
+            record_count=record_count,
+            seed=seed,
+            threads=threads,
+            label=f"{label} + {scenario}",
+            load_factor=load_factor,
+            scenario=scenario,
         )
-    return out
+        for label, policy in (
+            ("controlled", control_policy(capacity, budget, threads)),
+            ("uncontrolled", baseline_policy(budget)),
+        )
+    }

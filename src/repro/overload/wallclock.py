@@ -1,8 +1,8 @@
 """Wall-clock adapter for the sim-time overload primitives.
 
 Everything in :mod:`repro.overload` prices time in nanoseconds against
-*whatever clock the caller passes* — the DES's ``sim.now``, the epoch
-apps' scalar ``now_ns``.  The serving stack (``repro serve``) needs the
+*whatever clock the caller passes* — in simulation, the DES's
+``sim.now``.  The serving stack (``repro serve``) needs the
 same machinery against the host's real clock: a flash crowd of what-if
 queries must meet a bounded queue, a token bucket, and deadline-aware
 shedding measured in wall seconds, not simulated ones.
@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..errors import ConfigurationError
 from .deadline import Deadline, Request
 from .limiter import ConcurrencyLimiter, TokenBucketLimiter
-from .queue import AdmissionQueue, QueueDiscipline
+from .queue import AdmissionQueue
 
 __all__ = ["WallClock", "AdmissionDecision", "WallClockAdmission"]
 
@@ -107,15 +107,13 @@ class WallClockAdmission:
         burst: Optional[float] = None,
         clock: Optional[WallClock] = None,
         on_shed: Optional[Callable[[Request], None]] = None,
-        discipline: QueueDiscipline = QueueDiscipline.FIFO,
     ) -> None:
         if rate_per_s is not None and rate_per_s <= 0:
             raise ConfigurationError("rate_per_s must be positive")
         if burst is not None and rate_per_s is None:
             raise ConfigurationError("burst needs rate_per_s")
         self.clock = clock if clock is not None else WallClock()
-        self.queue = AdmissionQueue(queue_depth, discipline=discipline,
-                                    on_shed=on_shed)
+        self.queue = AdmissionQueue(queue_depth, on_shed=on_shed)
         self.running = ConcurrencyLimiter(max_running)
         self.bucket: Optional[TokenBucketLimiter] = None
         self._rate_per_s = rate_per_s

@@ -44,7 +44,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from ..errors import ConfigurationError, TransientError
@@ -232,18 +232,23 @@ def corrupt_cache_entries(
 ) -> int:
     """Flip one payload byte in a deterministic subset of entries.
 
-    Returns how many entries were damaged.  The store's embedded digest
-    must catch every one on the next lookup and demote it to a miss, so
-    a sweep over a corrupted cache recomputes the affected points and
-    still exports byte-identical results.
+    The subset is the ``round(fraction * n)`` of the ``n`` entries with
+    the lowest roll under ``seed``: which entries is pure in the seed
+    and their fingerprints, how many depends only on ``fraction`` and
+    ``n``.  Returns how many entries were damaged.  The store's
+    embedded digest must catch every one on the next lookup and demote
+    it to a miss, so a sweep over a corrupted cache recomputes the
+    affected points and still exports byte-identical results.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
     plan = ChaosPlan(seed=seed)
+    entries = sorted(
+        cache.entries(),
+        key=lambda info: (plan.roll(info.fingerprint, 1, "corrupt"), info.fingerprint),
+    )
     damaged = 0
-    for info in list(cache.entries()):
-        if plan.roll(info.fingerprint, 1, "corrupt") >= fraction:
-            continue
+    for info in entries[: round(fraction * len(entries))]:
         try:
             with open(info.path, "r+b") as fh:
                 fh.seek(-1, os.SEEK_END)

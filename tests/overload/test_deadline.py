@@ -41,12 +41,6 @@ class TestDeadline:
         assert d.can_finish(40.0, 60.0)
         assert not d.can_finish(40.0, 61.0)
 
-    def test_tightened_picks_the_stricter(self):
-        early, late = Deadline(10.0), Deadline(20.0)
-        assert early.tightened(late) is early
-        assert late.tightened(early) is early
-        assert early.tightened(Deadline()) is early
-
 
 class TestRequest:
     def test_ids_are_unique_and_increasing(self):
@@ -56,8 +50,6 @@ class TestRequest:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Request(arrival_ns=0.0, priority=-1)
-        with pytest.raises(ConfigurationError):
-            Request(arrival_ns=0.0, cost_hint_ns=-1.0)
 
     def test_doomed_delegates_to_deadline(self):
         r = Request(arrival_ns=0.0, deadline=Deadline(100.0))

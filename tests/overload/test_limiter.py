@@ -1,9 +1,9 @@
-"""Token-bucket, concurrency, and AIMD adaptive limiters."""
+"""Token-bucket and concurrency limiters."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.overload import AdaptiveLimiter, ConcurrencyLimiter, TokenBucketLimiter
+from repro.overload import ConcurrencyLimiter, TokenBucketLimiter
 
 
 class TestTokenBucket:
@@ -32,12 +32,6 @@ class TestTokenBucket:
         bucket = TokenBucketLimiter(1000.0, 2.0)
         assert bucket.tokens(1e12) == pytest.approx(2.0)
 
-    def test_set_rate(self):
-        bucket = TokenBucketLimiter(1.0, 1.0)
-        bucket.try_acquire(0.0)
-        bucket.set_rate(1e9)  # one token per ns
-        assert bucket.try_acquire(2.0)
-
 
 class TestConcurrencyLimiter:
     def test_acquire_release_cycle(self):
@@ -51,66 +45,3 @@ class TestConcurrencyLimiter:
     def test_release_without_acquire_raises(self):
         with pytest.raises(ConfigurationError):
             ConcurrencyLimiter(1).release()
-
-    def test_lowering_limit_drains_naturally(self):
-        limiter = ConcurrencyLimiter(3)
-        for _ in range(3):
-            limiter.try_acquire()
-        limiter.set_limit(1)
-        assert not limiter.try_acquire()  # above the new cap
-        limiter.release(), limiter.release()
-        assert not limiter.try_acquire()  # 1 in flight == new cap
-        limiter.release()
-        assert limiter.try_acquire()
-
-
-class TestAdaptiveLimiter:
-    def test_needs_at_least_one_signal(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveLimiter(initial_limit=4)
-
-    def test_additive_increase_under_target(self):
-        limiter = AdaptiveLimiter(
-            initial_limit=4, latency_target_ns=1000.0, adjust_interval_ns=100.0
-        )
-        for i in range(1, 6):
-            limiter.observe_latency(100.0, i * 200.0)
-        assert limiter.limit > 4
-        assert limiter.adjustments_up > 0
-        assert limiter.adjustments_down == 0
-
-    def test_multiplicative_decrease_over_target(self):
-        limiter = AdaptiveLimiter(
-            initial_limit=100, latency_target_ns=1000.0, adjust_interval_ns=100.0
-        )
-        limiter.observe_latency(5000.0, 200.0)
-        assert limiter.limit == 70  # 100 * 0.7
-        assert limiter.adjustments_down == 1
-
-    def test_knee_utilization_triggers_backoff(self):
-        limiter = AdaptiveLimiter(
-            initial_limit=100, knee_utilization=0.8, adjust_interval_ns=100.0
-        )
-        limiter.observe_utilization(0.95, 200.0)
-        assert limiter.limit == 70
-        limiter.observe_utilization(0.5, 400.0)
-        assert limiter.limit == 71  # additive recovery
-
-    def test_limit_respects_floor_and_ceiling(self):
-        limiter = AdaptiveLimiter(
-            initial_limit=2, min_limit=1, max_limit=3,
-            latency_target_ns=1000.0, adjust_interval_ns=1.0,
-        )
-        for i in range(1, 20):
-            limiter.observe_latency(5000.0, i * 10.0)
-        assert limiter.limit == 1
-        for i in range(20, 60):
-            limiter.observe_latency(10.0, i * 10.0)
-        assert limiter.limit == 3
-
-    def test_no_adjustment_inside_interval(self):
-        limiter = AdaptiveLimiter(
-            initial_limit=4, latency_target_ns=1000.0, adjust_interval_ns=1e6
-        )
-        limiter.observe_latency(5000.0, 10.0)
-        assert limiter.limit == 4

@@ -1,5 +1,6 @@
 """The OverloadPolicy/OverloadController admission pipeline."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,11 +9,11 @@ from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw.presets import paper_cxl_platform
-from repro.overload import OverloadController, OverloadPolicy, QueueDiscipline
+from repro.overload import OverloadController, OverloadPolicy
 from repro.overload.policy import (
     REASON_CAPACITY,
-    REASON_CONCURRENCY,
     REASON_DOOMED,
+    REASON_EXPIRED,
     REASON_RATE,
 )
 
@@ -21,16 +22,25 @@ class TestPolicyValidation:
     def test_defaults_are_valid(self):
         OverloadPolicy()
 
+    def test_fields_are_the_ones_the_runners_set(self):
+        assert [f.name for f in dataclasses.fields(OverloadPolicy)] == [
+            "queue_capacity",
+            "rate_ops_per_s",
+            "burst_ops",
+            "default_budget_ns",
+            "shed_doomed",
+            "shed_on_capacity_loss",
+            "priority_levels",
+        ]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"queue_capacity": 0},
             {"rate_ops_per_s": 0.0},
             {"burst_ops": 0.0},
-            {"max_concurrency": 0},
             {"default_budget_ns": 0.0},
             {"priority_levels": 0},
-            {"adaptive": True},  # no target and no knee
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -58,33 +68,14 @@ class TestAdmissionPipeline:
         assert controller.try_admit(second, 0.0) == (False, REASON_RATE)
         assert controller.metrics.rejected[REASON_RATE] == 1
 
-    def test_concurrency_limit_and_release_on_complete(self):
-        controller = OverloadController(OverloadPolicy(max_concurrency=1))
-        first = controller.make_request(0.0)
-        assert controller.try_admit(first, 0.0)[0]
-        second = controller.make_request(0.0)
-        assert controller.try_admit(second, 0.0) == (False, REASON_CONCURRENCY)
-        assert controller.complete(first, 10.0, 10.0)
-        third = controller.make_request(10.0)
-        assert controller.try_admit(third, 10.0)[0]
-
-    def test_shed_releases_the_slot_too(self):
-        controller = OverloadController(OverloadPolicy(max_concurrency=1))
-        first = controller.make_request(0.0)
-        assert controller.try_admit(first, 0.0)[0]
-        controller.shed(first, 5.0)
-        assert controller.metrics.shed[REASON_DOOMED] == 1
-        assert controller.try_admit(controller.make_request(5.0), 5.0)[0]
-
-    def test_doomed_work_rejected_and_slot_released(self):
-        controller = OverloadController(
-            OverloadPolicy(max_concurrency=1, default_budget_ns=100.0)
-        )
+    def test_shed_counts_doomed_work(self):
+        controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
         request = controller.make_request(0.0)
-        admitted, reason = controller.try_admit(request, 0.0, est_service_ns=200.0)
-        assert (admitted, reason) == (False, REASON_DOOMED)
-        # The slot grabbed during the pipeline was handed back.
-        assert controller.concurrency.in_flight == 0
+        assert controller.try_admit(request, 0.0)[0]
+        assert request.doomed(50.0, 60.0)  # 50 + 60 lands past the deadline
+        controller.shed(request, 50.0)
+        assert controller.metrics.shed == {REASON_DOOMED: 1}
+        assert controller.metrics.completed == 0
 
     def test_complete_reports_deadline_outcome(self):
         controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
@@ -98,25 +89,34 @@ class TestAdmissionPipeline:
         assert controller.metrics.good == 1
 
     def test_queue_factory_applies_policy(self):
-        policy = OverloadPolicy(
-            queue_capacity=3, discipline=QueueDiscipline.LIFO, shed_doomed=False
-        )
+        policy = OverloadPolicy(queue_capacity=3, shed_doomed=False)
         queue = OverloadController(policy).new_queue()
         assert queue.capacity == 3
-        assert queue.discipline is QueueDiscipline.LIFO
         assert not queue.shed_expired_waiters  # monitor semantics follow policy
+        assert OverloadController(OverloadPolicy()).new_queue().shed_expired_waiters
 
-    def test_queue_shed_callback_releases_concurrency(self):
-        controller = OverloadController(
-            OverloadPolicy(max_concurrency=1, default_budget_ns=100.0)
-        )
+    def test_queue_shed_callback_counts_expired(self):
+        controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
         queue = controller.new_queue()
         request = controller.make_request(0.0)
         assert controller.try_admit(request, 0.0)[0]
         queue.offer(request)
         assert queue.take(500.0) is None  # expired while queued: shed
-        assert controller.concurrency.in_flight == 0
-        assert controller.metrics.shed["expired"] == 1
+        assert queue.shed_expired == 1
+        assert controller.metrics.shed == {REASON_EXPIRED: 1}
+
+    def test_metrics_funnel_counts_every_outcome(self):
+        controller = OverloadController(
+            OverloadPolicy(rate_ops_per_s=1e9, default_budget_ns=math.inf)
+        )
+        request = controller.make_request(0.0)
+        controller.try_admit(request, 0.0)
+        controller.complete(request, 10.0, 10.0)
+        snapshot = controller.metrics.as_dict()
+        assert snapshot["offered"] == 1.0
+        assert snapshot["admitted"] == 1.0
+        assert snapshot["completed"] == 1.0
+        assert snapshot["good"] == 1.0
 
 
 class TestCapacityLossShedding:
@@ -171,46 +171,3 @@ class TestCapacityLossShedding:
         )
         controller.bind_faults(FaultInjector(platform, plan))
         assert controller.priority_floor(1e6) == 0
-
-
-class TestAdaptiveIntegration:
-    def test_adaptive_limit_applied_at_admission(self):
-        controller = OverloadController(
-            OverloadPolicy(
-                adaptive=True,
-                max_concurrency=10,
-                adaptive_latency_target_ns=1000.0,
-                adaptive_interval_ns=10.0,
-            )
-        )
-        # Overloaded completions walk the limit down multiplicatively.
-        for i in range(1, 8):
-            request = controller.make_request(i * 100.0)
-            assert controller.try_admit(request, i * 100.0)[0]
-            controller.complete(request, i * 100.0 + 50.0, 5000.0)
-        assert controller.concurrency_limit < 10
-
-    def test_utilization_signal_reaches_the_limiter(self):
-        controller = OverloadController(
-            OverloadPolicy(
-                adaptive=True,
-                max_concurrency=10,
-                knee_utilization=0.8,
-                adaptive_interval_ns=10.0,
-            )
-        )
-        controller.note_utilization(0.99, 100.0)
-        assert controller.adaptive.limit == 7  # 10 * 0.7
-
-    def test_metrics_funnel_counts_every_outcome(self):
-        controller = OverloadController(
-            OverloadPolicy(rate_ops_per_s=1e9, default_budget_ns=math.inf)
-        )
-        request = controller.make_request(0.0)
-        controller.try_admit(request, 0.0)
-        controller.complete(request, 10.0, 10.0)
-        snapshot = controller.metrics.as_dict()
-        assert snapshot["offered"] == 1.0
-        assert snapshot["admitted"] == 1.0
-        assert snapshot["completed"] == 1.0
-        assert snapshot["good"] == 1.0

@@ -1,16 +1,15 @@
-"""Bounded admission queues: disciplines, rejection, expiry shedding."""
+"""The bounded FIFO admission queue: order, rejection, expiry shedding."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.overload import AdmissionQueue, Deadline, QueueDiscipline, Request
+from repro.overload import AdmissionQueue, Deadline, Request
 
 
-def req(arrival=0.0, deadline=None, priority=0):
+def req(arrival=0.0, deadline=None):
     return Request(
         arrival_ns=arrival,
         deadline=Deadline(deadline) if deadline is not None else Deadline(),
-        priority=priority,
     )
 
 
@@ -18,10 +17,6 @@ class TestValidation:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             AdmissionQueue(0)
-
-    def test_discipline_coerced_from_string(self):
-        q = AdmissionQueue(4, "lifo")
-        assert q.discipline is QueueDiscipline.LIFO
 
 
 class TestBoundedness:
@@ -43,26 +38,10 @@ class TestBoundedness:
 
 class TestDisciplines:
     def test_fifo_serves_oldest_first(self):
-        q = AdmissionQueue(4, QueueDiscipline.FIFO)
+        q = AdmissionQueue(4)
         first, second = req(arrival=1.0), req(arrival=2.0)
         q.offer(first), q.offer(second)
         assert q.take(0.0) is first
-
-    def test_lifo_serves_freshest_first(self):
-        q = AdmissionQueue(4, QueueDiscipline.LIFO)
-        stale, fresh = req(arrival=1.0), req(arrival=2.0)
-        q.offer(stale), q.offer(fresh)
-        assert q.take(0.0) is fresh
-        assert q.take(0.0) is stale
-
-    def test_priority_serves_highest_first_fifo_within_class(self):
-        q = AdmissionQueue(8, QueueDiscipline.PRIORITY)
-        low_a, low_b = req(priority=0), req(priority=0)
-        high = req(priority=5)
-        q.offer(low_a), q.offer(low_b), q.offer(high)
-        assert q.take(0.0) is high
-        assert q.take(0.0) is low_a  # FIFO inside the class
-        assert q.take(0.0) is low_b
 
 
 class TestExpiryShedding:
@@ -96,15 +75,11 @@ class TestExpiryShedding:
         assert q.take(50.0) is late  # the uncontrolled baseline serves late
         assert q.shed_expired == 0
 
-    @pytest.mark.parametrize(
-        "discipline",
-        [QueueDiscipline.FIFO, QueueDiscipline.LIFO, QueueDiscipline.PRIORITY],
-    )
-    def test_drain_expired_purges_every_discipline(self, discipline):
-        q = AdmissionQueue(8, discipline)
-        q.offer(req(deadline=10.0, priority=1))
-        q.offer(req(deadline=1000.0, priority=2))
-        q.offer(req(deadline=20.0, priority=3))
+    def test_drain_expired_purges_expired_waiters(self):
+        q = AdmissionQueue(8)
+        q.offer(req(deadline=10.0))
+        q.offer(req(deadline=1000.0))
+        q.offer(req(deadline=20.0))
         assert q.drain_expired(500.0) == 2
         assert len(q) == 1
         survivor = q.take(500.0)

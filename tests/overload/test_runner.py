@@ -111,3 +111,16 @@ class TestSweepAndFaults:
         )
         assert set(runs) == {"controlled", "uncontrolled"}
         assert all(s.offered > 0 for s in runs.values())
+
+    def test_fault_comparison_reports_the_server_counters(self):
+        runs = run_fault_comparison(
+            scenario="link-degrade",
+            duration_ns=DURATION_NS,
+            record_count=RECORDS,
+            seed=SEED,
+        )
+        for summary in runs.values():
+            counters = summary.counters
+            assert "ops_shed_expired" in counters
+            assert counters.get("ops_rejected", 0.0) == summary.rejected
+            assert counters.get("deadline_misses", 0.0) == summary.deadline_misses
