@@ -2,32 +2,39 @@
 
 :class:`~repro.apps.kvstore.server.KeyDbServer` advances in epochs — a
 fast fixed-point over thousands of operations.  This module runs the
-*same* store and pricing through the discrete-event engine instead:
+*same* store and pricing event by event instead:
 
-* the server's threads are a FIFO :class:`~repro.sim.resources.Resource`
-  (seven slots, as in §4.1.1);
-* each closed-loop client process draws an operation, waits for a
-  thread, holds it for the op's priced service time, and immediately
-  issues the next request;
+* the server's threads are a FIFO pool of seven (as in §4.1.1);
+* each closed-loop client draws an operation, waits for a thread,
+  holds it for the op's priced service time, and immediately issues
+  the next request;
 * latencies now include *queueing for a server thread*, which the epoch
   model folds into its averaging.
 
 Running both and comparing (see ``tests/apps/test_des_server.py``)
 validates the epoch scheme's shortcut: aggregate throughput agrees to
 within a few percent while the DES path additionally exposes the
-thread-contention component of the tails.  The closed loop has no
+thread-contention component of the tails.  The closed loop
+(:meth:`DesKeyDbServer.run`) runs on the discrete-event engine, with a
+:class:`~repro.sim.resources.Resource` for the threads.  It has no
 admission control: it self-clocks at the service rate and cannot
 overload the server.
 
 :meth:`DesKeyDbServer.run_open_loop` is the overload experiments'
 server: Poisson arrivals at a fixed offered rate, gated by the
-:class:`~repro.overload.policy.OverloadController` it is given.
+:class:`~repro.overload.policy.OverloadController` it is given.  It is
+a direct loop over arrival and completion times that keeps the
+engine's event order, so it needs no engine processes and no object
+per arrival; ``tests/apps/test_open_loop.py`` pins it to the
+engine-process loop it replaced.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, Dict, Optional
+from heapq import heappop, heappush
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,8 +43,8 @@ from ...faults.injector import FaultInjector
 from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
 from ...obs.tracing import NULL_TRACER, Tracer
-from ...overload.policy import REASON_QUEUE_FULL, OverloadController
-from ...sim.engine import Event, Simulator
+from ...overload.policy import REASON_DOOMED, REASON_EXPIRED, OverloadController
+from ...sim.engine import Simulator
 from ...sim.resources import Resource
 from ...workloads.ycsb import YcsbGenerator
 from .server import KeyDbResult
@@ -45,9 +52,45 @@ from .store import KeyValueStore
 
 __all__ = ["DesKeyDbServer"]
 
+#: Arrivals drawn per block by the open loop: gaps, times and operations
+#: stream in blocks of this size, so memory does not grow with the run.
+_ARRIVAL_BLOCK = 2048
+
+
+def _arrivals(
+    generator: YcsbGenerator,
+    rate_ops_per_s: float,
+    duration_ns: float,
+    seed: int,
+) -> Iterator[Tuple[float, Optional[int], bool]]:
+    """Poisson arrivals with their operations, up to the close.
+
+    Yields ``(time, key, is_write)`` for each arrival before
+    ``duration_ns``, then ``(time, None, False)`` for the first arrival
+    at or past it, which closes the stream and draws no operation.
+    Each block's times are sequential float sums from the previous
+    arrival, the same numbers as adding one gap at a time; the gap
+    stream belongs to the run, so drawing a block ahead changes nothing.
+    """
+    rng = np.random.default_rng(seed)
+    mean_gap_ns = 1e9 / rate_ops_per_s
+    t = 0.0
+    while True:
+        gaps = rng.exponential(mean_gap_ns, size=_ARRIVAL_BLOCK)
+        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        t = times[-1]
+        before = int(np.searchsorted(times, duration_ns))
+        if before:
+            keys, writes = generator.next_batch(before)
+            yield from zip(times[:before].tolist(), keys.tolist(),
+                           writes.tolist())
+        if before < _ARRIVAL_BLOCK:
+            yield float(times[before]), None, False
+            return
+
 
 class DesKeyDbServer:
-    """Closed-loop clients against a thread-pool server, on the DES."""
+    """A thread-pool server under closed-loop clients or open-loop arrivals."""
 
     def __init__(
         self,
@@ -74,7 +117,7 @@ class DesKeyDbServer:
         #: passed; tracing must never perturb the simulation).
         self.tracer = tracer
         #: Optional :class:`repro.obs.profile.EngineProfile` installed
-        #: on each run's simulator.
+        #: on each closed-loop run's simulator (the open loop runs none).
         self.engine_profile = engine_profile
         self._paths: Dict[int, MemoryPath] = {}
         self._utilization: Dict[str, float] = {}
@@ -248,140 +291,182 @@ class DesKeyDbServer:
         Unlike the closed loop — which self-clocks and can never
         overload the server — arrivals here come at a fixed offered
         rate regardless of completions, so offered load past the
-        capacity knee piles into ``controller``'s FIFO admission queue.
-        Under a controlling policy the bounded queue and the token
-        bucket reject the excess, expired waiters are shed at dispatch,
-        and doomed work is dropped before service.  Under
+        capacity knee piles into the FIFO admission queue.  Under a
+        controlling policy ``controller`` rejects arrivals at a full
+        queue, below the capacity-loss priority floor or past the token
+        bucket; expired waiters are shed at dispatch, and so is work
+        that cannot finish before its deadline.  Under
         :meth:`~repro.overload.policy.OverloadPolicy.monitor_only` the
         queue is effectively unbounded and every arrival is served,
         however late — the uncontrolled baseline of the goodput
         experiments.
+
+        The run is a direct loop over arrival and completion times, with
+        no engine processes, but it orders events as the engine does: by
+        time, then by the order they were scheduled.  An admitting
+        arrival wakes an idle thread before it schedules the next
+        arrival, and a dispatch schedules its completion, so a
+        completion that lands exactly on an arrival time keeps its
+        place.  The first arrival at or past ``duration_ns`` closes the
+        stream: idle threads stop and busy ones drain the queue.
         """
-        if arrival_rate_ops_per_s <= 0:
-            raise ConfigurationError("arrival_rate_ops_per_s must be positive")
-        if duration_ns <= 0:
-            raise ConfigurationError("duration_ns must be positive")
-        sim = Simulator()
-        if self.engine_profile is not None:
-            self.engine_profile.attach(sim)
+        if not (math.isfinite(arrival_rate_ops_per_s) and arrival_rate_ops_per_s > 0):
+            raise ConfigurationError("arrival_rate_ops_per_s must be finite and positive")
+        if not (math.isfinite(duration_ns) and duration_ns > 0):
+            raise ConfigurationError("duration_ns must be finite and positive")
         tracer = self.tracer
-        rng = np.random.default_rng(seed)
         result = KeyDbResult()
+        counters = result.counters
         self._latency_tables()
-        queue = controller.new_queue()
-        levels = controller.policy.priority_levels
-        shed_doomed = controller.policy.shed_doomed
-        idle: Deque[Event] = deque()
-        state = {"done": 0, "since_refresh": 0, "closed": False}
+        policy = controller.policy
+        levels = policy.priority_levels
+        budget = policy.default_budget_ns
+        shed_late = policy.shed_doomed
+        try_admit = controller.try_admit
+        complete = controller.complete
+        shed = controller.shed
+        plan_get = self.store.plan_get
+        plan_set = self.store.plan_set
+        price = self._price
+        refresh_ops = self.refresh_ops
+        arrivals = _arrivals(
+            generator, arrival_rate_ops_per_s, duration_ns, seed
+        )
+        # Admitted requests waiting for a thread, oldest first:
+        # (arrival_ns, deadline_ns, key, is_write).
+        waiting: Deque[Tuple[float, float, int, bool]] = deque()
+        # (time, seq, job): a woken idle thread (job None) or a
+        # completion; seq is the scheduling order.  At most one entry
+        # per thread.
+        events: List[Tuple[float, int, Optional[tuple]]] = []
+        idle = self.threads
+        closed = False
+        now = 0.0
+        t_next, key, is_write = next(arrivals)
+        seq_next = 0
+        seq = 1
+        offered = done = since_refresh = shed_expired = 0
         node_bytes: Dict[int, float] = {}
         node_write_bytes: Dict[int, float] = {}
-        refresh_anchor = {"t": 0.0}
-        mean_gap_ns = 1e9 / arrival_rate_ops_per_s
-        stop = object()  # sentinel waking idle workers at shutdown
+        refresh_anchor = 0.0
+        # Latencies since the last flush, in completion order.
+        latencies: List[float] = []
+        read_latencies: List[float] = []
+        write_latencies: List[float] = []
 
-        def arrivals():
-            seq = 0
-            while True:
-                yield sim.timeout(rng.exponential(mean_gap_ns))
-                if sim.now >= duration_ns:
+        def flush() -> None:
+            controller.record_latencies(latencies)
+            result.read_latency.record_all(read_latencies)
+            result.write_latency.record_all(write_latencies)
+            latencies.clear()
+            read_latencies.clear()
+            write_latencies.clear()
+
+        while True:
+            if events and (
+                events[0][0] < t_next
+                or (events[0][0] == t_next and events[0][1] < seq_next)
+            ):
+                now, _, job = heappop(events)
+                if job is not None:
+                    plan, arrival, deadline, trace = job
+                    if trace is not None:
+                        start, base, cpu, struct, value, degrade = trace
+                        self._emit_op_trace(
+                            plan, arrival, start, now, base, cpu, struct,
+                            value, degrade_ns=degrade,
+                        )
+                    latency = now - arrival  # queueing + service
+                    if not complete(deadline, now):
+                        counters.add("deadline_misses", 1)
+                    latencies.append(latency)
+                    node = plan.value_page.node_id
+                    touched = plan.value_bytes + 64 * (
+                        plan.struct_accesses + plan.value_accesses
+                    )
+                    node_bytes[node] = node_bytes.get(node, 0.0) + touched
+                    if plan.is_write:
+                        write_latencies.append(latency)
+                        node_write_bytes[node] = (
+                            node_write_bytes.get(node, 0.0) + touched
+                        )
+                    else:
+                        read_latencies.append(latency)
+                    done += 1
+                    since_refresh += 1
+                    if since_refresh >= refresh_ops:
+                        since_refresh = 0
+                        self._refresh(node_bytes, node_write_bytes,
+                                      now - refresh_anchor)
+                        refresh_anchor = now
+                        node_bytes.clear()
+                        node_write_bytes.clear()
+                        flush()
+                # The free thread takes the next serviceable request.
+                while waiting:
+                    arrival, deadline, op_key, op_write = waiting.popleft()
+                    if shed_late and now > deadline:
+                        shed_expired += 1
+                        shed(REASON_EXPIRED)
+                        continue
+                    if op_write:
+                        plan = plan_set(op_key, now)
+                    else:
+                        plan = plan_get(op_key, now)
+                    service = base = price(plan)
+                    if injector is not None:
+                        service *= injector.latency_multiplier(
+                            plan.value_page.node_id, now
+                        )
+                    if shed_late and now + service > deadline:
+                        counters.add("ops_shed_doomed", 1)
+                        shed(REASON_DOOMED)
+                        continue
+                    trace = None
+                    if tracer.enabled:
+                        w = 1 if plan.is_write else 0
+                        trace = (
+                            now,
+                            base,
+                            self.store.profile.cpu_ns,
+                            plan.struct_accesses * self._struct[w],
+                            plan.value_accesses
+                            * self._lat_cache[w][plan.value_page.node_id],
+                            service - base,
+                        )
+                    heappush(events, (now + service, seq,
+                                      (plan, arrival, deadline, trace)))
+                    seq += 1
                     break
-                if injector is not None:
-                    injector.advance(sim.now)
-                request = controller.make_request(sim.now, priority=seq % levels)
-                request.payload = generator.next_operation()
-                seq += 1
-                if queue.full:
-                    controller.metrics.reject(REASON_QUEUE_FULL)
-                    queue.rejected_full += 1
-                    result.counters.add("ops_rejected", 1)
-                    continue
-                admitted, _ = controller.try_admit(request, sim.now)
-                if not admitted:
-                    result.counters.add("ops_rejected", 1)
-                    continue
-                queue.offer(request)
+                else:  # nothing to serve: idle, or stop once closed
+                    if not closed:
+                        idle += 1
+                continue
+            if closed:
+                break
+            now = t_next
+            if key is None:  # the first arrival at or past the duration
+                closed = True
+                t_next = math.inf
+                continue
+            if injector is not None:
+                injector.advance(now)
+            if try_admit(offered % levels, now, len(waiting)):
+                waiting.append((now, now + budget, key, is_write))
                 if idle:
-                    idle.popleft().succeed()
-            state["closed"] = True
-            while idle:
-                idle.popleft().succeed(stop)
-
-        def worker():
-            while True:
-                request = queue.take(sim.now)
-                if request is None:
-                    if state["closed"]:
-                        return
-                    gate = sim.event()
-                    idle.append(gate)
-                    value = yield gate
-                    if value is stop:
-                        return
-                    continue
-                op = request.payload
-                arrival = request.arrival_ns
-                if op.is_write:
-                    plan = self.store.plan_set(op.key, sim.now)
-                else:
-                    plan = self.store.plan_get(op.key, sim.now)
-                service = base_service = self._price(plan)
-                if injector is not None:
-                    service *= injector.latency_multiplier(
-                        plan.value_page.node_id, sim.now
-                    )
-                if shed_doomed and request.doomed(sim.now, service):
-                    result.counters.add("ops_shed_doomed", 1)
-                    controller.shed(request, sim.now)
-                    continue
-                if tracer.enabled:
-                    w = 1 if plan.is_write else 0
-                    trace_start = sim.now
-                    trace_cpu = self.store.profile.cpu_ns
-                    trace_struct = plan.struct_accesses * self._struct[w]
-                    trace_value = (
-                        plan.value_accesses
-                        * self._lat_cache[w][plan.value_page.node_id]
-                    )
-                yield sim.timeout(service)
-                if tracer.enabled:
-                    self._emit_op_trace(
-                        plan, arrival, trace_start, sim.now, base_service,
-                        trace_cpu, trace_struct, trace_value,
-                        degrade_ns=service - base_service,
-                    )
-                latency = sim.now - arrival  # queueing + service
-                if not controller.complete(request, sim.now, latency):
-                    result.counters.add("deadline_misses", 1)
-                if plan.is_write:
-                    result.write_latency.record(latency)
-                else:
-                    result.read_latency.record(latency)
-                node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
-                )
-                node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                if plan.is_write:
-                    node_write_bytes[node] = (
-                        node_write_bytes.get(node, 0.0) + touched
-                    )
-                state["done"] += 1
-                state["since_refresh"] += 1
-                if state["since_refresh"] >= self.refresh_ops:
-                    state["since_refresh"] = 0
-                    self._refresh(node_bytes, node_write_bytes,
-                                  sim.now - refresh_anchor["t"])
-                    refresh_anchor["t"] = sim.now
-                    node_bytes.clear()
-                    node_write_bytes.clear()
-
-        sim.process(arrivals())
-        for _ in range(self.threads):
-            sim.process(worker())
-        sim.run()
-        result.counters.add("ops_shed_expired", queue.shed_expired)
-        result.ops = state["done"]
-        result.elapsed_ns = max(sim.now, duration_ns)
+                    idle -= 1
+                    heappush(events, (now, seq, None))
+                    seq += 1
+            else:
+                counters.add("ops_rejected", 1)
+            offered += 1
+            t_next, key, is_write = next(arrivals)
+            seq_next = seq
+            seq += 1
+        flush()
+        counters.add("ops_shed_expired", shed_expired)
+        result.ops = done
+        result.elapsed_ns = max(now, duration_ns)
         return result
 
     def _refresh(

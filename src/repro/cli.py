@@ -353,6 +353,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
 
 def _cmd_overload_sweep(args: argparse.Namespace) -> int:
     import json
+    import math
 
     from .errors import ConfigurationError
     from .overload import sweep_offered_load
@@ -365,8 +366,8 @@ def _cmd_overload_sweep(args: argparse.Namespace) -> int:
         print(f"error: --factors must be comma-separated numbers, got {args.factors!r}",
               file=sys.stderr)
         return 2
-    if not factors or any(f <= 0 for f in factors):
-        print("error: --factors needs at least one positive load factor",
+    if not factors or not all(f > 0 and math.isfinite(f) for f in factors):
+        print("error: --factors needs positive, finite load factors",
               file=sys.stderr)
         return 2
     record_count = 4096 if args.quick else 16_384

@@ -1,21 +1,15 @@
-"""Deadline propagation primitives.
+"""Deadline and request value objects for ``repro serve``'s admission.
 
-Every admitted unit of work carries an absolute :class:`Deadline`.
-The open-loop DES KeyDB checks the *remaining* budget when a worker
-picks a request up, so work that can no longer finish in time is shed
-before it burns service time, and the admission queue sheds waiters
-whose deadline passed — the standard deadline-propagation discipline
-of RPC stacks, carried into the simulator.
-
-The deadline is a plain value object; the clock it is compared against
-is whatever the caller's notion of "now" is (the DES ``sim.now``, or
-the host clock under ``repro serve``'s
-:class:`~repro.overload.wallclock.WallClockAdmission`).
+Every job ``repro serve`` queues carries an absolute :class:`Deadline`
+on the host clock, and its :class:`~repro.overload.queue.AdmissionQueue`
+sheds waiters whose deadline passed — the standard
+deadline-propagation discipline of RPC stacks.  The open-loop DES
+KeyDB follows the same discipline on plain floats: a request's
+deadline is its arrival time plus the policy's budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +20,9 @@ __all__ = ["Deadline", "Request"]
 
 @dataclass(frozen=True)
 class Deadline:
-    """An absolute point in simulated time by which work must finish.
+    """An absolute time, on the caller's clock, by which work must finish.
 
-    ``math.inf`` means "no deadline"; all checks then trivially pass,
-    so unconfigured apps behave exactly as before.
+    ``math.inf`` means "no deadline": it never expires.
     """
 
     at_ns: float = math.inf
@@ -50,27 +43,9 @@ class Deadline:
         """True when no deadline was set."""
         return math.isinf(self.at_ns)
 
-    def remaining_ns(self, now_ns: float) -> float:
-        """Budget left at ``now_ns`` (negative once expired)."""
-        return self.at_ns - now_ns
-
     def expired(self, now_ns: float) -> bool:
         """True once ``now_ns`` has passed the deadline."""
         return now_ns > self.at_ns
-
-    def can_finish(self, now_ns: float, estimate_ns: float) -> bool:
-        """Would work estimated at ``estimate_ns`` still make the deadline?
-
-        This is the *doomed-work* check: a stage that cannot finish in
-        the remaining budget should shed now rather than burn capacity
-        on a response nobody will wait for.
-        """
-        if self.unbounded:
-            return True
-        return now_ns + estimate_ns <= self.at_ns
-
-
-_REQUEST_IDS = itertools.count()
 
 
 @dataclass
@@ -84,7 +59,6 @@ class Request:
     arrival_ns: float
     deadline: Deadline = field(default_factory=Deadline)
     priority: int = 0
-    request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
     #: Opaque application payload (e.g. the YCSB operation being queued).
     payload: object = None
 
@@ -92,14 +66,6 @@ class Request:
         if self.priority < 0:
             raise ConfigurationError("priority must be >= 0")
 
-    def remaining_ns(self, now_ns: float) -> float:
-        """Deadline budget left at ``now_ns``."""
-        return self.deadline.remaining_ns(now_ns)
-
     def expired(self, now_ns: float) -> bool:
         """True once the request's deadline has passed."""
         return self.deadline.expired(now_ns)
-
-    def doomed(self, now_ns: float, estimate_ns: float) -> bool:
-        """True when ``estimate_ns`` more work cannot meet the deadline."""
-        return not self.deadline.can_finish(now_ns, estimate_ns)

@@ -62,11 +62,6 @@ class ConcurrencyLimiter:
         self.limit = limit
         self.in_flight = 0
 
-    @property
-    def available(self) -> int:
-        """Slots free right now (0 when at or above the limit)."""
-        return max(0, self.limit - self.in_flight)
-
     def try_acquire(self) -> bool:
         """Take one slot if the limit allows; returns success."""
         if self.in_flight >= self.limit:

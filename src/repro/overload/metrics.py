@@ -8,14 +8,14 @@ that matters is **goodput**: completions that made their deadline.
     offered → admitted → completed → completed-in-deadline (goodput)
 
 with every loss accounted to a named reason (queue-full, rate,
-concurrency, capacity-loss shedding, doomed-work shedding, expiry),
-so a run can show *where* its overload defense spent the excess load.
+capacity-loss shedding, doomed-work shedding, expiry), so a run can
+show *where* its overload defense spent the excess load.  The run's
+:class:`~repro.overload.policy.OverloadController` is the only writer.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..sim.stats import LatencyHistogram
 
@@ -38,40 +38,6 @@ class OverloadMetrics:
         self.shed: Dict[str, int] = {}
         #: Latency of completed work (admission wait + service).
         self.latency = LatencyHistogram(min_value=50.0)
-        self.first_ns = math.inf
-        self.last_ns = 0.0
-
-    # -- the funnel --------------------------------------------------------
-
-    def offer(self, now_ns: float) -> None:
-        """One unit of work arrived."""
-        self.offered += 1
-        self.first_ns = min(self.first_ns, now_ns)
-        self.last_ns = max(self.last_ns, now_ns)
-
-    def reject(self, reason: str) -> None:
-        """Admission refused one unit of work."""
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
-
-    def admit(self) -> None:
-        """One unit of work passed admission."""
-        self.admitted += 1
-
-    def shed_one(self, reason: str) -> None:
-        """Admitted work abandoned before completing (doomed, expired...)."""
-        self.shed[reason] = self.shed.get(reason, 0) + 1
-
-    def complete(
-        self, now_ns: float, latency_ns: float, deadline_missed: bool = False
-    ) -> None:
-        """One unit of admitted work finished."""
-        self.completed += 1
-        self.last_ns = max(self.last_ns, now_ns)
-        self.latency.record(max(latency_ns, 1.0))
-        if deadline_missed:
-            self.deadline_misses += 1
-        else:
-            self.good += 1
 
     # -- derived -----------------------------------------------------------
 
@@ -107,23 +73,6 @@ class OverloadMetrics:
         if elapsed_ns <= 0:
             return 0.0
         return self.good / (elapsed_ns / 1e9)
-
-    def as_dict(self) -> Dict[str, float]:
-        """A flat snapshot for counters/JSON."""
-        out: Dict[str, float] = {
-            "offered": float(self.offered),
-            "admitted": float(self.admitted),
-            "completed": float(self.completed),
-            "good": float(self.good),
-            "deadline_misses": float(self.deadline_misses),
-            "rejected": float(self.total_rejected),
-            "shed": float(self.total_shed),
-        }
-        for reason, count in sorted(self.rejected.items()):
-            out[f"rejected_{reason}"] = float(count)
-        for reason, count in sorted(self.shed.items()):
-            out[f"shed_{reason}"] = float(count)
-        return out
 
     def register_into(
         self,
@@ -166,19 +115,3 @@ class OverloadMetrics:
             )
 
         registry.register_collector(collect)
-
-    def rows(self) -> List[Tuple[str, str]]:
-        """(quantity, value) pairs for ascii_table rendering."""
-        rows = [
-            ("offered", f"{self.offered}"),
-            ("admitted", f"{self.admitted}"),
-            ("completed", f"{self.completed}"),
-            ("in-deadline (good)", f"{self.good}"),
-            ("deadline misses", f"{self.deadline_misses}"),
-            ("shed rate", f"{self.shed_rate() * 100:.1f}%"),
-        ]
-        for reason, count in sorted(self.rejected.items()):
-            rows.append((f"rejected ({reason})", f"{count}"))
-        for reason, count in sorted(self.shed.items()):
-            rows.append((f"shed ({reason})", f"{count}"))
-        return rows

@@ -4,13 +4,13 @@
 KeyDB accepts — queue bound, token-bucket rate, default deadline
 budget, and shedding switches.  It is inert configuration;
 :class:`OverloadController` is the per-run state machine built from it
-that the server actually consults:
+that the server consults, one scalar call per event:
 
-* ``make_request`` stamps arrival time, priority, and an absolute
-  deadline onto a unit of work;
-* ``try_admit`` runs the admission pipeline (capacity-loss priority
-  shedding → token bucket) and accounts every rejection by reason;
-* ``complete``/``shed`` close the loop in the funnel metrics;
+* ``try_admit`` runs the admission pipeline at arrival (full queue →
+  capacity-loss priority floor → token bucket) and accounts the offer
+  and every rejection by reason;
+* ``complete``/``shed`` close the loop in the funnel metrics, and
+  ``record_latencies`` takes the completed work's latencies in batches;
 * ``bind_faults`` connects the controller to a
   :class:`~repro.faults.injector.FaultInjector` so capacity lost to
   link degrade or device loss translates into *graceful* goodput
@@ -18,6 +18,8 @@ that the server actually consults:
   fraction, shedding the lowest-priority work first instead of letting
   every request's latency collapse together.
 
+A request's deadline is a plain float, its arrival time plus
+:attr:`OverloadPolicy.default_budget_ns` (``inf`` when there is none).
 The uncontrolled baseline is :meth:`OverloadPolicy.monitor_only`: it
 admits and serves everything and only measures deadlines.
 """
@@ -26,14 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
-from .deadline import Deadline, Request
 from .limiter import TokenBucketLimiter
 from .metrics import OverloadMetrics
-from .queue import AdmissionQueue
 
 __all__ = ["OverloadPolicy", "OverloadController"]
 
@@ -70,7 +70,7 @@ class OverloadPolicy:
             raise ConfigurationError("rate_ops_per_s must be positive")
         if self.burst_ops <= 0:
             raise ConfigurationError("burst_ops must be positive")
-        if self.default_budget_ns <= 0:
+        if not self.default_budget_ns > 0:  # also rejects NaN
             raise ConfigurationError("default_budget_ns must be positive")
         if self.priority_levels < 1:
             raise ConfigurationError("priority_levels must be >= 1")
@@ -104,24 +104,7 @@ class OverloadController:
         self._injector: Optional[FaultInjector] = None
         self._fault_nodes: List[int] = []
 
-    # -- construction helpers ---------------------------------------------
-
-    def new_queue(self) -> AdmissionQueue:
-        """The server's bounded FIFO queue, configured per the policy.
-
-        Requests shed while queued (expired waiting) are accounted in
-        the funnel automatically.
-        """
-
-        def _on_shed(request: Request) -> None:
-            del request
-            self.metrics.shed_one(REASON_EXPIRED)
-
-        return AdmissionQueue(
-            self.policy.queue_capacity,
-            on_shed=_on_shed,
-            shed_expired_waiters=self.policy.shed_doomed,
-        )
+    # -- wiring ------------------------------------------------------------
 
     def bind_faults(
         self, injector: FaultInjector, node_ids: Optional[List[int]] = None
@@ -173,37 +156,58 @@ class OverloadController:
 
     # -- the admission pipeline -------------------------------------------
 
-    def make_request(self, now_ns: float, priority: int = 0) -> Request:
-        """Stamp one unit of offered work (counts it as offered)."""
-        self.metrics.offer(now_ns)
-        budget = self.policy.default_budget_ns
-        deadline = Deadline() if math.isinf(budget) else Deadline.after(now_ns, budget)
-        return Request(arrival_ns=now_ns, deadline=deadline, priority=priority)
+    def try_admit(self, priority: int, now_ns: float, queued: int = 0) -> bool:
+        """Offer one unit of work arriving at ``now_ns``; True when admitted.
 
-    def try_admit(self, request: Request, now_ns: float) -> Tuple[bool, str]:
-        """Run the admission pipeline; returns ``(admitted, reason)``.
-
-        The caller pairs every admitted request with exactly one
-        ``complete``/``shed`` call (or the queue's expiry shedding).
+        ``priority`` is the unit's class, ``0 .. priority_levels - 1``,
+        and ``queued`` the server's backlog of admitted work still
+        waiting.  A full queue refuses first, then the capacity-loss
+        priority floor, then the token bucket; the offer and any refusal
+        are counted.  The caller pairs every admitted unit with exactly
+        one ``complete`` or ``shed``.
         """
-        if request.priority < self.priority_floor(now_ns):
-            self.metrics.reject(REASON_CAPACITY)
-            return False, REASON_CAPACITY
-        if self.bucket is not None and not self.bucket.try_acquire(now_ns):
-            self.metrics.reject(REASON_RATE)
-            return False, REASON_RATE
-        self.metrics.admit()
-        return True, "admitted"
+        metrics = self.metrics
+        metrics.offered += 1
+        if queued >= self.policy.queue_capacity:
+            reason = REASON_QUEUE_FULL
+        elif self._injector is not None and priority < self.priority_floor(now_ns):
+            # Without a bound fault signal the floor is 0: no query needed.
+            reason = REASON_CAPACITY
+        elif self.bucket is not None and not self.bucket.try_acquire(now_ns):
+            reason = REASON_RATE
+        else:
+            metrics.admitted += 1
+            return True
+        metrics.rejected[reason] = metrics.rejected.get(reason, 0) + 1
+        return False
 
     # -- closing the loop --------------------------------------------------
 
-    def complete(self, request: Request, now_ns: float, latency_ns: float) -> bool:
-        """Admitted work finished; returns True when it made its deadline."""
-        missed = request.expired(now_ns)
-        self.metrics.complete(now_ns, latency_ns, deadline_missed=missed)
-        return not missed
+    def complete(self, deadline_ns: float, now_ns: float) -> bool:
+        """Admitted work finished at ``now_ns``; True when it made its deadline.
 
-    def shed(self, request: Request, now_ns: float) -> None:
-        """Admitted work abandoned at dispatch: it could not finish in time."""
-        del request, now_ns
-        self.metrics.shed_one(REASON_DOOMED)
+        Finishing exactly at ``deadline_ns`` is on time.
+        """
+        metrics = self.metrics
+        metrics.completed += 1
+        if now_ns > deadline_ns:
+            metrics.deadline_misses += 1
+            return False
+        metrics.good += 1
+        return True
+
+    def shed(self, reason: str) -> None:
+        """Admitted work abandoned before service.
+
+        ``reason`` is :data:`REASON_EXPIRED` for a waiter whose deadline
+        passed in the queue, :data:`REASON_DOOMED` for work that could
+        no longer finish in time.
+        """
+        shed = self.metrics.shed
+        shed[reason] = shed.get(reason, 0) + 1
+
+    def record_latencies(self, latencies_ns: Sequence[float]) -> None:
+        """Latencies of completed work, in completion order (floored at 1 ns)."""
+        self.metrics.latency.record_all(
+            [max(latency, 1.0) for latency in latencies_ns]
+        )

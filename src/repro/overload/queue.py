@@ -33,14 +33,10 @@ class AdmissionQueue:
         self,
         capacity: int,
         on_shed: Optional[Callable[[Request], None]] = None,
-        shed_expired_waiters: bool = True,
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError("queue capacity must be positive")
         self.capacity = capacity
-        #: When False, ``take`` returns expired requests instead of
-        #: shedding them — the monitor-only baseline serves late work.
-        self.shed_expired_waiters = shed_expired_waiters
         #: Invoked for every request shed while queued (expired waiting),
         #: so owners holding per-request state (metrics, payloads) can
         #: account for it.
@@ -73,7 +69,7 @@ class AdmissionQueue:
         """
         while self._fifo:
             request = self._fifo.popleft()
-            if self.shed_expired_waiters and request.expired(now_ns):
+            if request.expired(now_ns):
                 self.shed_expired += 1
                 if self.on_shed is not None:
                     self.on_shed(request)

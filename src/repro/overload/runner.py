@@ -133,7 +133,6 @@ def _fresh_server(
     seed: int,
     threads: int,
     tracer=None,
-    engine_profile=None,
 ):
     """A brand-new DES server + generator (state is never reused)."""
     # Imported here, not at module top: the DES server imports
@@ -150,7 +149,6 @@ def _fresh_server(
         experiment.server.store,
         threads=threads,
         tracer=tracer if tracer is not None else NULL_TRACER,
-        engine_profile=engine_profile,
     )
     return server, experiment.generator, experiment.platform
 
@@ -227,7 +225,6 @@ def run_offered_load(
     scenario: Optional[str] = None,
     registry=None,
     tracer=None,
-    engine_profile=None,
 ) -> OverloadRunSummary:
     """One open-loop run at a fixed offered rate, summarized.
 
@@ -235,15 +232,13 @@ def run_offered_load(
     of the run; its injector is built on this run's fresh platform and
     bound to the controller as its capacity signal.
 
-    ``registry``/``tracer``/``engine_profile`` hook the run into the
-    observability layer: the overload funnel and per-op counters bind
-    into the registry, spans and engine accounting flow into the given
-    tracer/profile.
+    ``registry``/``tracer`` hook the run into the observability layer:
+    the overload funnel and per-op counters bind into the registry, and
+    per-op spans flow into the tracer.
     """
     controller = OverloadController(policy)
     server, generator, platform = _fresh_server(
-        config, record_count, seed, threads,
-        tracer=tracer, engine_profile=engine_profile,
+        config, record_count, seed, threads, tracer=tracer
     )
     injector = None
     if scenario is not None:
@@ -266,8 +261,6 @@ def run_offered_load(
         metrics.register_into(registry, labels={"run": label})
         result.counters.register_into(registry, "keydb_ops",
                                       labels={"run": label})
-        if engine_profile is not None:
-            engine_profile.register_into(registry)
     elapsed = max(result.elapsed_ns, 1.0)
     return OverloadRunSummary(
         label=label,

@@ -39,7 +39,7 @@ class TestConcurrencyLimiter:
         assert limiter.try_acquire() and limiter.try_acquire()
         assert not limiter.try_acquire()
         limiter.release()
-        assert limiter.available == 1
+        assert limiter.in_flight == 1
         assert limiter.try_acquire()
 
     def test_release_without_acquire_raises(self):

@@ -13,7 +13,7 @@ from repro.overload import OverloadController, OverloadPolicy
 from repro.overload.policy import (
     REASON_CAPACITY,
     REASON_DOOMED,
-    REASON_EXPIRED,
+    REASON_QUEUE_FULL,
     REASON_RATE,
 )
 
@@ -41,6 +41,7 @@ class TestPolicyValidation:
             {"burst_ops": 0.0},
             {"default_budget_ns": 0.0},
             {"priority_levels": 0},
+            {"default_budget_ns": math.nan},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -51,10 +52,10 @@ class TestPolicyValidation:
         policy = OverloadPolicy.monitor_only(default_budget_ns=1e6)
         controller = OverloadController(policy)
         for i in range(1000):
-            request = controller.make_request(float(i))
-            admitted, _ = controller.try_admit(request, float(i))
-            assert admitted
+            # A backlog as deep as the offered count is still admitted.
+            assert controller.try_admit(i % 2, float(i), queued=i)
         assert controller.metrics.total_rejected == 0
+        assert controller.metrics.admitted == 1000
 
 
 class TestAdmissionPipeline:
@@ -62,61 +63,51 @@ class TestAdmissionPipeline:
         controller = OverloadController(
             OverloadPolicy(rate_ops_per_s=1000.0, burst_ops=1.0)
         )
-        first = controller.make_request(0.0)
-        assert controller.try_admit(first, 0.0) == (True, "admitted")
-        second = controller.make_request(0.0)
-        assert controller.try_admit(second, 0.0) == (False, REASON_RATE)
-        assert controller.metrics.rejected[REASON_RATE] == 1
+        assert controller.try_admit(0, 0.0)
+        assert not controller.try_admit(0, 0.0)
+        assert controller.metrics.rejected == {REASON_RATE: 1}
+
+    def test_full_queue_rejects_before_the_bucket(self):
+        controller = OverloadController(
+            OverloadPolicy(queue_capacity=2, rate_ops_per_s=1000.0, burst_ops=1.0)
+        )
+        assert not controller.try_admit(0, 0.0, queued=2)
+        assert controller.metrics.rejected == {REASON_QUEUE_FULL: 1}
+        # The refused arrival took no token: the next one gets it.
+        assert controller.try_admit(0, 0.0, queued=1)
+        assert controller.metrics.offered == 2
+        assert controller.metrics.admitted == 1
 
     def test_shed_counts_doomed_work(self):
         controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
-        request = controller.make_request(0.0)
-        assert controller.try_admit(request, 0.0)[0]
-        assert request.doomed(50.0, 60.0)  # 50 + 60 lands past the deadline
-        controller.shed(request, 50.0)
+        assert controller.try_admit(0, 0.0)
+        controller.shed(REASON_DOOMED)
         assert controller.metrics.shed == {REASON_DOOMED: 1}
         assert controller.metrics.completed == 0
 
     def test_complete_reports_deadline_outcome(self):
         controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
-        on_time = controller.make_request(0.0)
-        controller.try_admit(on_time, 0.0)
-        assert controller.complete(on_time, 100.0, 100.0)  # exactly on time
-        late = controller.make_request(0.0)
-        controller.try_admit(late, 0.0)
-        assert not controller.complete(late, 150.0, 150.0)
+        deadline = 0.0 + controller.policy.default_budget_ns
+        controller.try_admit(0, 0.0)
+        assert controller.complete(deadline, 100.0)  # exactly on time
+        controller.try_admit(0, 0.0)
+        assert not controller.complete(deadline, 150.0)
         assert controller.metrics.deadline_misses == 1
         assert controller.metrics.good == 1
-
-    def test_queue_factory_applies_policy(self):
-        policy = OverloadPolicy(queue_capacity=3, shed_doomed=False)
-        queue = OverloadController(policy).new_queue()
-        assert queue.capacity == 3
-        assert not queue.shed_expired_waiters  # monitor semantics follow policy
-        assert OverloadController(OverloadPolicy()).new_queue().shed_expired_waiters
-
-    def test_queue_shed_callback_counts_expired(self):
-        controller = OverloadController(OverloadPolicy(default_budget_ns=100.0))
-        queue = controller.new_queue()
-        request = controller.make_request(0.0)
-        assert controller.try_admit(request, 0.0)[0]
-        queue.offer(request)
-        assert queue.take(500.0) is None  # expired while queued: shed
-        assert queue.shed_expired == 1
-        assert controller.metrics.shed == {REASON_EXPIRED: 1}
 
     def test_metrics_funnel_counts_every_outcome(self):
         controller = OverloadController(
             OverloadPolicy(rate_ops_per_s=1e9, default_budget_ns=math.inf)
         )
-        request = controller.make_request(0.0)
-        controller.try_admit(request, 0.0)
-        controller.complete(request, 10.0, 10.0)
-        snapshot = controller.metrics.as_dict()
-        assert snapshot["offered"] == 1.0
-        assert snapshot["admitted"] == 1.0
-        assert snapshot["completed"] == 1.0
-        assert snapshot["good"] == 1.0
+        assert controller.try_admit(0, 0.0)
+        assert controller.complete(math.inf, 10.0)
+        controller.record_latencies([10.0, 0.5])
+        metrics = controller.metrics
+        assert (metrics.offered, metrics.admitted, metrics.completed,
+                metrics.good) == (1, 1, 1, 1)
+        # Latencies are floored at 1 ns before they are recorded.
+        assert metrics.latency.count == 2
+        assert metrics.latency.min == 1.0
 
 
 class TestCapacityLossShedding:
@@ -144,10 +135,9 @@ class TestCapacityLossShedding:
         assert controller.capacity_fraction(1e6) == pytest.approx(0.25)
         floor = controller.priority_floor(1e6)
         assert floor == 3  # ceil(0.75 * 4) = 3: only the top class admitted
-        low = controller.make_request(1e6, priority=0)
-        assert controller.try_admit(low, 1e6) == (False, REASON_CAPACITY)
-        high = controller.make_request(1e6, priority=3)
-        assert controller.try_admit(high, 1e6)[0]
+        assert not controller.try_admit(0, 1e6)
+        assert controller.metrics.rejected == {REASON_CAPACITY: 1}
+        assert controller.try_admit(3, 1e6)
 
     def test_noise_level_derating_ignored(self):
         controller = self._controller_with_fault(bandwidth_multiplier=0.97)

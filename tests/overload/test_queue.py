@@ -68,13 +68,6 @@ class TestExpiryShedding:
         q.take(50.0)
         assert shed == [doomed]
 
-    def test_monitor_mode_returns_expired_waiters(self):
-        q = AdmissionQueue(4, shed_expired_waiters=False)
-        late = req(deadline=10.0)
-        q.offer(late)
-        assert q.take(50.0) is late  # the uncontrolled baseline serves late
-        assert q.shed_expired == 0
-
     def test_drain_expired_purges_expired_waiters(self):
         q = AdmissionQueue(8)
         q.offer(req(deadline=10.0))

@@ -120,6 +120,14 @@ class TestCommands:
             assert entry["load_factor"] == 1.5
             assert entry["offered"] > 0
 
+    @pytest.mark.parametrize("factor", ["inf", "nan"])
+    def test_overload_sweep_rejects_non_finite_factors(self, capsys, factor):
+        # An infinite rate never advances time; NaN has no deadline.
+        assert main(
+            ["overload", "sweep", "--quick", "--factors", f"0.5,{factor}"]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: --factors")
+
     def test_overload_faults_json(self, capsys):
         import json
 
