@@ -49,7 +49,7 @@ def ascii_bars(
         raise ValueError("labels and values must have the same length")
     peak = max(values) if values else 1.0
     peak = peak if peak > 0 else 1.0
-    label_w = max((len(l) for l in labels), default=0)
+    label_w = max((len(label) for label in labels), default=0)
     lines = [title] if title else []
     for label, value in zip(labels, values):
         bar = "#" * max(1, int(round(value / peak * width))) if value > 0 else ""

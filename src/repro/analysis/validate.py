@@ -48,9 +48,15 @@ def _check(
 def validate_anchors() -> List[AnchorCheck]:
     """Run every fast anchor check; returns the full list."""
     checks: List[AnchorCheck] = []
-    ns = lambda v: f"{v:.2f} ns"
-    gbps = lambda v: f"{v:.2f} GB/s"
-    pct = lambda v: f"{v * 100:.2f}%"
+
+    def ns(v: float) -> str:
+        return f"{v:.2f} ns"
+
+    def gbps(v: float) -> str:
+        return f"{v:.2f} GB/s"
+
+    def pct(v: float) -> str:
+        return f"{v * 100:.2f}%"
 
     # Idle latencies (§3.2).
     for kind, expected in (

@@ -5,7 +5,6 @@ from .executor import ExecutorSpec, SparkAppSpec
 from .experiment import (
     CostModelInputs,
     measure_cost_model_inputs,
-    run_all_spark_configs,
     run_spark_config,
 )
 from .job import PhaseCosts, QueryResult, SparkQueryRunner, StageResult
@@ -20,7 +19,6 @@ __all__ = [
     "SparkAppSpec",
     "CostModelInputs",
     "measure_cost_model_inputs",
-    "run_all_spark_configs",
     "run_spark_config",
     "PhaseCosts",
     "QueryResult",

@@ -15,13 +15,12 @@ from typing import Dict
 
 from ...hw.presets import paper_cxl_platform
 from ...workloads.tpch import QueryProfile, paper_queries
-from .cluster import SPARK_CONFIGS, ClusterConfig, build_cluster_config
+from .cluster import ClusterConfig, build_cluster_config
 from .executor import SparkAppSpec
 from .job import PhaseCosts, QueryResult, SparkQueryRunner
 
 __all__ = [
     "run_spark_config",
-    "run_all_spark_configs",
     "CostModelInputs",
     "measure_cost_model_inputs",
 ]
@@ -55,20 +54,6 @@ def run_spark_config(
             total.set(result.total_ns, config=name, query=query)
             shuffle.set(result.shuffle_fraction, config=name, query=query)
     return results
-
-
-def run_all_spark_configs(
-    queries: Dict[str, QueryProfile] = None,
-    costs: PhaseCosts = PhaseCosts(),
-    registry=None,
-) -> Dict[str, Dict[str, QueryResult]]:
-    """The whole Fig. 7: every configuration x every query."""
-    if queries is None:
-        queries = paper_queries()
-    return {
-        name: run_spark_config(name, queries, costs, registry=registry)
-        for name in SPARK_CONFIGS
-    }
 
 
 @dataclass(frozen=True)

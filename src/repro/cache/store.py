@@ -78,10 +78,10 @@ def _default_max_bytes() -> int:
         return DEFAULT_MAX_BYTES
     try:
         value = int(raw)
-    except ValueError:
+    except ValueError as exc:
         raise ConfigurationError(
             f"{CACHE_MAX_BYTES_ENV} must be an integer byte count, got {raw!r}"
-        )
+        ) from exc
     if value < 1:
         raise ConfigurationError(
             f"{CACHE_MAX_BYTES_ENV} must be positive, got {value}"

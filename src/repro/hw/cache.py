@@ -71,7 +71,7 @@ class CacheHierarchy:
         self.levels = tuple(levels if levels is not None else sapphire_rapids_caches())
         if not self.levels:
             raise ConfigurationError("hierarchy needs at least one level")
-        caps = [l.capacity_bytes for l in self.levels]
+        caps = [level.capacity_bytes for level in self.levels]
         if caps != sorted(caps):
             raise ConfigurationError("levels must grow outward (L1 smallest)")
         if granule_bytes <= 0:
@@ -114,7 +114,7 @@ class CacheHierarchy:
                         cache.popitem(last=False)
                     cache[key] = None
         return CacheSimResult(
-            level_names=tuple(l.name for l in self.levels),
+            level_names=tuple(level.name for level in self.levels),
             hits=tuple(hits),
             misses=misses,
             accesses=len(trace),

@@ -1,20 +1,16 @@
-"""Admission throttles: token bucket and concurrency limit.
+"""The token bucket that caps the *rate* of admitted work.
 
-* :class:`TokenBucketLimiter` — caps the *rate* of admitted work.
-  It is not bound to a :class:`~repro.sim.engine.Simulator`; callers
-  pass their own clock, so the same bucket gates the open-loop DES
-  KeyDB (``sim.now``) and ``repro serve`` (the host clock).
-* :class:`ConcurrencyLimiter` — caps work *in flight* (Little's law:
-  at fixed service time, bounding concurrency bounds queueing delay);
-  :class:`~repro.overload.wallclock.WallClockAdmission` runs its jobs
-  under one.
+:class:`TokenBucketLimiter` is not bound to a
+:class:`~repro.sim.engine.Simulator`; callers pass their own clock, so
+the same bucket gates the open-loop DES KeyDB (simulated nanoseconds)
+and ``repro serve`` (the host clock).
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
 
-__all__ = ["TokenBucketLimiter", "ConcurrencyLimiter"]
+__all__ = ["TokenBucketLimiter"]
 
 
 class TokenBucketLimiter:
@@ -42,35 +38,10 @@ class TokenBucketLimiter:
         self._refill(now_ns)
         return self._tokens
 
-    def try_acquire(self, now_ns: float, amount: float = 1.0) -> bool:
-        """Take ``amount`` tokens if available; returns success."""
-        if amount < 0:
-            raise ConfigurationError("cannot take a negative amount")
+    def try_acquire(self, now_ns: float) -> bool:
+        """Take one token if available; returns success."""
         self._refill(now_ns)
-        if self._tokens >= amount:
-            self._tokens -= amount
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
-
-
-class ConcurrencyLimiter:
-    """Bounds work in flight; non-blocking acquire with explicit failure."""
-
-    def __init__(self, limit: int) -> None:
-        if limit <= 0:
-            raise ConfigurationError("concurrency limit must be positive")
-        self.limit = limit
-        self.in_flight = 0
-
-    def try_acquire(self) -> bool:
-        """Take one slot if the limit allows; returns success."""
-        if self.in_flight >= self.limit:
-            return False
-        self.in_flight += 1
-        return True
-
-    def release(self) -> None:
-        """Return one slot."""
-        if self.in_flight <= 0:
-            raise ConfigurationError("release without matching acquire")
-        self.in_flight -= 1

@@ -93,10 +93,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             return 1
         try:
             workers = int(raw)
-        except ValueError:
+        except ValueError as exc:
             raise ConfigurationError(
                 f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
-            )
+            ) from exc
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers

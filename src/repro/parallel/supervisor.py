@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import pickle
 import signal
 import threading

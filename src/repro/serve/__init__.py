@@ -9,9 +9,10 @@ treats its *own* robustness as part of the reproduction:
 * :mod:`repro.serve.protocol` — job specs, the job state machine, and
   the crash-safe ``repro.job/v1`` journal;
 * :mod:`repro.serve.jobs` — the :class:`JobManager`: bounded admission
-  (dogfooding :mod:`repro.overload` on the wall clock), supervised sweep
-  execution with per-job deadlines and cancellation, journal recovery
-  after SIGKILL, graceful drain on SIGTERM;
+  from its own job table (with :mod:`repro.overload`'s token bucket on
+  the host clock), supervised sweep execution with per-job deadlines
+  and cancellation, journal recovery after SIGKILL, graceful drain on
+  SIGTERM;
 * :mod:`repro.serve.app` — the stdlib asyncio HTTP front-end
   (``/healthz``, ``/readyz``, ``/metrics``, ``/jobs`` and friends) with
   classified error responses and 429/503 + ``Retry-After`` shedding;

@@ -202,15 +202,15 @@ class ServeApp:
             return _render(200, {"ok": True})
         if path == "/readyz" and method == "GET":
             stats = await loop.run_in_executor(None, manager.stats)
-            ready = not stats["draining"] and not manager.admission.saturated
+            ready = (not stats["draining"]
+                     and stats["queued"] < stats["queue_depth"])
             payload = {"ready": ready, "draining": stats["draining"],
                        "queued": stats["queued"],
                        "running": stats["running"]}
             if ready:
                 return _render(200, payload)
             return _render(
-                503, payload,
-                headers=_retry_after(manager.admission.mean_service_s),
+                503, payload, headers=_retry_after(stats["mean_service_s"]),
             )
         if path == "/metrics" and method == "GET":
             return _render(200, None, raw=await loop.run_in_executor(
@@ -219,13 +219,15 @@ class ServeApp:
         if path == "/jobs" and method == "POST":
             try:
                 payload = json.loads(body.decode("utf-8") or "null")
-            except ValueError:
-                raise ConfigurationError("request body is not valid JSON")
-            decision, job = await loop.run_in_executor(
+            except ValueError as exc:
+                raise ConfigurationError(
+                    "request body is not valid JSON"
+                ) from exc
+            decision, job, record = await loop.run_in_executor(
                 None, manager.submit, payload
             )
             if job is not None:
-                return _render(201, job.as_dict())
+                return _render(201, record)
             status = 429 if decision.reason == "rate" else 503
             return _render(
                 status,

@@ -5,10 +5,13 @@ sweep-shaped what-if query through the state machine declared in
 :mod:`repro.serve.protocol`.  The design dogfoods the repo's own
 robustness layers instead of reinventing them:
 
-* **admission** is a :class:`~repro.overload.wallclock.WallClockAdmission`
-  — bounded queue, optional token bucket, concurrency cap — so a flash
-  crowd of queries is shed with computed Retry-After hints, exactly the
-  discipline the overload figures measure in simulation;
+* **admission** reads the job table itself: queued jobs are the records
+  in state ``queued``, running jobs are the runner threads, and the
+  only shared piece is the overload layer's
+  :class:`~repro.overload.limiter.TokenBucketLimiter` on the host
+  clock — so a flash crowd of queries is shed with computed
+  Retry-After hints, the discipline the overload figures measure in
+  simulation;
 * **execution** is :func:`repro.parallel.run_sweep` with the job's
   ``cancel`` event wired through, so deadlines, client cancellation and
   SIGTERM drain all checkpoint through the same path an interactive
@@ -30,15 +33,18 @@ in from the event loop via ``run_in_executor``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
+import time
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cache import SweepCache
 from ..cache.manifest import ResumeManifest, write_resume_manifest
 from ..errors import ConfigurationError
-from ..overload.wallclock import AdmissionDecision, WallClock, WallClockAdmission
+from ..overload.limiter import TokenBucketLimiter
 from ..parallel import SweepSpec, merge_metrics_documents, run_sweep
 from ..parallel.jobs import SweepResult
 from ..parallel.supervisor import SupervisorConfig
@@ -54,7 +60,60 @@ from .protocol import (
     write_journal,
 )
 
-__all__ = ["JobManager", "build_sweep_spec", "demo_sweep_spec"]
+__all__ = [
+    "AdmissionDecision",
+    "JobManager",
+    "WallClock",
+    "build_sweep_spec",
+    "demo_sweep_spec",
+]
+
+
+class WallClock:
+    """The host's monotonic clock under the overload layer's ``now_ns``
+    contract.  A class (not a bare function) so tests can substitute a
+    manually-advanced fake without monkeypatching ``time``."""
+
+    def now_ns(self) -> float:
+        """Monotonic host nanoseconds (never goes backwards)."""
+        return float(time.monotonic_ns())
+
+    def now_s(self) -> float:
+        """Monotonic host seconds (same epoch as :meth:`now_ns`)."""
+        return self.now_ns() / 1e9
+
+
+@dataclass(frozen=True)
+class AdmissionDecision:
+    """The verdict of one admission attempt.
+
+    ``retry_after_s`` is the shed path's backpressure signal: how long
+    the client should wait before retrying (the server turns it into an
+    HTTP ``Retry-After`` header).  It is a *hint*, computed from the
+    rate deficit or the backlog estimate, never a reservation.
+    """
+
+    admitted: bool
+    reason: str = ""
+    retry_after_s: float = 0.0
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-ready form."""
+        return {
+            "admitted": self.admitted,
+            "reason": self.reason,
+            "retry_after_s": self.retry_after_s,
+        }
+
+
+#: Smoothing factor of the service-time EWMA feeding queue-full
+#: Retry-After estimates.
+_EWMA_ALPHA = 0.3
+
+
+def _expired(job: Job, now_ns: float) -> bool:
+    """True once ``now_ns`` has passed the job's deadline (if any)."""
+    return job.deadline_ns is not None and now_ns > job.deadline_ns
 
 
 def demo_sweep_spec(points: int = 8, draws: int = 2048,
@@ -105,13 +164,18 @@ def build_sweep_spec(spec: JobSpec) -> SweepSpec:
         try:
             plan = ChaosPlan(**dict(spec.chaos))
         except TypeError as exc:
-            raise ConfigurationError(f"malformed chaos plan: {exc}")
+            raise ConfigurationError(f"malformed chaos plan: {exc}") from exc
         sweep = chaos_wrap(sweep, plan)
     return sweep
 
 
 class JobManager:
-    """Job table + admission + executors for one serve process."""
+    """Job table + admission + executors for one serve process.
+
+    The table is the only record of admission state: a job is waiting
+    while its state is ``queued`` and running while it holds a runner
+    thread, so a cancelled or shed job frees its queue slot at once.
+    """
 
     def __init__(self, config: ServeConfig,
                  cache: Optional[SweepCache] = None,
@@ -121,15 +185,24 @@ class JobManager:
         self.clock = clock if clock is not None else WallClock()
         self.jobs_dir = os.path.join(self.cache.root, "serve", "jobs")
         self.results_dir = os.path.join(self.cache.root, "serve", "results")
-        self.admission = WallClockAdmission(
-            queue_depth=config.queue_depth,
-            max_running=config.max_running,
-            rate_per_s=config.rate_per_s,
-            burst=config.burst,
-            clock=self.clock,
-            on_shed=self._on_shed,
-        )
+        self.bucket: Optional[TokenBucketLimiter] = None
+        if config.rate_per_s is not None:
+            self.bucket = TokenBucketLimiter(
+                config.rate_per_s,
+                config.burst if config.burst is not None
+                else max(1.0, config.rate_per_s),
+            )
+        #: EWMA of observed service seconds; seeds the queue-full
+        #: Retry-After estimate before any job has completed.
+        self.mean_service_s = 1.0
+        self.rejected_full = 0
+        self.rejected_rate = 0
+        self.shed_expired = 0
         self._lock = threading.RLock()
+        #: Insertion order is submission (``seq``) order: recovery loads
+        #: the journal sorted by ``seq`` before any new submission, and
+        #: new jobs take increasing ``seq`` — so the queue is the
+        #: ``queued`` records in iteration order, FIFO.
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
         self._draining = False
@@ -158,7 +231,8 @@ class JobManager:
         the re-run is a resume, not a repeat); jobs left ``queued`` are
         re-admitted straight into the bounded queue — deliberately
         bypassing the token bucket, which prices *client* submissions,
-        not a restart replaying its own backlog.
+        not a restart replaying its own backlog.  Deadlines restart from
+        recovery time.
         """
         for job in load_journal(self.jobs_dir):
             self._seq = max(self._seq, job.seq + 1)
@@ -169,7 +243,10 @@ class JobManager:
                 job.transition(JobState.QUEUED, "recovered after crash")
                 job.resumed += 1
                 self.recovered += 1
-            if not self._enqueue_recovered(job):
+            job.deadline_ns = self._deadline_ns(job.spec)
+            # The count includes this job, hence ``>``.
+            if len(self._queued()) > self.config.queue_depth:
+                self.rejected_full += 1
                 job.transition(
                     JobState.FAILED,
                     "shed during recovery: admission queue full",
@@ -177,16 +254,6 @@ class JobManager:
             write_journal(self.jobs_dir, job)
             job.emit({"event": "queued", "state": job.state.value,
                       "resumed": job.resumed})
-
-    def _enqueue_recovered(self, job: Job) -> bool:
-        from ..overload.deadline import Request
-
-        deadline_s = self._effective_deadline_s(job.spec)
-        deadline = self.admission.deadline_after(deadline_s)
-        job.deadline_ns = None if deadline.unbounded else deadline.at_ns
-        request = Request(arrival_ns=self.clock.now_ns(), deadline=deadline,
-                          payload=job.id)
-        return self.admission.queue.offer(request)
 
     def drain(self, budget_s: Optional[float] = None) -> bool:
         """Stop admitting, checkpoint in-flight jobs, flush journals.
@@ -225,47 +292,77 @@ class JobManager:
 
     # -- admission ----------------------------------------------------------
 
-    def _effective_deadline_s(self, spec: JobSpec) -> Optional[float]:
+    def _deadline_ns(self, spec: JobSpec) -> Optional[float]:
+        """The job's wall-clock deadline from now (None = none)."""
         deadline_s = (self.config.default_deadline_s
                       if spec.deadline_s is None else spec.deadline_s)
-        return None if deadline_s == 0 else deadline_s
+        if deadline_s == 0:
+            return None
+        return self.clock.now_ns() + deadline_s * 1e9
 
-    def submit(self, payload: Any) -> Tuple[AdmissionDecision, Optional[Job]]:
+    def _queued(self) -> List[Job]:
+        """The admission queue: ``queued`` records, oldest first."""
+        return [job for job in self._jobs.values()
+                if job.state is JobState.QUEUED]
+
+    def submit(self, payload: Any) -> Tuple[
+        AdmissionDecision, Optional[Job], Optional[Dict[str, Any]]
+    ]:
         """Validate and admit one job, or shed it with a Retry-After.
 
+        Returns the decision, the admitted job and its record as
+        admitted — taken under the table lock before the scheduler can
+        promote the job, so a ``201`` body never reports a later state.
         Sheds (rate, queue-full, draining) never allocate table space
         or journal bytes — rejection must stay cheap under a flash
         crowd, that is the whole point of admission control.
         """
         spec = JobSpec.from_payload(payload)  # raises ConfigurationError
         with self._lock:
-            if self._draining:
-                return AdmissionDecision(
-                    False, "draining", self.config.drain_budget_s
-                ), None
-            self._evict_terminal()
-            job_id = f"{spec.target}-{self._seq:06d}"
-            decision, request = self.admission.offer(
-                job_id, deadline_s=self._effective_deadline_s(spec)
-            )
-            if not decision.admitted or request is None:
-                return decision, None
-            job = Job(id=job_id, seq=self._seq, spec=spec)
-            job.deadline_ns = (None if request.deadline.unbounded
-                               else request.deadline.at_ns)
+            decision = self._admit()
+            if not decision.admitted:
+                return decision, None, None
+            job = Job(id=f"{spec.target}-{self._seq:06d}", seq=self._seq,
+                      spec=spec, deadline_ns=self._deadline_ns(spec))
             self._seq += 1
             self._jobs[job.id] = job
             write_journal(self.jobs_dir, job)
-        job.emit({"event": "queued", "state": job.state.value})
+            job.emit({"event": "queued", "state": job.state.value})
+            record = job.as_dict()
         self._wake.set()
-        return decision, job
+        return decision, job, record
 
-    def _on_shed(self, request: Any) -> None:
-        # A queued job aged past its wall-clock deadline (take() or
-        # shed_expired() dropped it).  Runs under the table lock.
-        job = self._jobs.get(request.payload)
-        if job is None or job.terminal:
-            return
+    def _admit(self) -> AdmissionDecision:
+        # Draining, then table eviction, then the token bucket, then the
+        # bounded queue: a queue-full shed has already spent its token.
+        # Runs under the table lock.
+        if self._draining:
+            return AdmissionDecision(False, "draining",
+                                     self.config.drain_budget_s)
+        self._evict_terminal()
+        now_ns = self.clock.now_ns()
+        if self.bucket is not None and not self.bucket.try_acquire(now_ns):
+            self.rejected_rate += 1
+            deficit = max(0.0, 1.0 - self.bucket.tokens(now_ns))
+            assert self.config.rate_per_s is not None
+            return AdmissionDecision(
+                False, "rate", max(0.1, deficit / self.config.rate_per_s)
+            )
+        queued = len(self._queued())
+        if queued >= self.config.queue_depth:
+            # The backlog must drain through max_running slots before a
+            # new job can even wait; estimate with the service EWMA.
+            self.rejected_full += 1
+            waves = math.ceil((queued + 1) / self.config.max_running)
+            return AdmissionDecision(
+                False, "queue-full", max(0.5, waves * self.mean_service_s)
+            )
+        return AdmissionDecision(True)
+
+    def _shed(self, job: Job) -> None:
+        # A queued job aged past its wall-clock deadline.  Runs under
+        # the table lock.
+        self.shed_expired += 1
         with job.events_cond:
             job.transition(JobState.FAILED, "deadline expired while queued")
             write_journal(self.jobs_dir, job)
@@ -300,21 +397,19 @@ class JobManager:
             self._wake.clear()
 
     def _promote(self) -> None:
-        while True:
-            with self._lock:
-                if self._draining:
+        with self._lock:
+            if self._draining:
+                return
+            now_ns = self.clock.now_ns()
+            for job in self._queued():
+                if len(self._runners) >= self.config.max_running:
                     return
-                request = self.admission.next_runnable()
-                if request is None:
-                    return
-                job = self._jobs.get(request.payload)
-                if job is None or job.state is not JobState.QUEUED:
-                    # Cancelled (or evicted) while waiting; give the
-                    # slot back without burning an executor on it.
-                    self.admission.release()
+                if _expired(job, now_ns):
+                    self._shed(job)
                     continue
                 job.transition(JobState.RUNNING)
                 write_journal(self.jobs_dir, job)
+                job.emit({"event": "running", "state": job.state.value})
                 thread = threading.Thread(
                     target=self._run_job, args=(job,),
                     name=f"serve-job-{job.id}", daemon=True,
@@ -323,17 +418,17 @@ class JobManager:
                 # Started under the lock so a concurrent drain() never
                 # snapshots (and joins) a thread that isn't running yet.
                 thread.start()
-            job.emit({"event": "running", "state": job.state.value})
 
     def _police_deadlines(self) -> None:
         with self._lock:
-            self.admission.shed_expired()
             now_ns = self.clock.now_ns()
             for job in self._jobs.values():
-                if (job.state is JobState.RUNNING
-                        and job.deadline_ns is not None
-                        and now_ns > job.deadline_ns
-                        and not job.cancel.is_set()):
+                if not _expired(job, now_ns):
+                    continue
+                if job.state is JobState.QUEUED:
+                    self._shed(job)
+                elif (job.state is JobState.RUNNING
+                      and not job.cancel.is_set()):
                     job.cancel_intent = "deadline"
                     job.cancel.set()
 
@@ -377,8 +472,9 @@ class JobManager:
         finally:
             with self._lock:
                 self._runners.pop(job.id, None)
-                self.admission.release(
-                    service_s=self.clock.now_s() - started
+                service_s = self.clock.now_s() - started
+                self.mean_service_s += _EWMA_ALPHA * (
+                    service_s - self.mean_service_s
                 )
             self._wake.set()
 
@@ -530,12 +626,20 @@ class JobManager:
     def stats(self) -> Dict[str, Any]:
         """One JSON-ready snapshot for ``/metrics`` and ``/readyz``."""
         with self._lock:
-            snapshot: Dict[str, Any] = dict(self.admission.as_dict())
             by_state = {state.value: 0 for state in JobState}
             for job in self._jobs.values():
                 by_state[job.state.value] += 1
-            snapshot["jobs"] = by_state
-            snapshot["jobs_total"] = len(self._jobs)
-            snapshot["recovered"] = self.recovered
-            snapshot["draining"] = self._draining
-            return snapshot
+            return {
+                "queued": by_state[JobState.QUEUED.value],
+                "queue_depth": self.config.queue_depth,
+                "running": len(self._runners),
+                "max_running": self.config.max_running,
+                "rejected_full": self.rejected_full,
+                "rejected_rate": self.rejected_rate,
+                "shed_expired": self.shed_expired,
+                "mean_service_s": self.mean_service_s,
+                "jobs": by_state,
+                "jobs_total": len(self._jobs),
+                "recovered": self.recovered,
+                "draining": self._draining,
+            }

@@ -28,7 +28,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..errors import ConfigurationError
 
@@ -39,7 +39,6 @@ __all__ = [
     "TERMINAL_STATES",
     "JobSpec",
     "Job",
-    "job_targets",
     "write_journal",
     "load_journal",
     "clear_journal",
@@ -59,11 +58,6 @@ DEMO_TARGET = "demo"
 #: drags in the full analysis stack).
 JOB_TARGETS = (DEMO_TARGET, "fig3", "fig4", "fig5", "fig7", "fig8",
                "fig10", "overload")
-
-
-def job_targets() -> Tuple[str, ...]:
-    """Every target a job spec may name."""
-    return JOB_TARGETS
 
 
 class JobState(str, Enum):
@@ -186,7 +180,7 @@ class JobSpec:
             try:
                 ChaosPlan(**dict(self.chaos))
             except TypeError as exc:
-                raise ConfigurationError(f"malformed chaos plan: {exc}")
+                raise ConfigurationError(f"malformed chaos plan: {exc}") from exc
 
     @classmethod
     def from_payload(cls, payload: Any) -> "JobSpec":
@@ -230,7 +224,7 @@ class JobSpec:
             if "sleep_s" in payload:
                 kwargs["sleep_s"] = float(payload["sleep_s"])
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed job spec field: {exc}")
+            raise ConfigurationError(f"malformed job spec field: {exc}") from exc
         chaos = payload.get("chaos")
         if chaos is not None:
             if not isinstance(chaos, Mapping):
@@ -448,7 +442,7 @@ class ServeConfig:
     queue_depth: int = 8
     #: Token-bucket submission rate (None disables the rate limiter).
     rate_per_s: Optional[float] = None
-    #: Token-bucket burst (None derives from the rate).
+    #: Token-bucket burst (None derives from the rate; needs the rate).
     burst: Optional[float] = None
     #: Job-table bound: submissions are shed once this many *active*
     #: jobs exist; terminal records beyond it are evicted oldest-first.
@@ -471,6 +465,8 @@ class ServeConfig:
             raise ConfigurationError("queue_depth must be >= 1")
         if self.rate_per_s is not None and self.rate_per_s <= 0:
             raise ConfigurationError("rate_per_s must be positive")
+        if self.burst is not None and self.rate_per_s is None:
+            raise ConfigurationError("burst needs rate_per_s")
         if self.table_limit < self.max_running + self.queue_depth:
             raise ConfigurationError(
                 "table_limit must cover max_running + queue_depth"

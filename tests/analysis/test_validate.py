@@ -1,7 +1,5 @@
 """Tests for the anchor self-check."""
 
-import pytest
-
 from repro.analysis import validate_anchors
 from repro.cli import main
 

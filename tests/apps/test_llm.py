@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.units import GIB, MIB
+from repro.units import GIB
 from repro.workloads.llm_trace import ChatRequest, chat_trace
 from repro.apps.llm import (
     LLM_CONFIGS,

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import build_scenario
 from repro.obs.tracing import Tracer
-from repro.overload.deadline import Deadline, Request
 from repro.overload.policy import (
     REASON_CAPACITY,
     REASON_DOOMED,
@@ -82,6 +82,19 @@ class _Queue:
         return None
 
 
+@dataclass
+class _Request:
+    """One arrival waiting in the reference queue (deadline inf = none)."""
+
+    arrival_ns: float
+    deadline_ns: float
+    priority: int
+    payload: object = None
+
+    def expired(self, now_ns):
+        return now_ns > self.deadline_ns
+
+
 def _count(counts, reason):
     counts[reason] = counts.get(reason, 0) + 1
 
@@ -89,8 +102,8 @@ def _count(counts, reason):
 def _make_request(controller, now_ns, priority):
     controller.metrics.offered += 1
     budget = controller.policy.default_budget_ns
-    deadline = Deadline() if math.isinf(budget) else Deadline.after(now_ns, budget)
-    return Request(arrival_ns=now_ns, deadline=deadline, priority=priority)
+    deadline_ns = math.inf if math.isinf(budget) else now_ns + budget
+    return _Request(now_ns, deadline_ns, priority)
 
 
 def _try_admit(controller, request, now_ns):
@@ -106,8 +119,7 @@ def _try_admit(controller, request, now_ns):
 
 
 def _doomed(request, now_ns, estimate_ns):
-    deadline = request.deadline
-    return not deadline.unbounded and not now_ns + estimate_ns <= deadline.at_ns
+    return not now_ns + estimate_ns <= request.deadline_ns
 
 
 def _complete(controller, request, now_ns, latency_ns):

@@ -8,7 +8,6 @@ from repro.apps.spark import (
     SPARK_CONFIGS,
     ExecutorSpec,
     SparkAppSpec,
-    SparkQueryRunner,
     build_cluster_config,
     measure_cost_model_inputs,
     network_time_ns,
@@ -185,7 +184,7 @@ class TestFig7Shape:
 
     def test_hot_promote_over_34_percent_slowdown(self, slowdowns):
         """§4.2.2: Hot-Promote shows >34 % slowdown vs MMEM on Spark."""
-        for q, ratio in slowdowns["hot-promote"].items():
+        for ratio in slowdowns["hot-promote"].values():
             assert ratio >= 1.34
 
     def test_hot_promote_better_than_plain_interleave(self, slowdowns):
@@ -204,7 +203,7 @@ class TestFig7Shape:
     def test_spill_dominated_by_shuffle(self, results):
         """Fig. 7(b): 'shuffling overshadows the total execution time due
         to the intensification of data spill issues'."""
-        for q, r in results["spill-0.6"].items():
+        for r in results["spill-0.6"].values():
             assert r.shuffle_fraction > 0.9
         for q, r in results["mmem"].items():
             assert r.shuffle_fraction < results["spill-0.6"][q].shuffle_fraction

@@ -104,5 +104,5 @@ class TestSimulation:
 
     def test_spr_preset(self):
         levels = sapphire_rapids_caches()
-        assert [l.name for l in levels] == ["L1D", "L2", "L3"]
+        assert [level.name for level in levels] == ["L1D", "L2", "L3"]
         assert levels[0].capacity_bytes < levels[1].capacity_bytes < levels[2].capacity_bytes

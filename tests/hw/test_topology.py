@@ -195,8 +195,6 @@ class TestAllocation:
         assert to_gb_per_s(res.achieved["f"]) == pytest.approx(67.0 * 4, rel=0.01)
 
     def test_duplicate_resource_name_rejected(self):
-        from repro.hw.topology import Platform
-
         p = paper_cxl_platform()
         from repro.hw.bandwidth import PeakBandwidthCurve
         from repro.hw.device import SharedResource

@@ -230,7 +230,7 @@ class TestThrashingBehaviour:
         def run(auto_adjust):
             space, dram, cxl = make_space(mmem_cap_pages=64)
             space.allocate_pages(64, BindPolicy(dram))
-            pages = space.allocate_pages(192, BindPolicy(cxl))
+            space.allocate_pages(192, BindPolicy(cxl))
             rng = np.random.default_rng(7)
             daemon = HotPageSelectionDaemon(
                 space, dram, cxl,

@@ -1,9 +1,9 @@
-"""Token-bucket and concurrency limiters."""
+"""The token-bucket limiter."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.overload import ConcurrencyLimiter, TokenBucketLimiter
+from repro.overload import TokenBucketLimiter
 
 
 class TestTokenBucket:
@@ -12,8 +12,6 @@ class TestTokenBucket:
             TokenBucketLimiter(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             TokenBucketLimiter(1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            TokenBucketLimiter(1.0, 1.0).try_acquire(0.0, amount=-1.0)
 
     def test_burst_then_rate_limited(self):
         # 1000 ops/s, burst 2: two immediate admits, then dry.
@@ -32,16 +30,3 @@ class TestTokenBucket:
         bucket = TokenBucketLimiter(1000.0, 2.0)
         assert bucket.tokens(1e12) == pytest.approx(2.0)
 
-
-class TestConcurrencyLimiter:
-    def test_acquire_release_cycle(self):
-        limiter = ConcurrencyLimiter(2)
-        assert limiter.try_acquire() and limiter.try_acquire()
-        assert not limiter.try_acquire()
-        limiter.release()
-        assert limiter.in_flight == 1
-        assert limiter.try_acquire()
-
-    def test_release_without_acquire_raises(self):
-        with pytest.raises(ConfigurationError):
-            ConcurrencyLimiter(1).release()

@@ -8,7 +8,7 @@ import pytest
 from repro.cache import SweepCache
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
 
-from .test_jobs import DEMO, reference_bytes
+from .test_jobs import DEMO, _wait_terminal, reference_bytes
 
 #: Slow demo payload a test can observe mid-flight.
 SLOW = dict(DEMO, points=6, sleep_s=0.3)
@@ -66,6 +66,23 @@ class TestJobsOverHttp:
         landed = client.wait(record["id"], timeout_s=60.0)
         assert landed["state"] == "done"
         assert client.result(record["id"]) == reference_bytes(DEMO)
+
+    def test_201_body_is_the_record_as_admitted(self, server, client,
+                                                monkeypatch):
+        """The job may finish before the response is written; the body
+        still shows it as it was admitted."""
+        manager = server.manager
+        real_submit = manager.submit
+
+        def submit_then_finish(payload):
+            admitted = real_submit(payload)
+            _wait_terminal(manager, admitted[1].id)
+            return admitted
+
+        monkeypatch.setattr(manager, "submit", submit_then_finish)
+        response = client.submit(DEMO)
+        assert response.status == 201
+        assert response.json["state"] == "queued"
 
     def test_job_table_lists_submissions(self, client):
         job_id = client.submit(DEMO).json["id"]
@@ -185,7 +202,7 @@ class TestDrain:
         )
         assert server.stop() is True  # checkpointed inside the budget
         # The manager refuses new work after the drain.
-        decision, job = server.manager.submit(DEMO)
+        decision, job, _ = server.manager.submit(DEMO)
         assert not decision.admitted and decision.reason == "draining"
         # The interrupted job is still `running` on disk for the next
         # boot to requeue — the SIGTERM-resume contract.

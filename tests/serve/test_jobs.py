@@ -90,7 +90,7 @@ class TestSweepSpecs:
 
 class TestLifecycle:
     def test_demo_job_runs_to_done(self, manager):
-        decision, job = manager.submit(DEMO)
+        decision, job, _ = manager.submit(DEMO)
         assert decision.admitted
         landed = _wait_terminal(manager, job.id)
         assert landed.state is JobState.DONE
@@ -99,13 +99,26 @@ class TestLifecycle:
         assert events[0] == "queued" and events[-1] == "done"
         assert events.count("point") == 3
 
+    def test_queued_event_precedes_running(self, manager, monkeypatch):
+        real_emit = Job.emit
+
+        def slow_queued(job, event):
+            if event["event"] == "queued":
+                time.sleep(0.2)  # past the scheduler's 50 ms poll
+            real_emit(job, event)
+
+        monkeypatch.setattr(Job, "emit", slow_queued)
+        _, job, _ = manager.submit(DEMO)
+        landed = _wait_terminal(manager, job.id)
+        assert [e["event"] for e in landed.events[:2]] == ["queued", "running"]
+
     def test_result_is_byte_identical_to_cli_merge(self, manager):
-        _, job = manager.submit(DEMO)
+        _, job, _ = manager.submit(DEMO)
         _wait_terminal(manager, job.id)
         assert manager.result_bytes(job.id) == reference_bytes(DEMO)
 
     def test_done_job_clears_its_resume_manifest(self, manager):
-        _, job = manager.submit(DEMO)
+        _, job, _ = manager.submit(DEMO)
         _wait_terminal(manager, job.id)
         assert load_resume_manifest(manager.cache, "serve-demo-3x64") is None
 
@@ -117,7 +130,7 @@ class TestLifecycle:
         assert manager.list_jobs() == []
 
     def test_quarantine_when_retries_exhausted(self, manager):
-        _, job = manager.submit(dict(
+        _, job, _ = manager.submit(dict(
             DEMO, retries=0,
             chaos={"transient_prob": 1.0, "max_faulty_attempts": 3},
         ))
@@ -131,7 +144,7 @@ class TestLifecycle:
             DEMO, retries=3,
             chaos={"transient_prob": 0.8, "max_faulty_attempts": 1},
         )
-        _, job = manager.submit(payload)
+        _, job, _ = manager.submit(payload)
         landed = _wait_terminal(manager, job.id)
         assert landed.state is JobState.DONE
         # Values never feel the faults: same bytes as the clean run.
@@ -143,13 +156,13 @@ class TestCancellation:
         cache = SweepCache(root=str(tmp_path / "cache"))
         manager = JobManager(_config(), cache=cache)
         # Scheduler not started: submissions stay queued.
-        _, job = manager.submit(DEMO)
+        _, job, _ = manager.submit(DEMO)
         cancelled = manager.cancel(job.id)
         assert cancelled.state is JobState.CANCELLED
         assert cancelled.reason == "cancelled by client"
 
     def test_cancel_running_job_checkpoints(self, manager):
-        _, job = manager.submit(dict(DEMO, points=6, sleep_s=0.2))
+        _, job, _ = manager.submit(dict(DEMO, points=6, sleep_s=0.2))
         deadline = time.monotonic() + 30.0
         while manager.get(job.id).state is not JobState.RUNNING:
             assert time.monotonic() < deadline
@@ -167,7 +180,7 @@ class TestCancellation:
         """A reader woken between the final state and its event must not
         see the job terminal with the event still missing."""
         manager = JobManager(_config(), cache=SweepCache(root=str(tmp_path / "cache")))
-        _, job = manager.submit(DEMO)  # scheduler not started: stays queued
+        _, job, _ = manager.submit(DEMO)  # scheduler not started: stays queued
         journaled = threading.Event()
         real_write = jobs_module.write_journal
 
@@ -195,7 +208,7 @@ class TestCancellation:
 
 class TestDeadlines:
     def test_running_job_past_deadline_fails(self, manager):
-        _, job = manager.submit(dict(DEMO, points=8, sleep_s=0.3,
+        _, job, _ = manager.submit(dict(DEMO, points=8, sleep_s=0.3,
                                      deadline_s=0.4))
         landed = _wait_terminal(manager, job.id)
         assert landed.state is JobState.FAILED
@@ -204,7 +217,7 @@ class TestDeadlines:
     def test_zero_deadline_means_none(self, tmp_path):
         cache = SweepCache(root=str(tmp_path / "cache"))
         manager = JobManager(_config(), cache=cache)
-        _, job = manager.submit(dict(DEMO, deadline_s=0))
+        _, job, _ = manager.submit(dict(DEMO, deadline_s=0))
         assert job.deadline_ns is None
 
 
@@ -215,7 +228,7 @@ class TestShedding:
         # No scheduler: both slots stay queued, the third sheds.
         assert manager.submit(DEMO)[0].admitted
         assert manager.submit(DEMO)[0].admitted
-        decision, job = manager.submit(DEMO)
+        decision, job, _ = manager.submit(DEMO)
         assert not decision.admitted and job is None
         assert decision.reason == "queue-full"
         assert decision.retry_after_s > 0
@@ -231,12 +244,12 @@ class TestShedding:
             cache=cache,
         )
         assert manager.submit(DEMO)[0].admitted
-        decision, _ = manager.submit(DEMO)
+        decision, _, _ = manager.submit(DEMO)
         assert decision.reason == "rate"
 
     def test_draining_sheds_everything(self, manager):
         manager.drain(budget_s=5.0)
-        decision, job = manager.submit(DEMO)
+        decision, job, _ = manager.submit(DEMO)
         assert not decision.admitted
         assert decision.reason == "draining"
 
@@ -284,14 +297,14 @@ class TestRecoveryAndEviction:
         write_journal(os.path.join(cache.root, "serve", "jobs"), old)
         manager = JobManager(_config(), cache=cache)
         manager._recover()
-        _, job = manager.submit(DEMO)
+        _, job, _ = manager.submit(DEMO)
         assert job.seq == 5
         assert job.id == "demo-000005"
 
     def test_eviction_bounds_the_table(self, manager):
         ids = []
         for _ in range(manager.config.table_limit + 2):
-            decision, job = manager.submit(DEMO)
+            decision, job, _ = manager.submit(DEMO)
             assert decision.admitted, decision
             ids.append(job.id)
             _wait_terminal(manager, job.id)
@@ -304,7 +317,7 @@ class TestRecoveryAndEviction:
 
 class TestStats:
     def test_snapshot_shape(self, manager):
-        _, job = manager.submit(DEMO)
+        _, job, _ = manager.submit(DEMO)
         _wait_terminal(manager, job.id)
         stats = manager.stats()
         assert stats["jobs_total"] == 1

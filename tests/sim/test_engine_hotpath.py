@@ -80,7 +80,8 @@ class TestCombinatorPruning:
     def test_anyof_still_fails_on_failing_child(self):
         sim = Simulator()
         never = sim.event()
-        bad = sim.event(); bad.fail(ValueError("x"))
+        bad = sim.event()
+        bad.fail(ValueError("x"))
         race = sim.any_of([never, bad])
         sim.run()
         assert race.failed and isinstance(race.value, ValueError)

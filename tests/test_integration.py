@@ -1,7 +1,6 @@
 """Cross-layer integration tests: the subsystems composed end-to-end."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,6 @@ paper's configurations: conservation, monotonicity, and bounds that the
 analytical models promise.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

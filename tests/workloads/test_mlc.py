@@ -4,7 +4,7 @@ shape checks."""
 import pytest
 
 from repro.errors import WorkloadError
-from repro.hw import PathKind, paper_cxl_platform
+from repro.hw import paper_cxl_platform
 from repro.workloads import MlcProbe
 
 
