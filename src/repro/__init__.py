@@ -18,6 +18,10 @@ The package provides, from the bottom up:
   and the bandwidth-aware placement optimizer;
 * :mod:`repro.analysis` — per-figure experiment runners and rendering.
 
+Every package resolves its exports on first access (:mod:`repro._lazy`),
+so ``import repro`` loads no submodule and no numpy, and each command
+loads only the modules its code path runs.
+
 Quickstart::
 
     from repro import paper_cxl_platform
@@ -28,34 +32,22 @@ Quickstart::
     print(path.idle_latency_ns())          # ~250 ns, §3.2
 """
 
-from .hw import (
-    ANCHORS,
-    PaperAnchors,
-    MemoryPath,
-    PathKind,
-    Platform,
-    ServerSpec,
-    build_platform,
-    paper_baseline_platform,
-    paper_cxl_platform,
-    paper_testbed,
-)
-from .sim import RngFactory, Simulator
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANCHORS",
-    "PaperAnchors",
-    "MemoryPath",
-    "PathKind",
-    "Platform",
-    "ServerSpec",
-    "build_platform",
-    "paper_baseline_platform",
-    "paper_cxl_platform",
-    "paper_testbed",
-    "RngFactory",
-    "Simulator",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ANCHORS": ".hw",
+    "PaperAnchors": ".hw",
+    "MemoryPath": ".hw",
+    "PathKind": ".hw",
+    "Platform": ".hw",
+    "ServerSpec": ".hw",
+    "build_platform": ".hw",
+    "paper_baseline_platform": ".hw",
+    "paper_cxl_platform": ".hw",
+    "paper_testbed": ".hw",
+    "RngFactory": ".sim",
+    "Simulator": ".sim",
+})
+__all__.append("__version__")

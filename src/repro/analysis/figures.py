@@ -24,18 +24,19 @@ under ``"result"``, so a runner and ``repro sweep`` share cache entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.kvstore.server import KeyDbResult
-from ..apps.llm import LLM_CONFIGS, LlmServingExperiment, ServingPoint
-from ..apps.spark import SPARK_CONFIGS
-from ..apps.spark.job import QueryResult
 from ..errors import ConfigurationError
-from ..hw.topology import Platform
 from ..parallel import SweepPoint, SweepSpec, run_sweep, tasks
-from ..sim.rng import DEFAULT_SEED
-from ..workloads.mlc import MlcCurve
+from ..sim.seed import DEFAULT_SEED
 from ..units import GIB
+
+if TYPE_CHECKING:
+    from ..apps.kvstore.result import KeyDbResult
+    from ..apps.llm.serving import ServingPoint
+    from ..apps.spark.job import QueryResult
+    from ..hw.topology import Platform
+    from ..workloads.mlc import MlcCurve
 
 __all__ = [
     "fig3_sweep_spec",
@@ -319,10 +320,15 @@ def fig5_keydb(
 
 
 def fig7_sweep_spec(
-    configs: Sequence[str] = tuple(SPARK_CONFIGS),
+    configs: Optional[Sequence[str]] = None,
     seed: int = DEFAULT_SEED,
 ) -> SweepSpec:
-    """The Fig. 7 configuration columns as a sweep spec."""
+    """The Fig. 7 configuration columns as a sweep spec (default: every
+    configuration of :data:`~repro.apps.spark.cluster.SPARK_CONFIGS`)."""
+    if configs is None:
+        from ..apps.spark.cluster import SPARK_CONFIGS
+
+        configs = tuple(SPARK_CONFIGS)
     return SweepSpec(
         name="fig7",
         task=tasks.fig7_config,
@@ -423,10 +429,15 @@ class Fig10Result:
 
 def fig10_sweep_spec(
     backend_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    configs: Sequence[str] = tuple(LLM_CONFIGS),
+    configs: Optional[Sequence[str]] = None,
     seed: int = DEFAULT_SEED,
 ) -> SweepSpec:
-    """The Fig. 10(a) configuration series as a sweep spec."""
+    """The Fig. 10(a) configuration series as a sweep spec (default: every
+    configuration of :data:`~repro.apps.llm.serving.LLM_CONFIGS`)."""
+    if configs is None:
+        from ..apps.llm.serving import LLM_CONFIGS
+
+        configs = tuple(LLM_CONFIGS)
     return SweepSpec(
         name="fig10",
         task=tasks.fig10_config,
@@ -452,6 +463,8 @@ def fig10_llm(
     supervise=None,
 ) -> Fig10Result:
     """Fig. 10(a)-(c): serving-rate sweep plus both bandwidth probes."""
+    from ..apps.llm.serving import LlmServingExperiment
+
     spec = fig10_sweep_spec(backend_counts=backend_counts)
     sweep = run_sweep(spec, workers=workers, cache=cache,
                       supervise=supervise).raise_failures()

@@ -19,45 +19,24 @@ curves have no analytic model: every backend runs the allocator-backed
   grid and the pinned per-metric tolerances.
 """
 
-from .model import FixedPoint, solve_fixed_point
-from .keydb import (
-    analytic_keydb_config,
-    analytic_keydb_cxl_only,
-    scrambled_key_pmf,
-    zipf_rank_pmf,
-)
-from .select import (
-    ANALYTIC_TARGETS,
-    BACKENDS,
-    estimated_events_avoided,
-    require_analytic,
-    routing_summary,
-    select_backend,
-)
-from .validate import (
-    DEFAULT_FIG5_CELLS,
-    PINNED_TOLERANCES,
-    CalibrationReport,
-    MetricError,
-    run_calibration,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANALYTIC_TARGETS",
-    "BACKENDS",
-    "CalibrationReport",
-    "DEFAULT_FIG5_CELLS",
-    "FixedPoint",
-    "MetricError",
-    "PINNED_TOLERANCES",
-    "analytic_keydb_config",
-    "analytic_keydb_cxl_only",
-    "estimated_events_avoided",
-    "require_analytic",
-    "routing_summary",
-    "run_calibration",
-    "scrambled_key_pmf",
-    "select_backend",
-    "solve_fixed_point",
-    "zipf_rank_pmf",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ANALYTIC_TARGETS": ".select",
+    "BACKENDS": ".select",
+    "CalibrationReport": ".validate",
+    "DEFAULT_FIG5_CELLS": ".validate",
+    "FixedPoint": ".model",
+    "MetricError": ".validate",
+    "PINNED_TOLERANCES": ".validate",
+    "analytic_keydb_config": ".keydb",
+    "analytic_keydb_cxl_only": ".keydb",
+    "estimated_events_avoided": ".select",
+    "require_analytic": ".select",
+    "routing_summary": ".select",
+    "run_calibration": ".validate",
+    "scrambled_key_pmf": ".keydb",
+    "select_backend": ".select",
+    "solve_fixed_point": ".model",
+    "zipf_rank_pmf": ".keydb",
+})

@@ -56,14 +56,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..apps.kvstore.server import MIGRATION_BANDWIDTH, KeyDbResult
+from ..apps.kvstore.result import KeyDbResult
+from ..apps.kvstore.server import MIGRATION_BANDWIDTH
 from ..apps.kvstore.store import ServiceProfile
 from ..errors import ConfigurationError
 from ..hw.presets import paper_cxl_platform
 from ..hw.topology import Platform
 from ..mem.page import Page
 from ..mem.policy import InterleavePolicy, WeightedInterleavePolicy
-from ..sim.rng import DEFAULT_SEED
+from ..sim.seed import DEFAULT_SEED
 from ..sim.stats import LatencyHistogram
 from ..units import KIB, PAGE_SIZE, gb_per_s
 from ..workloads.distributions import ZipfianChooser, fnv_scramble

@@ -1,6 +1,11 @@
 """Application studies: KV store (§4.1/§4.3), Spark (§4.2), LLM (§5)."""
 
-from . import kvstore, llm, spark
-from .replay import ReplayResult, TraceReplayer
+from .._lazy import lazy_exports
 
-__all__ = ["kvstore", "llm", "spark", "ReplayResult", "TraceReplayer"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kvstore": ".kvstore",
+    "llm": ".llm",
+    "spark": ".spark",
+    "ReplayResult": ".replay",
+    "TraceReplayer": ".replay",
+})

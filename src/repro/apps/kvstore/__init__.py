@@ -1,28 +1,18 @@
 """KeyDB-like key-value store: the paper's §4.1/§4.3 application study."""
 
-from .experiment import (
-    TABLE1_CONFIGS,
-    KeyDbExperiment,
-    build_keydb_experiment,
-    run_keydb_config,
-    run_keydb_cxl_only,
-)
-from .des_server import DesKeyDbServer
-from .flash import FlashTier
-from .server import KeyDbResult, KeyDbServer
-from .store import AccessPlan, KeyValueStore, ServiceProfile
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "TABLE1_CONFIGS",
-    "KeyDbExperiment",
-    "build_keydb_experiment",
-    "run_keydb_config",
-    "run_keydb_cxl_only",
-    "DesKeyDbServer",
-    "FlashTier",
-    "KeyDbResult",
-    "KeyDbServer",
-    "AccessPlan",
-    "KeyValueStore",
-    "ServiceProfile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TABLE1_CONFIGS": ".experiment",
+    "KeyDbExperiment": ".experiment",
+    "build_keydb_experiment": ".experiment",
+    "run_keydb_config": ".experiment",
+    "run_keydb_cxl_only": ".experiment",
+    "DesKeyDbServer": ".des_server",
+    "FlashTier": ".flash",
+    "KeyDbResult": ".result",
+    "KeyDbServer": ".server",
+    "AccessPlan": ".store",
+    "KeyValueStore": ".store",
+    "ServiceProfile": ".store",
+})

@@ -47,7 +47,7 @@ from ...overload.policy import REASON_DOOMED, REASON_EXPIRED, OverloadController
 from ...sim.engine import Simulator
 from ...sim.resources import Resource
 from ...workloads.ycsb import YcsbGenerator
-from .server import KeyDbResult
+from .result import KeyDbResult
 from .store import KeyValueStore
 
 __all__ = ["DesKeyDbServer"]

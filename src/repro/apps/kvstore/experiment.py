@@ -33,7 +33,8 @@ from ...sim.rng import DEFAULT_SEED, RngFactory
 from ...units import KIB, PAGE_SIZE, gb_per_s
 from ...workloads.ycsb import WORKLOADS, YcsbGenerator
 from .flash import FlashTier
-from .server import KeyDbResult, KeyDbServer
+from .result import KeyDbResult
+from .server import KeyDbServer
 from .store import KeyValueStore, ServiceProfile
 
 __all__ = [

@@ -32,7 +32,6 @@ each depends on the operations before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,44 +50,16 @@ from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
 from ...mem.page import Page
 from ...mem.tiering.base import TieringDaemon
-from ...sim.stats import Counter, LatencyHistogram
+from ...sim.stats import Counter
 from ...units import gb_per_s
 from ...workloads.ycsb import YcsbGenerator
+from .result import KeyDbResult
 from .store import BatchPlan, KeyValueStore
 
 __all__ = ["KeyDbResult", "KeyDbServer"]
 
 #: Effective single-threaded kernel page-copy bandwidth for migrations.
 MIGRATION_BANDWIDTH = gb_per_s(6.0)
-
-
-@dataclass
-class KeyDbResult:
-    """Outcome of one KeyDB run."""
-
-    ops: int = 0
-    elapsed_ns: float = 0.0
-    read_latency: LatencyHistogram = field(
-        default_factory=lambda: LatencyHistogram(min_value=50.0)
-    )
-    write_latency: LatencyHistogram = field(
-        default_factory=lambda: LatencyHistogram(min_value=50.0)
-    )
-    counters: Counter = field(default_factory=Counter)
-
-    @property
-    def throughput_ops_per_s(self) -> float:
-        """Aggregate operations per second."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.ops / (self.elapsed_ns / 1e9)
-
-    def tail_latencies_us(self) -> Dict[str, float]:
-        """p50/p95/p99/p99.9 read latencies in microseconds (Fig. 5(b))."""
-        return {
-            f"p{p}": self.read_latency.percentile(p) / 1000.0
-            for p in (50, 95, 99, 99.9)
-        }
 
 
 class KeyDbServer:

@@ -1,20 +1,16 @@
 """CPU LLM inference serving: the paper's §5 application study."""
 
-from .backend import BackendSpec, CpuBackend
-from .kvcache import KvCache
-from .model import ModelSpec, alpaca_7b
-from .router import LlmRouter, ServingResult
-from .serving import LLM_CONFIGS, LlmServingExperiment, ServingPoint
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "BackendSpec",
-    "CpuBackend",
-    "KvCache",
-    "ModelSpec",
-    "alpaca_7b",
-    "LlmRouter",
-    "ServingResult",
-    "LLM_CONFIGS",
-    "LlmServingExperiment",
-    "ServingPoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BackendSpec": ".backend",
+    "CpuBackend": ".backend",
+    "KvCache": ".kvcache",
+    "ModelSpec": ".model",
+    "alpaca_7b": ".model",
+    "LlmRouter": ".router",
+    "ServingResult": ".router",
+    "LLM_CONFIGS": ".serving",
+    "LlmServingExperiment": ".serving",
+    "ServingPoint": ".serving",
+})

@@ -1,31 +1,23 @@
 """Spark-like shuffle engine: the paper's §4.2 application study."""
 
-from .cluster import SPARK_CONFIGS, ClusterConfig, build_cluster_config, tier_bandwidths
-from .executor import ExecutorSpec, SparkAppSpec
-from .experiment import (
-    CostModelInputs,
-    measure_cost_model_inputs,
-    run_spark_config,
-)
-from .job import PhaseCosts, QueryResult, SparkQueryRunner, StageResult
-from .shuffle import SpillPlan, network_time_ns, plan_spill, ssd_time_ns
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "SPARK_CONFIGS",
-    "ClusterConfig",
-    "build_cluster_config",
-    "tier_bandwidths",
-    "ExecutorSpec",
-    "SparkAppSpec",
-    "CostModelInputs",
-    "measure_cost_model_inputs",
-    "run_spark_config",
-    "PhaseCosts",
-    "QueryResult",
-    "SparkQueryRunner",
-    "StageResult",
-    "SpillPlan",
-    "network_time_ns",
-    "plan_spill",
-    "ssd_time_ns",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "SPARK_CONFIGS": ".cluster",
+    "ClusterConfig": ".cluster",
+    "build_cluster_config": ".cluster",
+    "tier_bandwidths": ".cluster",
+    "ExecutorSpec": ".executor",
+    "SparkAppSpec": ".executor",
+    "CostModelInputs": ".experiment",
+    "measure_cost_model_inputs": ".experiment",
+    "run_spark_config": ".experiment",
+    "PhaseCosts": ".job",
+    "QueryResult": ".job",
+    "SparkQueryRunner": ".job",
+    "StageResult": ".job",
+    "SpillPlan": ".shuffle",
+    "network_time_ns": ".shuffle",
+    "plan_spill": ".shuffle",
+    "ssd_time_ns": ".shuffle",
+})

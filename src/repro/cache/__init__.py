@@ -24,60 +24,32 @@ Knobs: ``$REPRO_CACHE_DIR`` (location), ``$REPRO_CACHE_MAX_BYTES``
 ``repro cache {stats,clear,verify}`` for maintenance.
 """
 
-from .fingerprint import (
-    FINGERPRINT_VERSION,
-    canonical_params,
-    code_fingerprint,
-    point_fingerprint,
-    task_name,
-)
-from .manifest import (
-    MANIFEST_SCHEMA,
-    ResumeManifest,
-    clear_resume_manifest,
-    list_resume_manifests,
-    load_resume_manifest,
-    manifest_path,
-    verify_resume_manifests,
-    write_resume_manifest,
-)
-from .obs import register_cache_stats, register_store_snapshot, register_sweep_result
-from .store import (
-    CACHE_DIR_ENV,
-    CACHE_MAX_BYTES_ENV,
-    DEFAULT_MAX_BYTES,
-    CacheEntry,
-    CacheStats,
-    EntryInfo,
-    SweepCache,
-    VerifyReport,
-    default_cache_dir,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_MAX_BYTES_ENV",
-    "DEFAULT_MAX_BYTES",
-    "FINGERPRINT_VERSION",
-    "MANIFEST_SCHEMA",
-    "ResumeManifest",
-    "clear_resume_manifest",
-    "list_resume_manifests",
-    "load_resume_manifest",
-    "manifest_path",
-    "verify_resume_manifests",
-    "write_resume_manifest",
-    "CacheEntry",
-    "CacheStats",
-    "EntryInfo",
-    "SweepCache",
-    "VerifyReport",
-    "canonical_params",
-    "code_fingerprint",
-    "default_cache_dir",
-    "point_fingerprint",
-    "register_cache_stats",
-    "register_store_snapshot",
-    "register_sweep_result",
-    "task_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CACHE_DIR_ENV": ".store",
+    "CACHE_MAX_BYTES_ENV": ".store",
+    "DEFAULT_MAX_BYTES": ".store",
+    "FINGERPRINT_VERSION": ".fingerprint",
+    "MANIFEST_SCHEMA": ".manifest",
+    "ResumeManifest": ".manifest",
+    "clear_resume_manifest": ".manifest",
+    "list_resume_manifests": ".manifest",
+    "load_resume_manifest": ".manifest",
+    "manifest_path": ".manifest",
+    "verify_resume_manifests": ".manifest",
+    "write_resume_manifest": ".manifest",
+    "CacheEntry": ".store",
+    "CacheStats": ".store",
+    "EntryInfo": ".store",
+    "SweepCache": ".store",
+    "VerifyReport": ".store",
+    "canonical_params": ".fingerprint",
+    "code_fingerprint": ".fingerprint",
+    "default_cache_dir": ".store",
+    "point_fingerprint": ".fingerprint",
+    "register_cache_stats": ".obs",
+    "register_store_snapshot": ".obs",
+    "register_sweep_result": ".obs",
+    "task_name": ".fingerprint",
+})

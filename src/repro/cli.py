@@ -48,28 +48,12 @@ no-test-harness path for interactive exploration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigurationError
-from .analysis import (
-    TABLE1,
-    TABLE2_HEADERS,
-    TABLE3,
-    TABLE4,
-    ascii_table,
-    fig3_loaded_latency,
-    fig4_path_comparison,
-    fig5_keydb,
-    fig7_spark,
-    fig8_cxl_only,
-    fig10_llm,
-    table2_rows,
-)
-from .core import AbstractCostModel, ConfigAdvisor, WorkloadProfile
-from .hw.presets import paper_cxl_platform
-from .units import gb_per_s
 
 __all__ = ["main"]
 
@@ -122,6 +106,8 @@ def _guard_backend(args: argparse.Namespace, target: str) -> None:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig3_loaded_latency
+
     panels = fig3_loaded_latency(load_points=8 if args.quick else 24,
                                  backend=args.backend,
                                  workers=args.workers,
@@ -138,6 +124,8 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig4_path_comparison
+
     data = fig4_path_comparison(load_points=8 if args.quick else 24,
                                 backend=args.backend,
                                 workers=args.workers,
@@ -160,6 +148,8 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig5_keydb
+
     scale = (16_384, 20_000) if args.quick else (65_536, 100_000)
     result = fig5_keydb(record_count=scale[0], total_ops=scale[1],
                         backend=args.backend,
@@ -175,6 +165,8 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig7_spark
+
     _guard_backend(args, "fig7")
     results = fig7_spark(workers=args.workers, cache=_open_cache(args),
                          supervise=_supervise(args))
@@ -193,6 +185,8 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig8_cxl_only
+
     scale = (20_480, 20_000) if args.quick else (102_400, 150_000)
     pair = fig8_cxl_only(record_count=scale[0], total_ops=scale[1],
                          backend=args.backend,
@@ -216,6 +210,8 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig10(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table, fig10_llm
+
     _guard_backend(args, "fig10")
     result = fig10_llm(workers=args.workers, cache=_open_cache(args),
                        supervise=_supervise(args))
@@ -235,6 +231,8 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis import TABLE1, TABLE2_HEADERS, TABLE3, TABLE4, ascii_table, table2_rows
+
     print(ascii_table(["configuration", "description"], TABLE1, title="Table 1"))
     print()
     print(ascii_table(TABLE2_HEADERS, table2_rows(), title="Table 2"))
@@ -246,8 +244,17 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    model = AbstractCostModel(r_d=args.r_d, r_c=args.r_c, c=args.c, r_t=args.r_t)
-    est = model.estimate()
+    from .analysis import ascii_table
+    from .core import AbstractCostModel
+    from .errors import CostModelError
+
+    try:
+        model = AbstractCostModel(r_d=args.r_d, r_c=args.r_c, c=args.c, r_t=args.r_t)
+        est = model.estimate()
+        breakeven_r_t = model.breakeven_r_t()
+    except CostModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         ascii_table(
             ["quantity", "value"],
@@ -255,7 +262,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
                 ("N_cxl / N_baseline", f"{est.server_ratio * 100:.2f}%"),
                 ("servers saved", f"{est.servers_saved_fraction * 100:.2f}%"),
                 ("TCO saving", f"{est.tco_saving * 100:.2f}%"),
-                ("breakeven R_t", f"{model.breakeven_r_t():.3f}"),
+                ("breakeven R_t", f"{breakeven_r_t:.3f}"),
             ],
             title="Abstract Cost Model (§6)",
         )
@@ -278,6 +285,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
+    from .core import ConfigAdvisor, WorkloadProfile
+    from .hw.presets import paper_cxl_platform
+    from .units import gb_per_s
+
+    if not math.isfinite(args.working_set_gib):
+        print("error: --working-set-gib must be finite", file=sys.stderr)
+        return 2
     advisor = ConfigAdvisor(paper_cxl_platform(snc_enabled=True))
     profile = WorkloadProfile(
         demand_bytes_per_s=gb_per_s(args.demand_gbps),
@@ -292,6 +306,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults_list(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table
     from .faults import SCENARIOS
 
     rows = [
@@ -306,6 +321,7 @@ def _cmd_faults_list(args: argparse.Namespace) -> int:
 def _cmd_faults_run(args: argparse.Namespace) -> int:
     import json
 
+    from .analysis import ascii_table
     from .errors import ConfigurationError
     from .faults import FAULT_APPS, SCENARIOS, fault_sweep_spec
     from .parallel import run_sweep
@@ -353,8 +369,8 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
 
 def _cmd_overload_sweep(args: argparse.Namespace) -> int:
     import json
-    import math
 
+    from .analysis import ascii_table
     from .errors import ConfigurationError
     from .overload import sweep_offered_load
 
@@ -420,6 +436,7 @@ def _cmd_overload_sweep(args: argparse.Namespace) -> int:
 def _cmd_overload_faults(args: argparse.Namespace) -> int:
     import json
 
+    from .analysis import ascii_table
     from .errors import ConfigurationError
     from .overload import run_fault_comparison
 
@@ -463,6 +480,7 @@ def _observed_run(args: argparse.Namespace, tracing: bool):
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table
     from .errors import ConfigurationError
 
     try:
@@ -496,6 +514,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
+    from .analysis import ascii_table
     from .errors import ConfigurationError
 
     if args.limit < 0:
@@ -654,6 +673,7 @@ def _backend_note(args: argparse.Namespace, spec) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
+    from .analysis import ascii_table
     from .errors import ConfigurationError
     from .parallel import merge_metrics_documents, run_sweep
 
@@ -726,6 +746,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
+    from .analysis import ascii_table
     from .cache import SweepCache, code_fingerprint, register_store_snapshot
 
     cache = SweepCache()
@@ -819,8 +840,10 @@ def _nonnegative_retries(text: str) -> int:
 
 def _positive_timeout(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("point timeout must be > 0 seconds")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            "point timeout must be a finite number of seconds > 0"
+        )
     return value
 
 

@@ -1,34 +1,28 @@
 """The paper's contributions: Abstract Cost Model, spare-core revenue
 model, bandwidth-aware placement, and the configuration advisor."""
 
-from .advisor import Advice, ConfigAdvisor, Severity, WorkloadProfile
-from .cost_model import AbstractCostModel, CostEstimate
-from .cost_sweep import SweepPoint, fixed_cost_r_t, sweep_c, sweep_r_c, sweep_r_t
-from .fleet import ClassPlan, FleetPlan, FleetPlanner, WorkloadClass
-from .placement import BandwidthAwarePlacer, PlacementReport, SplitPoint
-from .pooling import PoolSavingsModel
-from .vcpu import PROCESSOR_SERIES, SpareCoreModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Advice",
-    "ConfigAdvisor",
-    "Severity",
-    "WorkloadProfile",
-    "AbstractCostModel",
-    "CostEstimate",
-    "SweepPoint",
-    "ClassPlan",
-    "FleetPlan",
-    "FleetPlanner",
-    "WorkloadClass",
-    "fixed_cost_r_t",
-    "sweep_c",
-    "sweep_r_c",
-    "sweep_r_t",
-    "BandwidthAwarePlacer",
-    "PoolSavingsModel",
-    "PlacementReport",
-    "SplitPoint",
-    "PROCESSOR_SERIES",
-    "SpareCoreModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Advice": ".advisor",
+    "ConfigAdvisor": ".advisor",
+    "Severity": ".advisor",
+    "WorkloadProfile": ".advisor",
+    "AbstractCostModel": ".cost_model",
+    "CostEstimate": ".cost_model",
+    "SweepPoint": ".cost_sweep",
+    "ClassPlan": ".fleet",
+    "FleetPlan": ".fleet",
+    "FleetPlanner": ".fleet",
+    "WorkloadClass": ".fleet",
+    "fixed_cost_r_t": ".cost_sweep",
+    "sweep_c": ".cost_sweep",
+    "sweep_r_c": ".cost_sweep",
+    "sweep_r_t": ".cost_sweep",
+    "BandwidthAwarePlacer": ".placement",
+    "PoolSavingsModel": ".pooling",
+    "PlacementReport": ".placement",
+    "SplitPoint": ".placement",
+    "PROCESSOR_SERIES": ".vcpu",
+    "SpareCoreModel": ".vcpu",
+})

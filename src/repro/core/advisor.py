@@ -17,6 +17,7 @@ platform:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -61,6 +62,9 @@ class WorkloadProfile:
     spans_sockets: bool = False
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.demand_bytes_per_s)
+                and math.isfinite(self.working_set_bytes)):
+            raise ConfigurationError("demand and working set must be finite")
         if self.demand_bytes_per_s < 0 or self.working_set_bytes < 0:
             raise ConfigurationError("demand and working set must be >= 0")
         if not 0.0 <= self.write_fraction <= 1.0:

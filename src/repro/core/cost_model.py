@@ -28,6 +28,7 @@ tests assert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +68,10 @@ class AbstractCostModel:
     d: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name, value in (("R_d", self.r_d), ("R_c", self.r_c), ("C", self.c),
+                            ("R_t", self.r_t), ("D", self.d)):
+            if value is not None and not math.isfinite(value):
+                raise CostModelError(f"{name} must be finite, got {value!r}")
         if self.r_d <= 1.0:
             raise CostModelError("R_d must exceed 1 (memory must beat SSD)")
         if self.r_c <= 1.0:

@@ -15,30 +15,24 @@ stream of the plan's seed, so the same seed always reproduces the same
 event trace.
 """
 
-from .breaker import BreakerState, CircuitBreaker
-from .injector import FaultInjector
-from .metrics import FaultRecoveryReport, RecoveryTracker
-from .plan import FaultEvent, FaultKind, FaultPlan
-from .retry import RetryPolicy, retry_call
-from .runner import FAULT_APPS, FaultedRunSummary, fault_sweep_spec, run_faulted_app
-from .scenarios import SCENARIOS, Scenario, build_scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_APPS",
-    "BreakerState",
-    "CircuitBreaker",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRecoveryReport",
-    "FaultedRunSummary",
-    "fault_sweep_spec",
-    "RecoveryTracker",
-    "run_faulted_app",
-    "RetryPolicy",
-    "SCENARIOS",
-    "Scenario",
-    "build_scenario",
-    "retry_call",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FAULT_APPS": ".runner",
+    "BreakerState": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "FaultEvent": ".plan",
+    "FaultInjector": ".injector",
+    "FaultKind": ".plan",
+    "FaultPlan": ".plan",
+    "FaultRecoveryReport": ".metrics",
+    "FaultedRunSummary": ".runner",
+    "fault_sweep_spec": ".runner",
+    "RecoveryTracker": ".metrics",
+    "run_faulted_app": ".runner",
+    "RetryPolicy": ".retry",
+    "SCENARIOS": ".scenarios",
+    "Scenario": ".scenarios",
+    "build_scenario": ".scenarios",
+    "retry_call": ".retry",
+})

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.rng import DEFAULT_SEED
+from ..sim.seed import DEFAULT_SEED
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 

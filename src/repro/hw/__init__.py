@@ -6,56 +6,40 @@ tiering policies, application simulations, the cost model — consumes the
 surfaces defined here.
 """
 
-from .bandwidth import PeakBandwidthCurve, write_fraction_of_mix
-from .calibration import ANCHORS, PaperAnchors, path_bandwidth_curve, path_latency_model
-from .device import MemoryNode, NodeKind, SharedResource, SsdDevice
-from .latency import IdleLatency, LoadedLatencyModel, QueueingModel
-from .paths import MemoryPath, PathKind
-from .pooling import CxlSwitch, MemoryPool, PoolSlice
-from .presets import (
-    a1000_card,
-    paper_baseline_platform,
-    paper_baseline_server_spec,
-    paper_cxl_platform,
-    paper_cxl_server_spec,
-    paper_testbed,
-    sapphire_rapids_cpu,
-)
-from .spec import CpuSpec, CxlDeviceSpec, DimmSpec, NicSpec, ServerSpec, SsdSpec
-from .topology import Platform, build_platform
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PeakBandwidthCurve",
-    "write_fraction_of_mix",
-    "ANCHORS",
-    "PaperAnchors",
-    "path_bandwidth_curve",
-    "path_latency_model",
-    "MemoryNode",
-    "NodeKind",
-    "SharedResource",
-    "SsdDevice",
-    "IdleLatency",
-    "LoadedLatencyModel",
-    "QueueingModel",
-    "MemoryPath",
-    "PathKind",
-    "CxlSwitch",
-    "MemoryPool",
-    "PoolSlice",
-    "a1000_card",
-    "paper_baseline_platform",
-    "paper_baseline_server_spec",
-    "paper_cxl_platform",
-    "paper_cxl_server_spec",
-    "paper_testbed",
-    "sapphire_rapids_cpu",
-    "CpuSpec",
-    "CxlDeviceSpec",
-    "DimmSpec",
-    "NicSpec",
-    "ServerSpec",
-    "SsdSpec",
-    "Platform",
-    "build_platform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PeakBandwidthCurve": ".bandwidth",
+    "write_fraction_of_mix": ".bandwidth",
+    "ANCHORS": ".calibration",
+    "PaperAnchors": ".calibration",
+    "path_bandwidth_curve": ".calibration",
+    "path_latency_model": ".calibration",
+    "MemoryNode": ".device",
+    "NodeKind": ".device",
+    "SharedResource": ".device",
+    "SsdDevice": ".device",
+    "IdleLatency": ".latency",
+    "LoadedLatencyModel": ".latency",
+    "QueueingModel": ".latency",
+    "MemoryPath": ".paths",
+    "PathKind": ".paths",
+    "CxlSwitch": ".pooling",
+    "MemoryPool": ".pooling",
+    "PoolSlice": ".pooling",
+    "a1000_card": ".presets",
+    "paper_baseline_platform": ".presets",
+    "paper_baseline_server_spec": ".presets",
+    "paper_cxl_platform": ".presets",
+    "paper_cxl_server_spec": ".presets",
+    "paper_testbed": ".presets",
+    "sapphire_rapids_cpu": ".presets",
+    "CpuSpec": ".spec",
+    "CxlDeviceSpec": ".spec",
+    "DimmSpec": ".spec",
+    "NicSpec": ".spec",
+    "ServerSpec": ".spec",
+    "SsdSpec": ".spec",
+    "Platform": ".topology",
+    "build_platform": ".topology",
+})

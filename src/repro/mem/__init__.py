@@ -6,42 +6,24 @@ with the promotion rate limit, and a TPP-style alternative — all
 operating on page-granular address spaces over the hardware model.
 """
 
-from .address_space import AddressSpace, MemoryInventory
-from .page import Page
-from .qos import BandwidthRegulator, LatencyGuard
-from .policy import (
-    BindPolicy,
-    InterleavePolicy,
-    MemPolicy,
-    PreferredPolicy,
-    WeightedInterleavePolicy,
-)
-from .tiering import (
-    HotPageSelectionDaemon,
-    MigrationRound,
-    NumaBalancingDaemon,
-    TieringDaemon,
-    TieringStats,
-    TppDaemon,
-)
-from . import numactl
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "MemoryInventory",
-    "Page",
-    "BandwidthRegulator",
-    "LatencyGuard",
-    "BindPolicy",
-    "InterleavePolicy",
-    "MemPolicy",
-    "PreferredPolicy",
-    "WeightedInterleavePolicy",
-    "HotPageSelectionDaemon",
-    "MigrationRound",
-    "NumaBalancingDaemon",
-    "TieringDaemon",
-    "TieringStats",
-    "TppDaemon",
-    "numactl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AddressSpace": ".address_space",
+    "MemoryInventory": ".address_space",
+    "Page": ".page",
+    "BandwidthRegulator": ".qos",
+    "LatencyGuard": ".qos",
+    "BindPolicy": ".policy",
+    "InterleavePolicy": ".policy",
+    "MemPolicy": ".policy",
+    "PreferredPolicy": ".policy",
+    "WeightedInterleavePolicy": ".policy",
+    "HotPageSelectionDaemon": ".tiering",
+    "MigrationRound": ".tiering",
+    "NumaBalancingDaemon": ".tiering",
+    "TieringDaemon": ".tiering",
+    "TieringStats": ".tiering",
+    "TppDaemon": ".tiering",
+    "numactl": ".numactl",
+})

@@ -1,15 +1,12 @@
 """Kernel tiering daemons: NUMA balancing, hot-page selection (RPRL), TPP."""
 
-from .base import MigrationRound, TieringDaemon, TieringStats
-from .hot_page import HotPageSelectionDaemon
-from .numa_balancing import NumaBalancingDaemon
-from .tpp import TppDaemon
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "MigrationRound",
-    "TieringDaemon",
-    "TieringStats",
-    "HotPageSelectionDaemon",
-    "NumaBalancingDaemon",
-    "TppDaemon",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "MigrationRound": ".base",
+    "TieringDaemon": ".base",
+    "TieringStats": ".base",
+    "HotPageSelectionDaemon": ".hot_page",
+    "NumaBalancingDaemon": ".numa_balancing",
+    "TppDaemon": ".tpp",
+})

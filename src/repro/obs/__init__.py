@@ -17,31 +17,21 @@ Three pieces, all deterministic and all off the hot path by default:
 YCSB-on-CXL run via :func:`~repro.obs.run.run_observed_keydb`.
 """
 
-from .profile import EngineProfile
-from .registry import (
-    CounterFamily,
-    GaugeFamily,
-    HistogramFamily,
-    MetricsRegistry,
-    Sample,
-    histogram_samples,
-)
-from .run import ObservedRun, run_observed_keydb
-from .tracing import NULL_TRACER, NullTracer, OpTrace, Span, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CounterFamily",
-    "EngineProfile",
-    "GaugeFamily",
-    "HistogramFamily",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "ObservedRun",
-    "OpTrace",
-    "Sample",
-    "Span",
-    "Tracer",
-    "histogram_samples",
-    "run_observed_keydb",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CounterFamily": ".registry",
+    "EngineProfile": ".profile",
+    "GaugeFamily": ".registry",
+    "HistogramFamily": ".registry",
+    "MetricsRegistry": ".registry",
+    "NULL_TRACER": ".tracing",
+    "NullTracer": ".tracing",
+    "ObservedRun": ".run",
+    "OpTrace": ".tracing",
+    "Sample": ".registry",
+    "Span": ".tracing",
+    "Tracer": ".tracing",
+    "histogram_samples": ".registry",
+    "run_observed_keydb": ".run",
+})

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim.rng import DEFAULT_SEED
+from ..sim.seed import DEFAULT_SEED
 from .profile import EngineProfile
 from .registry import MetricsRegistry, histogram_samples
 from .tracing import NULL_TRACER, Tracer

@@ -10,25 +10,16 @@ which takes an :class:`OverloadController`).  ``repro serve`` reuses
 only the :class:`TokenBucketLimiter`, on the host clock.
 """
 
-from .limiter import TokenBucketLimiter
-from .metrics import OverloadMetrics
-from .policy import OverloadController, OverloadPolicy
-from .runner import (
-    OverloadRunSummary,
-    calibrate_capacity_ops_per_s,
-    run_fault_comparison,
-    run_offered_load,
-    sweep_offered_load,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TokenBucketLimiter",
-    "OverloadMetrics",
-    "OverloadPolicy",
-    "OverloadController",
-    "OverloadRunSummary",
-    "calibrate_capacity_ops_per_s",
-    "run_offered_load",
-    "sweep_offered_load",
-    "run_fault_comparison",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TokenBucketLimiter": ".limiter",
+    "OverloadMetrics": ".metrics",
+    "OverloadPolicy": ".policy",
+    "OverloadController": ".policy",
+    "OverloadRunSummary": ".runner",
+    "calibrate_capacity_ops_per_s": ".runner",
+    "run_offered_load": ".runner",
+    "sweep_offered_load": ".runner",
+    "run_fault_comparison": ".runner",
+})

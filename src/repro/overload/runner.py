@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
 from ..faults.scenarios import build_scenario
-from ..sim.rng import DEFAULT_SEED
+from ..sim.seed import DEFAULT_SEED
 from .policy import OverloadController, OverloadPolicy
 
 __all__ = [
@@ -135,8 +135,6 @@ def _fresh_server(
     tracer=None,
 ):
     """A brand-new DES server + generator (state is never reused)."""
-    # Imported here, not at module top: the DES server imports
-    # repro.overload, so a top-level import would be circular.
     from ..apps.kvstore.des_server import DesKeyDbServer
     from ..apps.kvstore.experiment import build_keydb_experiment
     from ..obs.tracing import NULL_TRACER

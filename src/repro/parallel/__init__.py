@@ -28,51 +28,36 @@ results **bit-identical** to a serial run:
   the figure benchmarks, ``repro overload sweep``, the fault catalog and
   ``repro sweep``.
 
+Importing the package loads none of these modules: its exports resolve
+on first use, so a spawned worker loads only the supervisor and the
+stack of its own task, and ``python -m repro.parallel.chaos`` runs a
+module no package import has loaded before.
+
 See ``docs/architecture.md`` ("Parallel experiment runner" and "Runner
 robustness") for the determinism contract and the failure model.
 """
 
-# NB: .chaos is deliberately not imported here — it is `python -m
-# repro.parallel.chaos`'s __main__, and an eager package-level import
-# would make runpy re-execute it with a RuntimeWarning.
-from . import supervisor, tasks
-from .jobs import (
-    PointError,
-    PointResult,
-    SweepExecutionError,
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    derive_seed,
-)
-from .merge import (
-    merge_metrics_documents,
-    merged_metrics_json,
-    register_point_samples,
-)
-from .obs import register_runner_health
-from .runner import WORKERS_ENV, last_run_health, resolve_workers, run_sweep
-from .supervisor import RunnerHealth, SupervisorConfig, current_attempt
+from .._lazy import lazy_exports
 
-__all__ = [
-    "derive_seed",
-    "SweepPoint",
-    "SweepSpec",
-    "PointError",
-    "PointResult",
-    "SweepResult",
-    "SweepExecutionError",
-    "SupervisorConfig",
-    "RunnerHealth",
-    "current_attempt",
-    "merge_metrics_documents",
-    "merged_metrics_json",
-    "register_point_samples",
-    "register_runner_health",
-    "WORKERS_ENV",
-    "last_run_health",
-    "resolve_workers",
-    "run_sweep",
-    "supervisor",
-    "tasks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "derive_seed": ".jobs",
+    "SweepPoint": ".jobs",
+    "SweepSpec": ".jobs",
+    "PointError": ".jobs",
+    "PointResult": ".jobs",
+    "SweepResult": ".jobs",
+    "SweepExecutionError": ".jobs",
+    "SupervisorConfig": ".supervisor",
+    "RunnerHealth": ".supervisor",
+    "current_attempt": ".supervisor",
+    "merge_metrics_documents": ".merge",
+    "merged_metrics_json": ".merge",
+    "register_point_samples": ".merge",
+    "register_runner_health": ".obs",
+    "WORKERS_ENV": ".runner",
+    "last_run_health": ".runner",
+    "resolve_workers": ".runner",
+    "run_sweep": ".runner",
+    "supervisor": ".supervisor",
+    "tasks": ".tasks",
+})

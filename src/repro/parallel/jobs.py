@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.rng import DEFAULT_SEED
+from ..sim.seed import DEFAULT_SEED
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..cache.store import CacheStats

@@ -29,33 +29,22 @@ all progress after a crash — and the resumed merge is byte-identical
 to ``repro sweep <target> --json``.
 """
 
-from .app import BackgroundServer, ServeApp, serve_forever
-from .client import ServeClient, ServeResponse
-from .jobs import JobManager, build_sweep_spec, demo_sweep_spec
-from .obs import register_serve_stats
-from .protocol import (
-    JOB_SCHEMA,
-    JOB_TARGETS,
-    Job,
-    JobSpec,
-    JobState,
-    ServeConfig,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JOB_SCHEMA",
-    "JOB_TARGETS",
-    "Job",
-    "JobSpec",
-    "JobState",
-    "ServeConfig",
-    "JobManager",
-    "build_sweep_spec",
-    "demo_sweep_spec",
-    "ServeApp",
-    "BackgroundServer",
-    "serve_forever",
-    "ServeClient",
-    "ServeResponse",
-    "register_serve_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "JOB_SCHEMA": ".protocol",
+    "JOB_TARGETS": ".protocol",
+    "Job": ".protocol",
+    "JobSpec": ".protocol",
+    "JobState": ".protocol",
+    "ServeConfig": ".protocol",
+    "JobManager": ".jobs",
+    "build_sweep_spec": ".jobs",
+    "demo_sweep_spec": ".jobs",
+    "ServeApp": ".app",
+    "BackgroundServer": ".app",
+    "serve_forever": ".app",
+    "ServeClient": ".client",
+    "ServeResponse": ".client",
+    "register_serve_stats": ".obs",
+})

@@ -5,30 +5,25 @@ This subpackage is application-agnostic.  The hardware model
 (:mod:`repro.apps`) generate traffic and operations on top.
 """
 
-from .engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from .monitor import BandwidthMonitor
-from .resources import Resource
-from .rng import DEFAULT_SEED, RngFactory
-from .stats import CdfPoint, Counter, LatencyHistogram, RunningStat, TimeSeries
-from .traffic import AllocationResult, TrafficDemand, max_min_allocate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Process",
-    "Simulator",
-    "Timeout",
-    "BandwidthMonitor",
-    "Resource",
-    "DEFAULT_SEED",
-    "RngFactory",
-    "CdfPoint",
-    "Counter",
-    "LatencyHistogram",
-    "RunningStat",
-    "TimeSeries",
-    "AllocationResult",
-    "TrafficDemand",
-    "max_min_allocate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AllOf": ".engine",
+    "AnyOf": ".engine",
+    "Event": ".engine",
+    "Process": ".engine",
+    "Simulator": ".engine",
+    "Timeout": ".engine",
+    "BandwidthMonitor": ".monitor",
+    "Resource": ".resources",
+    "DEFAULT_SEED": ".seed",
+    "RngFactory": ".rng",
+    "CdfPoint": ".stats",
+    "Counter": ".stats",
+    "LatencyHistogram": ".stats",
+    "RunningStat": ".stats",
+    "TimeSeries": ".stats",
+    "AllocationResult": ".traffic",
+    "TrafficDemand": ".traffic",
+    "max_min_allocate": ".traffic",
+})

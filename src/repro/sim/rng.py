@@ -17,10 +17,9 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RngFactory", "DEFAULT_SEED"]
+from .seed import DEFAULT_SEED
 
-#: Seed used by experiment presets when the caller does not supply one.
-DEFAULT_SEED = 0xC0FFEE
+__all__ = ["RngFactory", "DEFAULT_SEED"]
 
 
 class RngFactory:

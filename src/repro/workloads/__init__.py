@@ -1,50 +1,32 @@
 """Workload generators: MLC probe, YCSB, TPC-H profiles, LLM traces."""
 
-from .distributions import (
-    KeyChooser,
-    LatestChooser,
-    ScrambledZipfianChooser,
-    UniformChooser,
-    ZipfianChooser,
-)
-from .llm_trace import ChatRequest, chat_trace
-from .mlc import PAPER_MIXES, MlcCurve, MlcPoint, MlcProbe
-from .tpch import PAPER_QUERY_NAMES, QueryProfile, QueryStage, paper_queries
-from .trace import (
-    PageTrace,
-    graph_walk_trace,
-    sequential_trace,
-    strided_trace,
-    uniform_trace,
-    zipfian_trace,
-)
-from .ycsb import WORKLOADS, Operation, OpType, YcsbGenerator, YcsbSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KeyChooser",
-    "LatestChooser",
-    "ScrambledZipfianChooser",
-    "UniformChooser",
-    "ZipfianChooser",
-    "ChatRequest",
-    "chat_trace",
-    "PAPER_MIXES",
-    "MlcCurve",
-    "MlcPoint",
-    "MlcProbe",
-    "PAPER_QUERY_NAMES",
-    "QueryProfile",
-    "QueryStage",
-    "paper_queries",
-    "PageTrace",
-    "graph_walk_trace",
-    "sequential_trace",
-    "strided_trace",
-    "uniform_trace",
-    "zipfian_trace",
-    "WORKLOADS",
-    "Operation",
-    "OpType",
-    "YcsbGenerator",
-    "YcsbSpec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "KeyChooser": ".distributions",
+    "LatestChooser": ".distributions",
+    "ScrambledZipfianChooser": ".distributions",
+    "UniformChooser": ".distributions",
+    "ZipfianChooser": ".distributions",
+    "ChatRequest": ".llm_trace",
+    "chat_trace": ".llm_trace",
+    "PAPER_MIXES": ".mlc",
+    "MlcCurve": ".mlc",
+    "MlcPoint": ".mlc",
+    "MlcProbe": ".mlc",
+    "PAPER_QUERY_NAMES": ".tpch",
+    "QueryProfile": ".tpch",
+    "QueryStage": ".tpch",
+    "paper_queries": ".tpch",
+    "PageTrace": ".trace",
+    "graph_walk_trace": ".trace",
+    "sequential_trace": ".trace",
+    "strided_trace": ".trace",
+    "uniform_trace": ".trace",
+    "zipfian_trace": ".trace",
+    "WORKLOADS": ".ycsb",
+    "Operation": ".ycsb",
+    "OpType": ".ycsb",
+    "YcsbGenerator": ".ycsb",
+    "YcsbSpec": ".ycsb",
+})

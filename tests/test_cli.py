@@ -30,6 +30,18 @@ class TestCommands:
         assert main(["cost", "--r-d", "5", "--r-c", "4", "--c", "1", "--r-t", "1.0"]) == 0
         assert "TCO saving" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--r-d", "0"], ["--r-t", "-1"], ["--r-d", "nan"], ["--r-d", "inf"],
+        ["--r-t", "nan"],
+    ])
+    def test_cost_rejects_bad_parameters(self, capsys, flags):
+        # Out-of-domain values raise CostModelError; NaN and inf pass
+        # every `<=` check and would print a "nan%" table.
+        assert main(["cost", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_tables(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
@@ -65,6 +77,18 @@ class TestCommands:
     def test_advise_low_demand(self, capsys):
         assert main(["advise", "--demand-gbps", "5"]) == 0
         assert "dram-only-ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--working-set-gib", "nan"], ["--working-set-gib", "inf"],
+        ["--demand-gbps", "nan"], ["--demand-gbps", "inf"],
+    ])
+    def test_advise_rejects_non_finite_values(self, capsys, flags):
+        # int() of a non-finite working set raises; a NaN demand fails
+        # every comparison and an infinite one yields contradictory advice.
+        assert main(["advise", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_faults_list(self, capsys):
         assert main(["faults", "list"]) == 0
@@ -194,6 +218,12 @@ class TestRobustnessFlags:
             parser.parse_args(["fig5", "--point-timeout", "0"])
         with pytest.raises(SystemExit):
             parser.parse_args(["fig5", "--retries", "-1"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_timeout_rejected(self, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "fig5", "--point-timeout", value])
+        assert exc.value.code == 2
 
     def test_tables_has_no_robustness_flags(self):
         with pytest.raises(SystemExit):
