@@ -19,7 +19,7 @@ miss probability proportional to the spilled fraction.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,28 @@ class FlashTier:
             self.evictions += 1
         self._resident[key] = None
 
+    def register_values(self, keys: range) -> None:
+        """:meth:`register_value` for each of ``keys``, in order.
+
+        None of ``keys`` may be registered yet.  The values that the
+        per-key calls would insert and then evict again are never
+        inserted: the LRU order and ``evictions`` end where the per-key
+        calls leave them.
+        """
+        resident = self._resident
+        self.total_values += len(keys)
+        overflow = len(resident) + len(keys) - self.capacity_values
+        if overflow > 0:
+            # The first ``overflow`` values of the LRU order, then of
+            # ``keys``, are evicted.
+            self.evictions += overflow
+            old = min(overflow, len(resident))
+            for _ in range(old):
+                resident.popitem(last=False)
+            keys = keys[overflow - old:]
+        for key in keys:
+            resident[key] = None
+
     @property
     def spilled_fraction(self) -> float:
         """Fraction of the dataset that does not fit in memory."""
@@ -135,6 +157,63 @@ class FlashTier:
             self._resident.popitem(last=False)
             self.evictions += 1
         self._resident[key] = None
+
+    def access_many(
+        self, keys: List[int], inserts: Sequence[Tuple[int, range]] = ()
+    ) -> np.ndarray:
+        """Serve ``keys`` in order; True where an access reads the SSD.
+
+        Leaves the tier, its counters and its rng as :meth:`access`
+        called key by key does, with :meth:`register_values` of ``new``
+        just before the access ``keys[i]`` for each ``(i, new)`` of
+        ``inserts`` (in ascending ``i``).
+
+        The LRU walk stays per access, because residency depends on the
+        accesses before.  But a resident value moves to the LRU end
+        whether its churn draw hits or misses, so the walk never reads
+        the draws: they are drawn after it, one per resident access, as
+        one block (PCG64's ``random(k)`` returns the variates ``k``
+        scalar calls return).
+        """
+        resident = self._resident
+        capacity = self.capacity_values
+        faulted: List[int] = []  # accesses of values not resident
+        drawn: List[int] = []  # resident accesses that draw for churn
+        stretches: List[Tuple[int, float]] = []  # (draws, churn) per stretch
+        evictions = 0
+        start = 0
+        for stop, new in [*inserts, (len(keys), range(0))]:
+            churn = self.cache_inefficiency * self.spilled_fraction
+            found: List[int] = []
+            for i, key in enumerate(keys[start:stop], start):
+                if key in resident:
+                    resident.move_to_end(key)
+                    found.append(i)
+                else:
+                    if len(resident) >= capacity:
+                        resident.popitem(last=False)
+                        evictions += 1
+                    resident[key] = None
+                    faulted.append(i)
+            if churn > 0.0:
+                stretches.append((len(found), churn))
+                drawn += found
+            else:
+                self.hits += len(found)
+            self.register_values(new)
+            start = stop
+        self.evictions += evictions
+        read = np.zeros(len(keys), dtype=bool)
+        read[faulted] = True
+        churned = 0
+        if drawn:
+            counts, churns = zip(*stretches)
+            missed = self._rng.random(len(drawn)) < np.repeat(churns, counts)
+            read[np.array(drawn)[missed]] = True
+            churned = int(np.count_nonzero(missed))
+        self.faults += len(faulted) + churned
+        self.hits += len(drawn) - churned
+        return read
 
     # -- costing ---------------------------------------------------------------
 

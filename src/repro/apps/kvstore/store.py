@@ -30,7 +30,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...mem.address_space import AddressSpace
-from ...mem.page import Page
+from ...mem.page import Page, touch_pages
 from ...mem.policy import MemPolicy
 from ...units import KIB
 from .flash import FlashTier
@@ -148,14 +148,16 @@ class KeyValueStore:
             return -(-records // self.values_per_page)
         return records * self._pages_per_value
 
-    def _grow_to(self, record_count: int) -> None:
+    def _grow_pages_to(self, record_count: int) -> None:
         needed = self._pages_needed(record_count)
         if needed > len(self.pages):
             new = self.space.allocate_pages(needed - len(self.pages), self.policy)
             self.pages.extend(new)
+
+    def _grow_to(self, record_count: int) -> None:
+        self._grow_pages_to(record_count)
         if self.flash is not None:
-            for key in range(self.record_count, record_count):
-                self.flash.register_value(key)
+            self.flash.register_values(range(self.record_count, record_count))
         self.record_count = max(self.record_count, record_count)
 
     def page_of(self, key: int) -> Page:
@@ -231,10 +233,10 @@ class KeyValueStore:
         """Plan a batch of SETs (``is_write``) and GETs, in operation order.
 
         Leaves the store as :meth:`plan_set` and :meth:`plan_get` called
-        op by op at ``now_ns`` do.  Page heat is updated once per touched
-        page.  The FLASH LRU is walked op by op, because residency and
-        churn draws depend on the ops before.  The walk also registers
-        inserted values at their place in the order.
+        op by op at ``now_ns`` do.  Page heat is updated in one call for
+        every touched page.  The FLASH LRU is walked in one call too
+        (:meth:`FlashTier.access_many`), which registers inserted values
+        at their place in the order.
         """
         start = self.record_count
         grown = np.maximum.accumulate(
@@ -245,17 +247,20 @@ class KeyValueStore:
         if outside.any():
             key = int(keys[outside.argmax()])
             raise KeyError(f"key {key} outside record space")
+        end = int(grown[-1]) if len(keys) else start
         if self.flash is None:
-            self._grow_to(int(grown[-1]) if len(keys) else start)
+            self._grow_to(end)
             ssd_read = np.zeros(len(keys), dtype=bool)
         else:
-            access = self.flash.access
-            misses = []
-            for key, write in zip(keys.tolist(), is_write.tolist()):
-                if write and key >= self.record_count:
-                    self._grow_to(key + 1)
-                misses.append(access(key))
-            ssd_read = np.array(misses, dtype=bool)
+            self._grow_pages_to(end)
+            inserts = np.flatnonzero(grown > before)
+            ssd_read = self.flash.access_many(keys.tolist(), [
+                (i, range(first, stop)) for i, first, stop in zip(
+                    inserts.tolist(), before[inserts].tolist(),
+                    grown[inserts].tolist(),
+                )
+            ])
+            self.record_count = end
         if self._pages_per_value == 1:
             index = keys // self.values_per_page
         else:
@@ -264,10 +269,9 @@ class KeyValueStore:
         writes = np.bincount(index[is_write], minlength=len(touches))
         distinct = np.flatnonzero(touches)
         pages = [self.pages[i] for i in distinct.tolist()]
-        for page, count, written in zip(
-            pages, touches[distinct].tolist(), writes[distinct].tolist()
-        ):
-            page.touch_many(now_ns, count, written)
+        touch_pages(
+            pages, now_ns, touches[distinct].tolist(), writes[distinct].tolist()
+        )
         slot = np.empty(len(touches), dtype=np.intp)
         slot[distinct] = np.arange(len(distinct))
         return BatchPlan(pages, slot[index], ssd_read)

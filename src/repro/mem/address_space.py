@@ -100,26 +100,25 @@ class AddressSpace:
     def allocate_pages(self, count: int, policy: MemPolicy) -> List[Page]:
         """Allocate ``count`` pages placed by ``policy``.
 
-        All or nothing: when a page cannot be placed, the pages this
-        call already reserved go back to the inventory before the
-        :class:`~repro.errors.AllocationError` propagates.
+        All or nothing: the policy places the whole batch against a copy
+        of the free view first, so when a page cannot be placed its
+        :class:`~repro.errors.AllocationError` propagates before anything
+        is reserved.  Then each node reserves its pages at once.
         """
         if count < 0:
             raise AllocationError("cannot allocate a negative number of pages")
         size = self.page_size
-        free = self.inventory.free_bytes()  # kept current below
+        before = self.inventory.free_bytes()
+        free = dict(before)  # place_many takes the placed pages out
+        nodes = policy.place_many(free, size, count)
+        for node, left in free.items():
+            if left != before[node]:
+                self.inventory.reserve(node, before[node] - left)
         first_id = self._next_page_id
-        new_pages: List[Page] = []
-        try:
-            for page_id in range(first_id, first_id + count):
-                node = policy.place(free, size)
-                self.inventory.reserve(node, size)
-                free[node] -= size
-                new_pages.append(Page(page_id, node, size))
-        except AllocationError:
-            for page in new_pages:
-                self.inventory.release(page.node_id, size)
-            raise
+        new_pages = [
+            Page(page_id, node, size)
+            for page_id, node in zip(range(first_id, first_id + count), nodes)
+        ]
         self._next_page_id = first_id + count
         self.pages.extend(new_pages)
         return new_pages

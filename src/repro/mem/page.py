@@ -11,9 +11,11 @@ simulation may hold millions of them.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..units import PAGE_SIZE
 
-__all__ = ["Page"]
+__all__ = ["Page", "touch_pages"]
 
 
 class Page:
@@ -65,18 +67,9 @@ class Page:
     def touch_many(self, now_ns: float, count: int, writes: int = 0) -> None:
         """Record ``count`` accesses at ``now_ns``, ``writes`` of them writes.
 
-        Leaves the page exactly as ``count`` calls of :meth:`touch` at
-        ``now_ns`` do: the first decays the heat, the rest see no time
-        pass, and each adds 1.0 on its own (``+ count`` can round
-        differently).
+        The one-page case of :func:`touch_pages`.
         """
-        self.touch(now_ns)
-        heat = self.heat
-        for _ in range(1, count):
-            heat += 1.0
-        self.heat = heat
-        self.access_count += count - 1
-        self.write_count += writes
+        touch_pages((self,), now_ns, (count,), (writes,))
 
     def heat_at(self, now_ns: float) -> float:
         """The decayed heat as of ``now_ns`` without recording an access."""
@@ -94,3 +87,31 @@ class Page:
             f"Page(id={self.page_id}, node={self.node_id}, "
             f"heat={self.heat:.2f}, accesses={self.access_count})"
         )
+
+
+def touch_pages(
+    pages: Iterable[Page],
+    now_ns: float,
+    counts: Iterable[int],
+    writes: Iterable[int],
+) -> None:
+    """Record ``counts[i]`` (at least one) accesses of ``pages[i]`` at ``now_ns``.
+
+    ``writes[i]`` of them are writes.  Leaves every page exactly as
+    ``counts[i]`` calls of :meth:`Page.touch` at ``now_ns`` do: the
+    first decays the heat, the rest see no time pass, and each adds 1.0
+    on its own (``+ count`` can round differently).
+    """
+    never = -float("inf")
+    half_life = Page.HEAT_HALF_LIFE
+    for page, count, written in zip(pages, counts, writes):
+        heat = page.heat
+        last = page.last_access_ns
+        if last > never and now_ns > last:
+            heat *= 0.5 ** ((now_ns - last) / half_life)
+        for _ in range(count):
+            heat += 1.0
+        page.heat = heat
+        page.last_access_ns = now_ns
+        page.access_count += count
+        page.write_count += written

@@ -23,7 +23,8 @@ deterministic, so simulations reproduce exactly.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, PolicyError
 
@@ -53,8 +54,44 @@ class MemPolicy(abc.ABC):
     def nodes(self) -> Tuple[int, ...]:
         """The nodes this policy may place pages on (for validation)."""
 
+    def place_many(
+        self, free_bytes: Dict[int, int], page_size: int, count: int
+    ) -> List[int]:
+        """Return the node ids for the next ``count`` pages.
+
+        The same nodes, the same policy state afterwards and the same
+        :class:`~repro.errors.AllocationError` as ``count`` calls of
+        :meth:`place`, each page taken out of ``free_bytes`` before the
+        next call.  ``free_bytes`` is left with those pages taken out.
+        Subclasses compute a batch in closed form where they can.
+        """
+        nodes = []
+        for _ in range(count):
+            node = self.place(free_bytes, page_size)
+            free_bytes[node] -= page_size
+            nodes.append(node)
+        return nodes
+
     def _fits(self, node: int, free_bytes: Dict[int, int], page_size: int) -> bool:
         return free_bytes.get(node, 0) >= page_size
+
+    @staticmethod
+    def _take(
+        free_bytes: Dict[int, int], page_size: int, need: Dict[int, int]
+    ) -> bool:
+        """Take ``need[node]`` pages out of each node if all of them fit.
+
+        A node fits its ``k`` pages when it has room for the ``k``-th
+        after the first ``k - 1`` are taken.  Leaves ``free_bytes`` as it
+        was and returns False when any node does not fit.
+        """
+        if page_size <= 0 or any(
+            free_bytes.get(node, 0) < pages * page_size for node, pages in need.items()
+        ):
+            return False
+        for node, pages in need.items():
+            free_bytes[node] -= pages * page_size
+        return True
 
 
 class BindPolicy(MemPolicy):
@@ -75,6 +112,25 @@ class BindPolicy(MemPolicy):
         raise AllocationError(
             f"bound nodes {self._nodes} are full (page_size={page_size})"
         )
+
+    def place_many(
+        self, free_bytes: Dict[int, int], page_size: int, count: int
+    ) -> List[int]:
+        # Fill the nodes in order, each with every page it has room for.
+        need: Dict[int, int] = {}
+        left = count
+        for node in self._nodes:
+            if left and page_size > 0 and node not in need:
+                pages = min(left, max(0, free_bytes.get(node, 0) // page_size))
+                if pages:
+                    need[node] = pages
+                    left -= pages
+        if left or not self._take(free_bytes, page_size, need):
+            return super().place_many(free_bytes, page_size, count)
+        nodes: List[int] = []
+        for node, pages in need.items():
+            nodes += [node] * pages
+        return nodes
 
 
 class PreferredPolicy(MemPolicy):
@@ -116,6 +172,22 @@ class InterleavePolicy(MemPolicy):
                 self._next = (self._next + offset + 1) % len(self._nodes)
                 return node
         raise AllocationError(f"interleave nodes {self._nodes} are full")
+
+    def place_many(
+        self, free_bytes: Dict[int, int], page_size: int, count: int
+    ) -> List[int]:
+        # Cyclic from the cursor while no node fills up on the way.
+        order = self._nodes[self._next:] + self._nodes[: self._next]
+        rounds, rest = divmod(count, len(order))
+        need: Dict[int, int] = {}
+        for i, node in enumerate(order):
+            pages = rounds + (i < rest)
+            if pages:
+                need[node] = need.get(node, 0) + pages
+        if not self._take(free_bytes, page_size, need):
+            return super().place_many(free_bytes, page_size, count)
+        self._next = (self._next + count) % len(order)
+        return list(order * rounds + order[:rest])
 
 
 class WeightedInterleavePolicy(MemPolicy):
@@ -187,3 +259,27 @@ class WeightedInterleavePolicy(MemPolicy):
             raise AllocationError(f"weighted-interleave nodes {self.nodes()} are full")
         current[winner] -= self._total
         return winner
+
+    def place_many(
+        self, free_bytes: Dict[int, int], page_size: int, count: int
+    ) -> List[int]:
+        # Run the real ``place`` on a view where every node fits, for the
+        # batch or one period of ``total`` pages if shorter.  While every
+        # node fits, the round-robin then repeats that period if it came
+        # back to its starting weights (as it does from fresh weights).
+        # Keep the tiled period if every node has room for its share.
+        start = dict(self._current)
+        roomy = dict.fromkeys(self._weights, page_size)
+        period = [self.place(roomy, page_size) for _ in range(min(count, self._total))]
+        rounds, rest = divmod(count, len(period)) if period else (0, 0)
+        need = Counter(period[:rest])
+        for node, picks in Counter(period).items():
+            need[node] += rounds * picks
+        if (len(period) == count or self._current == start) and self._take(
+            free_bytes, page_size, need
+        ):
+            for _ in range(rest):
+                self.place(roomy, page_size)
+            return period * rounds + period[:rest]
+        self._current = start
+        return super().place_many(free_bytes, page_size, count)

@@ -35,8 +35,10 @@ merged ``repro.metrics/v1`` exports.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import heapq
+import os
 import pickle
 import signal
 import threading
@@ -348,6 +350,86 @@ def _worker_main(worker_id: int, conn: Any, heartbeat_s: float) -> None:
             pass
 
 
+# -- multiprocessing's resource tracker -----------------------------------------
+#
+# Spawning a worker starts multiprocessing's resource tracker, a helper
+# process that exits once every copy of the write end of its pipe is
+# closed.  Unless closed here, the parent's copy stays open, so the
+# tracker outlives the sweep's interpreter and then lingers as a zombie
+# under init.  There is one tracker per process
+# (``multiprocessing.resource_tracker._resource_tracker``), so the state
+# deciding when to close it is process-wide as well and lives at module
+# level: the count of supervised runs that may still spawn, under a
+# lock.  The last run to tear down its pool, once no multiprocessing
+# child is left, closes the pipe with the lock and fields the tracker's
+# own ``_stop()`` uses.  The tracker exits on EOF and is reaped (never
+# killed) at the next teardown or, at the latest, at interpreter exit
+# with a bounded wait.  A later spawn launches a fresh tracker.
+
+_TRACKER_STATE_LOCK = threading.Lock()
+_active_runs = 0
+#: Trackers whose pipe was closed and which are not reaped yet.
+_closed_trackers: List[int] = []
+
+#: Interpreter exit waits at most this long for closed trackers to exit.
+_TRACKER_REAP_S = 2.0
+
+
+def _run_started() -> None:
+    global _active_runs
+    with _TRACKER_STATE_LOCK:
+        _active_runs += 1
+
+
+def _run_finished() -> None:
+    global _active_runs
+    import multiprocessing
+
+    with _TRACKER_STATE_LOCK:
+        _active_runs -= 1
+        if _active_runs == 0 and not multiprocessing.active_children():
+            _close_tracker()
+        _reap_trackers(0.0)
+
+
+def _close_tracker() -> None:
+    """Close this process's pipe to the resource tracker it launched."""
+    try:
+        from multiprocessing import resource_tracker
+    except ImportError:
+        return
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    lock = getattr(tracker, "_lock", None)
+    if lock is None or not hasattr(tracker, "_fd") or not hasattr(tracker, "_pid"):
+        return
+    with lock:
+        if tracker._fd is None or tracker._pid is None:
+            return  # not running, or launched by another process
+        os.close(tracker._fd)
+        _closed_trackers.append(tracker._pid)
+        tracker._fd = None
+        tracker._pid = None
+    atexit.unregister(_reap_trackers)  # registered once, however often closed
+    atexit.register(_reap_trackers, _TRACKER_REAP_S)
+
+
+def _reap_trackers(wait_s: float) -> None:
+    """Reap closed trackers that have exited, waiting up to ``wait_s``."""
+    deadline = time.monotonic() + wait_s
+    while _closed_trackers:
+        pid = _closed_trackers[0]
+        try:
+            done = os.waitpid(pid, os.WNOHANG)[0] == pid
+        except ChildProcessError:
+            done = True
+        if done:
+            _closed_trackers.pop(0)
+        elif time.monotonic() < deadline:
+            time.sleep(0.005)
+        else:
+            return
+
+
 # -- parent-side supervision --------------------------------------------------
 
 
@@ -563,6 +645,7 @@ def run_supervised(
             previous_handlers.append((signum, signal.signal(signum, _on_signal)))
 
     hb_timeout = config.effective_heartbeat_timeout_s
+    _run_started()
     try:
         for _ in range(pool_size):
             _spawn()
@@ -652,6 +735,7 @@ def run_supervised(
             except OSError:
                 pass
         handles.clear()
+        _run_finished()
         if in_main_thread:
             for signum, previous in previous_handlers:
                 signal.signal(signum, previous)

@@ -23,6 +23,7 @@ demotes to "no job" rather than crashing recovery.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -463,17 +464,23 @@ class ServeConfig:
             raise ConfigurationError("max_running must be >= 1")
         if self.queue_depth < 1:
             raise ConfigurationError("queue_depth must be >= 1")
-        if self.rate_per_s is not None and self.rate_per_s <= 0:
-            raise ConfigurationError("rate_per_s must be positive")
+        # Written as ranges so that NaN, which fails every comparison,
+        # is rejected along with infinities and out-of-range values.
+        if self.rate_per_s is not None and not 0 < self.rate_per_s < math.inf:
+            raise ConfigurationError("rate_per_s must be a finite number > 0")
         if self.burst is not None and self.rate_per_s is None:
             raise ConfigurationError("burst needs rate_per_s")
+        if self.burst is not None and not 0 < self.burst < math.inf:
+            raise ConfigurationError("burst must be a finite number > 0")
         if self.table_limit < self.max_running + self.queue_depth:
             raise ConfigurationError(
                 "table_limit must cover max_running + queue_depth"
             )
-        if self.default_deadline_s < 0:
-            raise ConfigurationError("default_deadline_s must be >= 0")
-        if self.drain_budget_s <= 0:
-            raise ConfigurationError("drain_budget_s must be positive")
-        if self.request_timeout_s <= 0:
-            raise ConfigurationError("request_timeout_s must be positive")
+        if not 0 <= self.default_deadline_s < math.inf:
+            raise ConfigurationError(
+                "default_deadline_s must be a finite number >= 0 (0 = none)"
+            )
+        if not 0 < self.drain_budget_s < math.inf:
+            raise ConfigurationError("drain_budget_s must be a finite number > 0")
+        if not 0 < self.request_timeout_s < math.inf:
+            raise ConfigurationError("request_timeout_s must be a finite number > 0")

@@ -166,6 +166,7 @@ def _state(experiment, result):
         state["flash"] = (
             list(flash._resident), flash.total_values, flash.faults,
             flash.evictions, flash.hits, flash.ssd.bytes_read, flash.ssd.bytes_written,
+            flash._rng.random(),
         )
     if server.tiering is not None:
         state["threshold"] = server.tiering.threshold

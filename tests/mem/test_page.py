@@ -1,8 +1,10 @@
 """Tests for Page heat tracking."""
 
+import numpy as np
 import pytest
 
 from repro.mem import Page
+from repro.mem.page import touch_pages
 
 
 class TestPage:
@@ -92,3 +94,45 @@ class TestTouchMany:
         page.heat, page.last_access_ns = heat, 10.0
         page.touch_many(10.0, 2)
         assert page.heat == 2.0254407873910063
+
+
+
+class TestTouchPages:
+    """``touch_pages`` equals ``Page.touch`` called ``count`` times per page."""
+
+    #: Access times each page saw before: never touched, and last touched
+    #: before, at and after the ``now`` of the tests below.
+    HISTORIES = [(), (0.0,), (1.0, 2.5e6), (7e7,), (0.0, 3e8), (2.5e6, 2.5e6, 7e7)]
+
+    @staticmethod
+    def _state(page):
+        return (page.heat, page.last_access_ns, page.access_count, page.write_count)
+
+    def _pages(self):
+        pages = []
+        for page_id, history in enumerate(self.HISTORIES * 3):
+            page = Page(page_id, 0)
+            for i, at in enumerate(history):
+                page.touch(at, is_write=i % 2 == 0)
+            pages.append(page)
+        return pages
+
+    @pytest.mark.parametrize("now", [0.0, 1.0, 7e7, 3e8])
+    def test_equals_repeated_touches(self, now):
+        grouped, looped = self._pages(), self._pages()
+        rng = np.random.default_rng(7)
+        counts = rng.integers(1, 300, len(grouped)).tolist()
+        writes = [int(rng.integers(0, count + 1)) for count in counts]
+        touch_pages(grouped, now, counts, writes)
+        for page, count, written in zip(looped, counts, writes):
+            for i in range(count):
+                page.touch(now, is_write=i < written)
+        assert [self._state(p) for p in grouped] == [self._state(p) for p in looped]
+
+    def test_now_equal_to_last_access_does_not_decay(self):
+        # Two +1.0 adds round differently from one +2.0 add.
+        page = Page(0, 0)
+        page.heat, page.last_access_ns = 0.02544078739100653, 10.0
+        touch_pages([page], 10.0, [2], [1])
+        assert page.heat == 2.0254407873910063
+        assert (page.access_count, page.write_count) == (2, 1)

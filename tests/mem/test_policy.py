@@ -1,10 +1,12 @@
 """Tests for mempolicies."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, PolicyError
+from repro.hw import paper_cxl_platform
+from repro.mem import AddressSpace, MemoryInventory, numactl
 from repro.mem.policy import (
     BindPolicy,
     InterleavePolicy,
@@ -159,3 +161,96 @@ class TestWeightedInterleavePolicy:
         rounds = (n + m) * 20
         placements = [p.place(f, PAGE) for _ in range(rounds)]
         assert placements.count(0) / rounds == pytest.approx(n / (n + m))
+
+
+def _per_page(policy, free_bytes, page_size, count):
+    """The reference: ``count`` calls of ``place``, each page taken out."""
+    nodes = []
+    for _ in range(count):
+        node = policy.place(free_bytes, page_size)
+        free_bytes[node] -= page_size
+        nodes.append(node)
+    return nodes
+
+
+def _batched(policy, free_bytes, page_size, count):
+    return policy.place_many(free_bytes, page_size, count)
+
+
+def _outcome(policy, placer, free_bytes, page_size, count):
+    """What one arm leaves behind: nodes or error, free view, policy state."""
+    try:
+        result = placer(policy, free_bytes, page_size, count)
+    except AllocationError as exc:
+        result = ("AllocationError", str(exc))
+    return result, free_bytes, vars(policy)
+
+
+def _paper_policy(kind, order):
+    """A policy over the paper platform's nodes (two DRAM, two CXL)."""
+    if kind == "bind":
+        return BindPolicy(order)
+    if kind == "preferred":
+        return PreferredPolicy(order[0], order[1:])
+    if kind == "interleave":
+        return InterleavePolicy(order)
+    n, m = (int(x) for x in kind.split(":"))
+    return numactl.tier_interleave(paper_cxl_platform(snc_enabled=False), n, m)
+
+
+class TestPlaceMany:
+    """``place_many`` equals the per-page ``place`` loop, state included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["bind", "preferred", "interleave", "3:1", "1:1", "1:3"]),
+        order=st.permutations([0, 1, 2, 3]).flatmap(
+            lambda nodes: st.integers(1, 4).map(lambda k: nodes[:k])
+        ),
+        room=st.lists(st.integers(0, 40), min_size=4, max_size=4),
+        slack=st.integers(0, PAGE - 1),
+        history=st.lists(st.sampled_from([0, 1, 2, 3, None]), max_size=12),
+        count=st.integers(0, 120),
+    )
+    def test_equals_per_page_loop(self, kind, order, room, slack, history, count):
+        arms = [_paper_policy(kind, order) for _ in range(2)]
+        for policy in arms:
+            # Move the policy off its fresh state, with some nodes full.
+            for full in history:
+                view = {node: PAGE for node in range(4) if node != full}
+                try:
+                    policy.place(view, PAGE)
+                except AllocationError:
+                    pass
+        free_bytes = {node: pages * PAGE + slack for node, pages in enumerate(room)}
+        batched = _outcome(arms[0], _batched, dict(free_bytes), PAGE, count)
+        assert batched == _outcome(arms[1], _per_page, dict(free_bytes), PAGE, count)
+
+    @pytest.mark.parametrize("kind", ["bind", "interleave", "3:1", "1:1", "1:3"])
+    def test_large_batch_with_room_everywhere(self, kind):
+        arms = [_paper_policy(kind, [1, 0, 3, 2]) for _ in range(2)]
+        free_bytes = {node: 10_000 * PAGE for node in range(4)}
+        batched = _outcome(arms[0], _batched, dict(free_bytes), PAGE, 9_999)
+        assert batched == _outcome(arms[1], _per_page, dict(free_bytes), PAGE, 9_999)
+
+    def test_batch_that_cannot_be_placed(self):
+        platform = paper_cxl_platform(snc_enabled=False)
+        cap = {0: 5 * PAGE, 1: 2 * PAGE, 2: 3 * PAGE, 3: 0}
+        for kind in ("bind", "preferred", "interleave", "3:1", "1:1", "1:3"):
+            arms = [_paper_policy(kind, [0, 1, 2, 3]) for _ in range(2)]
+            inventory = MemoryInventory(platform, capacity_override=cap)
+            space = AddressSpace(inventory)
+            with pytest.raises(AllocationError) as batched:
+                space.allocate_pages(11, arms[0])
+            with pytest.raises(AllocationError) as reference:
+                _per_page(arms[1], inventory.free_bytes(), PAGE, 11)
+            assert str(batched.value) == str(reference.value)
+            assert [inventory.used(n) for n in range(4)] == [0, 0, 0, 0]
+            assert space.pages == []
+            assert vars(arms[0]) == vars(arms[1])
+            # Ten pages fit: the space places them as the loop does.
+            pages = space.allocate_pages(10, arms[0])
+            nodes = _per_page(arms[1], dict(cap), PAGE, 10)
+            assert [(p.page_id, p.node_id) for p in pages] == list(enumerate(nodes))
+            assert [inventory.used(n) for n in range(4)] == [cap[n] for n in range(4)]
+            assert vars(arms[0]) == vars(arms[1])

@@ -200,3 +200,21 @@ class TestServeConfig:
     def test_validation(self, bad):
         with pytest.raises(ConfigurationError):
             ServeConfig(**bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [
+        "rate_per_s", "burst", "default_deadline_s", "drain_budget_s",
+        "request_timeout_s",
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        settings = {"rate_per_s": 5.0} if field == "burst" else {}
+        with pytest.raises(ConfigurationError, match=field):
+            ServeConfig(**{**settings, field: value})
+
+    @pytest.mark.parametrize("burst", [0.0, -1.0])
+    def test_non_positive_burst_rejected(self, burst):
+        with pytest.raises(ConfigurationError, match="burst"):
+            ServeConfig(rate_per_s=5.0, burst=burst)
+
+    def test_zero_deadline_still_means_none(self):
+        assert ServeConfig(default_deadline_s=0.0).default_deadline_s == 0.0

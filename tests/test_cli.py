@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -188,6 +193,34 @@ class TestWorkersFlag:
     def test_tables_has_no_workers_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--workers", "2"])
+
+
+class TestServeSettings:
+    @pytest.mark.parametrize("flags", [
+        ["--rate", "nan"],
+        ["--rate", "5", "--burst", "nan"],
+        ["--deadline", "nan"],
+        ["--drain-budget", "nan"],
+        ["--request-timeout", "nan"],
+    ], ids=lambda flags: flags[-2])
+    def test_non_finite_setting_exits_2_before_binding(self, flags):
+        # A setting that passed validation would bind and serve forever:
+        # the timeout turns that into a failure instead of a hang.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *flags],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail(f"repro serve {' '.join(flags)} started serving")
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestRobustnessFlags:
