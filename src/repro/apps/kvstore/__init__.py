@@ -12,7 +12,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "FlashTier": ".flash",
     "KeyDbResult": ".result",
     "KeyDbServer": ".server",
-    "AccessPlan": ".store",
     "KeyValueStore": ".store",
     "ServiceProfile": ".store",
 })

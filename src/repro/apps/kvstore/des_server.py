@@ -27,6 +27,16 @@ a direct loop over arrival and completion times that keeps the
 engine's event order, so it needs no engine processes and no object
 per arrival; ``tests/apps/test_open_loop.py`` pins it to the
 engine-process loop it replaced.
+
+Both loops serve an op the same way: :meth:`KeyValueStore.plan_op
+<repro.apps.kvstore.store.KeyValueStore.plan_op>` touches its page and
+walks the FLASH tier, and :meth:`DesKeyDbServer._price` reads the op's
+memory time from a service table, ``{is_write: {node: ns}}``, and adds
+any SSD time.  The table is rebuilt with the latency tables at each
+utilization refresh, and its entries are
+:meth:`~repro.apps.kvstore.store.ServiceProfile.service_ns`, as in the
+epoch server's table.  Latencies are recorded in batches at each
+refresh (:meth:`~repro.sim.stats.LatencyHistogram.record_all`).
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from ...errors import ConfigurationError
 from ...faults.injector import FaultInjector
 from ...hw.paths import MemoryPath
 from ...hw.topology import Platform
+from ...mem.page import Page
 from ...obs.tracing import NULL_TRACER, Tracer
 from ...overload.policy import REASON_DOOMED, REASON_EXPIRED, OverloadController
 from ...sim.engine import Simulator
@@ -122,6 +133,7 @@ class DesKeyDbServer:
         self._paths: Dict[int, MemoryPath] = {}
         self._utilization: Dict[str, float] = {}
         self._lat_cache: Dict[int, Dict[int, float]] = {}
+        self._service: Dict[int, Dict[int, float]] = {}
 
     def _path(self, node_id: int) -> MemoryPath:
         if node_id not in self._paths:
@@ -148,22 +160,30 @@ class DesKeyDbServer:
             w: sum(frac * self._lat_cache[w][n] for n, frac in mix.items())
             for w in (0, 1)
         }
+        profile = self.store.profile
+        self._service = {
+            w: {
+                n: profile.service_ns(self._struct[w], latency)
+                for n, latency in self._lat_cache[w].items()
+            }
+            for w in (0, 1)
+        }
 
-    def _price(self, plan) -> float:
-        w = 1 if plan.is_write else 0
-        time_ns = self.store.profile.cpu_ns
-        time_ns += plan.struct_accesses * self._struct[w]
-        time_ns += plan.value_accesses * self._lat_cache[w][plan.value_page.node_id]
-        if self.store.flash is not None:
-            if plan.ssd_read_bytes:
-                time_ns += self.store.flash.read_time_ns(plan.ssd_read_bytes)
-            if plan.ssd_write_bytes:
-                time_ns += self.store.flash.write_time_ns(plan.ssd_write_bytes)
+    def _price(
+        self, page: Page, is_write: bool, ssd_read: int, ssd_write: int
+    ) -> float:
+        """Service time of one op on ``page``: the table, then SSD time."""
+        time_ns = self._service[is_write][page.node_id]
+        if ssd_read:
+            time_ns += self.store.flash.read_time_ns(ssd_read)
+        if ssd_write:
+            time_ns += self.store.flash.write_time_ns(ssd_write)
         return time_ns
 
     def _emit_op_trace(
         self,
-        plan,
+        page: Page,
+        is_write: bool,
         arrival_ns: float,
         service_start_ns: float,
         end_ns: float,
@@ -180,17 +200,16 @@ class DesKeyDbServer:
         and the SSD share is derived as the pricing residual so the
         spans reproduce the priced service time exactly.
         """
-        op = self.tracer.op("ycsb.set" if plan.is_write else "ycsb.get", arrival_ns)
+        op = self.tracer.op("ycsb.set" if is_write else "ycsb.get", arrival_ns)
         op.span("admission", "queue_wait", arrival_ns,
                 service_start_ns - arrival_ns)
         t = service_start_ns
         op.span("app", "redis_cpu", t, cpu_ns)
         t += cpu_ns
         op.span("mem", "struct_walk", t, struct_ns,
-                accesses=plan.struct_accesses)
+                accesses=self.store.profile.struct_accesses)
         t += struct_ns
-        op.span("hw", "value_access", t, value_ns,
-                node=plan.value_page.node_id)
+        op.span("hw", "value_access", t, value_ns, node=page.node_id)
         t += value_ns
         flash_ns = service_ns - cpu_ns - struct_ns - value_ns
         # Strictly-positive residual can still be fp noise from the
@@ -213,6 +232,8 @@ class DesKeyDbServer:
         server_threads = Resource(sim, self.threads)
         result = KeyDbResult()
         self._latency_tables()
+        profile = self.store.profile
+        touched = self.store.op_bytes()
         state = {"issued": 0, "done": 0, "since_refresh": 0}
         node_bytes: Dict[int, float] = {}
         node_write_bytes: Dict[int, float] = {}
@@ -222,41 +243,37 @@ class DesKeyDbServer:
             while state["issued"] < total_ops:
                 state["issued"] += 1
                 op = generator.next_operation()
+                is_write = op.is_write
                 arrival = sim.now
                 grant = server_threads.request()
                 yield grant
-                if op.is_write:
-                    plan = self.store.plan_set(op.key, sim.now)
-                else:
-                    plan = self.store.plan_get(op.key, sim.now)
-                service = self._price(plan)
+                page, ssd_read, ssd_write = self.store.plan_op(
+                    op.key, is_write, sim.now
+                )
+                service = self._price(page, is_write, ssd_read, ssd_write)
                 if tracer.enabled:
-                    w = 1 if plan.is_write else 0
                     trace_start = sim.now
-                    trace_cpu = self.store.profile.cpu_ns
-                    trace_struct = plan.struct_accesses * self._struct[w]
+                    trace_cpu = profile.cpu_ns
+                    trace_struct = profile.struct_accesses * self._struct[is_write]
                     trace_value = (
-                        plan.value_accesses
-                        * self._lat_cache[w][plan.value_page.node_id]
+                        profile.value_accesses
+                        * self._lat_cache[is_write][page.node_id]
                     )
                 yield sim.timeout(service)
                 if tracer.enabled:
                     self._emit_op_trace(
-                        plan, arrival, trace_start, sim.now, service,
+                        page, is_write, arrival, trace_start, sim.now, service,
                         trace_cpu, trace_struct, trace_value,
                     )
                 server_threads.release()
                 total_latency = sim.now - arrival  # queueing + service
-                if plan.is_write:
+                if is_write:
                     result.write_latency.record(total_latency)
                 else:
                     result.read_latency.record(total_latency)
-                node = plan.value_page.node_id
-                touched = plan.value_bytes + 64 * (
-                    plan.struct_accesses + plan.value_accesses
-                )
+                node = page.node_id
                 node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                if plan.is_write:
+                if is_write:
                     node_write_bytes[node] = (
                         node_write_bytes.get(node, 0.0) + touched
                     )
@@ -325,9 +342,10 @@ class DesKeyDbServer:
         try_admit = controller.try_admit
         complete = controller.complete
         shed = controller.shed
-        plan_get = self.store.plan_get
-        plan_set = self.store.plan_set
+        plan_op = self.store.plan_op
         price = self._price
+        profile = self.store.profile
+        touched = self.store.op_bytes()
         refresh_ops = self.refresh_ops
         arrivals = _arrivals(
             generator, arrival_rate_ops_per_s, duration_ns, seed
@@ -369,23 +387,20 @@ class DesKeyDbServer:
             ):
                 now, _, job = heappop(events)
                 if job is not None:
-                    plan, arrival, deadline, trace = job
+                    page, op_write, arrival, deadline, trace = job
                     if trace is not None:
                         start, base, cpu, struct, value, degrade = trace
                         self._emit_op_trace(
-                            plan, arrival, start, now, base, cpu, struct,
-                            value, degrade_ns=degrade,
+                            page, op_write, arrival, start, now, base, cpu,
+                            struct, value, degrade_ns=degrade,
                         )
                     latency = now - arrival  # queueing + service
                     if not complete(deadline, now):
                         counters.add("deadline_misses", 1)
                     latencies.append(latency)
-                    node = plan.value_page.node_id
-                    touched = plan.value_bytes + 64 * (
-                        plan.struct_accesses + plan.value_accesses
-                    )
+                    node = page.node_id
                     node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                    if plan.is_write:
+                    if op_write:
                         write_latencies.append(latency)
                         node_write_bytes[node] = (
                             node_write_bytes.get(node, 0.0) + touched
@@ -409,33 +424,27 @@ class DesKeyDbServer:
                         shed_expired += 1
                         shed(REASON_EXPIRED)
                         continue
-                    if op_write:
-                        plan = plan_set(op_key, now)
-                    else:
-                        plan = plan_get(op_key, now)
-                    service = base = price(plan)
+                    page, ssd_read, ssd_write = plan_op(op_key, op_write, now)
+                    service = base = price(page, op_write, ssd_read, ssd_write)
                     if injector is not None:
-                        service *= injector.latency_multiplier(
-                            plan.value_page.node_id, now
-                        )
+                        service *= injector.latency_multiplier(page.node_id, now)
                     if shed_late and now + service > deadline:
                         counters.add("ops_shed_doomed", 1)
                         shed(REASON_DOOMED)
                         continue
                     trace = None
                     if tracer.enabled:
-                        w = 1 if plan.is_write else 0
                         trace = (
                             now,
                             base,
-                            self.store.profile.cpu_ns,
-                            plan.struct_accesses * self._struct[w],
-                            plan.value_accesses
-                            * self._lat_cache[w][plan.value_page.node_id],
+                            profile.cpu_ns,
+                            profile.struct_accesses * self._struct[op_write],
+                            profile.value_accesses
+                            * self._lat_cache[op_write][page.node_id],
                             service - base,
                         )
                     heappush(events, (now + service, seq,
-                                      (plan, arrival, deadline, trace)))
+                                      (page, op_write, arrival, deadline, trace)))
                     seq += 1
                     break
                 else:  # nothing to serve: idle, or stop once closed

@@ -8,7 +8,8 @@ KeyDB runs several *server threads* over the standard Redis event loop
    tiering daemons see real access history);
 2. price every operation using the *current* loaded latencies —
    structure walks at the store's placement mix, value accesses at the
-   key's own page, SSD faults/persistence at the FLASH tier;
+   key's own page (one service table per epoch, indexed by
+   ``(is_write, node)``), SSD faults/persistence at the FLASH tier;
 3. advance the clock by ``sum(op times) / threads`` (threads drain the
    closed-loop client in parallel);
 4. feed the epoch's traffic back through the platform's bandwidth
@@ -125,12 +126,14 @@ class KeyDbServer:
         u = path.bottleneck_utilization(self._utilization)
         return path.loaded_latency_ns(u, write_fraction)
 
-    def _epoch_latency_tables(self) -> "tuple[Dict[int, float], Dict[int, float], float, float]":
-        """Precompute per-node and mix-average latencies for one epoch.
+    def _epoch_latency_tables(self) -> np.ndarray:
+        """The service table of one epoch: ``table[is_write, node]`` ns.
 
-        Latencies change only when utilization or placement changes —
-        once per epoch — so pricing 2000 ops must not recompute the
-        placement mix 2000 times.
+        Each entry is :meth:`ServiceProfile.service_ns` at the node's
+        loaded latency (times any fault multiplier) and the struct walk's
+        mix-average latency, without SSD work.  Latencies change only
+        when utilization or placement changes — once per epoch — so
+        pricing 2000 ops must not recompute the placement mix 2000 times.
         """
         mix = self._access_mix or self.store.node_mix()
         read_lat = {n: self._node_latency(n, 0.0) for n in self.platform.nodes}
@@ -143,7 +146,12 @@ class KeyDbServer:
                     write_lat[n] *= mult
         struct_read = sum(frac * read_lat[n] for n, frac in mix.items())
         struct_write = sum(frac * write_lat[n] for n, frac in mix.items())
-        return read_lat, write_lat, struct_read, struct_write
+        profile = self.store.profile
+        table = np.zeros((2, max(self.platform.nodes) + 1))
+        for n in read_lat:
+            table[0, n] = profile.service_ns(struct_read, read_lat[n])
+            table[1, n] = profile.service_ns(struct_write, write_lat[n])
+        return table
 
     def _price(
         self,
@@ -151,26 +159,16 @@ class KeyDbServer:
         nodes: np.ndarray,
         ssd_read: np.ndarray,
         ssd_utilization: float,
-        read_lat: Dict[int, float],
-        write_lat: Dict[int, float],
-        struct_read: float,
-        struct_write: float,
+        table: np.ndarray,
     ) -> np.ndarray:
         """Service time of each operation at current latencies.
 
-        The per-op sum, one operation after another: CPU time, plus the
-        struct walk, plus the value accesses, plus the SSD read, plus the
-        SSD write.  Elementwise float64 arithmetic rounds as scalar
-        arithmetic does, so the times are the per-op ones to the bit.
+        The per-op sum, one operation after another: the service table's
+        entry for the op, plus the SSD read, plus the SSD write.
+        Elementwise float64 arithmetic rounds as scalar arithmetic does,
+        so the times are the per-op ones to the bit.
         """
-        profile = self.store.profile
-        node_lat = np.zeros((2, max(self.platform.nodes) + 1))
-        for n in read_lat:
-            node_lat[0, n], node_lat[1, n] = read_lat[n], write_lat[n]
-        times = profile.cpu_ns + profile.struct_accesses * np.where(
-            is_write, struct_write, struct_read
-        )
-        times += profile.value_accesses * node_lat[is_write.astype(np.intp), nodes]
+        times = table[is_write.astype(np.intp), nodes]
         flash = self.store.flash
         if flash is not None:
             reads = np.flatnonzero(ssd_read)
@@ -284,11 +282,7 @@ class KeyDbServer:
         if total_ops <= 0 or epoch_ops <= 0:
             raise ConfigurationError("op counts must be positive")
         result = KeyDbResult()
-        profile = self.store.profile
-        # Bytes one operation moves through memory.
-        touched = self.store.value_size + 64 * (
-            profile.struct_accesses + profile.value_accesses
-        )
+        touched = self.store.op_bytes()
         ssd_utilization = 0.0
         done = 0
         while done < total_ops:
@@ -298,7 +292,7 @@ class KeyDbServer:
             keys, is_write = generator.next_batch(batch)
             plan = self.store.plan_batch(keys, is_write, self.now_ns)
             measuring = done >= warmup_ops
-            tables = self._epoch_latency_tables()
+            table = self._epoch_latency_tables()
             if self.faults is None:
                 node_of_page = np.array([page.node_id for page in plan.pages])
                 nodes = node_of_page[plan.page_index]
@@ -309,7 +303,7 @@ class KeyDbServer:
             is_write, nodes, ssd_read = (
                 is_write[served], nodes[served], plan.ssd_read[served]
             )
-            times = self._price(is_write, nodes, ssd_read, ssd_utilization, *tables)
+            times = self._price(is_write, nodes, ssd_read, ssd_utilization, table)
             # Busy time is a running sum, left to right, over each op's
             # gate time and then its service time (none for a shed op).
             # Adding 0.0 leaves the sum unchanged.

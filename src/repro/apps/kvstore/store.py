@@ -6,9 +6,10 @@ optional FLASH tier (KeyDB FLASH / RocksDB over NVMe) for data beyond
 ``maxmemory``.
 
 The simulation works at *operation* granularity.  Each GET/SET resolves
-the key to its value page and returns a :class:`AccessPlan` describing
-what the operation touches (:meth:`KeyValueStore.plan_batch` resolves a
-whole epoch of them as arrays, a :class:`BatchPlan`):
+the key to its value page (:meth:`KeyValueStore.plan_op` returns the
+page and the op's SSD bytes; :meth:`KeyValueStore.plan_batch` resolves
+a whole epoch of them as arrays, a :class:`BatchPlan`).  An operation
+touches:
 
 * ``struct_accesses`` dependent accesses to shared server structures
   (hash table buckets, robj headers, event-loop state) whose placement
@@ -17,14 +18,16 @@ whole epoch of them as arrays, a :class:`BatchPlan`):
 * optional SSD work when the value is not memory-resident (FLASH) or
   must be persisted (FLASH write path).
 
-The server model (:mod:`repro.apps.kvstore.server`) prices the plan
-using the current loaded latencies.
+The server models price an operation with the current loaded latencies
+through :meth:`ServiceProfile.service_ns`, plus any SSD time.
 """
 
 from __future__ import annotations
 
+import collections
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from ...mem.policy import MemPolicy
 from ...units import KIB
 from .flash import FlashTier
 
-__all__ = ["ServiceProfile", "AccessPlan", "BatchPlan", "KeyValueStore"]
+__all__ = ["ServiceProfile", "BatchPlan", "KeyValueStore"]
 
 
 @dataclass(frozen=True)
@@ -73,22 +76,13 @@ class ServiceProfile:
         """§4.3 profile: Redis-processing-dominated (100 GB, YCSB-C)."""
         return cls(cpu_ns=12000.0, struct_accesses=6, value_accesses=6)
 
+    def service_ns(self, struct_ns: float, value_ns: float) -> float:
+        """Memory-resident service time of one op, without SSD work.
 
-@dataclass
-class AccessPlan:
-    """What one operation will touch; priced by the server."""
-
-    key: int
-    is_write: bool
-    value_page: Page
-    struct_accesses: int
-    value_accesses: int
-    #: SSD read needed first (FLASH miss), bytes (0 = resident).
-    ssd_read_bytes: int = 0
-    #: SSD write needed (FLASH persistence path), bytes.
-    ssd_write_bytes: int = 0
-    #: Bytes of value moved through memory (for bandwidth accounting).
-    value_bytes: int = 0
+        CPU time, plus the struct walk at ``struct_ns`` per access, plus
+        the value accesses at ``value_ns`` each, summed in that order.
+        """
+        return self.cpu_ns + self.struct_accesses * struct_ns + self.value_accesses * value_ns
 
 
 @dataclass
@@ -180,60 +174,48 @@ class KeyValueStore:
         """Logical dataset size (records x value size)."""
         return self.record_count * self.value_size
 
+    def op_bytes(self) -> int:
+        """Bytes one operation moves through memory.
+
+        Its value, plus one 64-byte line per struct and value access.
+        """
+        profile = self.profile
+        return self.value_size + 64 * (profile.struct_accesses + profile.value_accesses)
+
     # -- operations ----------------------------------------------------------
 
-    def plan_get(self, key: int, now_ns: float) -> AccessPlan:
-        """Plan a GET: struct walk + value fetch (+ FLASH read on miss)."""
-        page = self.page_of(key)
-        page.touch(now_ns, is_write=False)
-        ssd_read = 0
-        if self.flash is not None and self.flash.access(key):
-            ssd_read = self.value_size
-        return AccessPlan(
-            key=key,
-            is_write=False,
-            value_page=page,
-            struct_accesses=self.profile.struct_accesses,
-            value_accesses=self.profile.value_accesses,
-            ssd_read_bytes=ssd_read,
-            value_bytes=self.value_size,
-        )
+    def plan_op(
+        self, key: int, is_write: bool, now_ns: float
+    ) -> Tuple[Page, int, int]:
+        """Resolve one GET or SET (``is_write``) of ``key`` at ``now_ns``.
 
-    def plan_set(self, key: int, now_ns: float) -> AccessPlan:
-        """Plan a SET/UPDATE (grows the space for inserts).
-
-        With FLASH enabled, every write also goes to the persistence
-        path ("all data is written to the disk", §4.1) — modeled as an
-        amortized SSD write of the value.
+        Returns ``(page, ssd_read_bytes, ssd_write_bytes)``: the value's
+        page, touched at ``now_ns``, and the op's SSD work.  A SET past
+        the record space grows it (an insert).  With FLASH enabled, a
+        value that is not memory-resident is read from the SSD first
+        (for a SET, a read-modify-write fault), and every write also
+        goes to the persistence path ("all data is written to the
+        disk", §4.1), modeled as an amortized SSD write of the value.
         """
-        if key >= self.record_count:
+        if is_write and key >= self.record_count:
             self._grow_to(key + 1)
         page = self.page_of(key)
-        page.touch(now_ns, is_write=True)
-        ssd_read = 0
-        ssd_write = 0
+        page.touch(now_ns, is_write=is_write)
+        ssd_read = ssd_write = 0
         if self.flash is not None:
             if self.flash.access(key):
-                ssd_read = self.value_size  # read-modify-write fault
-            ssd_write = self.value_size
-        return AccessPlan(
-            key=key,
-            is_write=True,
-            value_page=page,
-            struct_accesses=self.profile.struct_accesses,
-            value_accesses=self.profile.value_accesses,
-            ssd_read_bytes=ssd_read,
-            ssd_write_bytes=ssd_write,
-            value_bytes=self.value_size,
-        )
+                ssd_read = self.value_size
+            if is_write:
+                ssd_write = self.value_size
+        return page, ssd_read, ssd_write
 
     def plan_batch(
         self, keys: np.ndarray, is_write: np.ndarray, now_ns: float
     ) -> BatchPlan:
         """Plan a batch of SETs (``is_write``) and GETs, in operation order.
 
-        Leaves the store as :meth:`plan_set` and :meth:`plan_get` called
-        op by op at ``now_ns`` do.  Page heat is updated in one call for
+        Leaves the store as :meth:`plan_op` called op by op at
+        ``now_ns`` does.  Page heat is updated in one call for
         every touched page.  The FLASH LRU is walked in one call too
         (:meth:`FlashTier.access_many`), which registers inserted values
         at their place in the order.
@@ -282,8 +264,6 @@ class KeyValueStore:
         """Fraction of value pages per node (shared-struct placement mix)."""
         if not self.pages:
             return {}
-        counts: Dict[int, int] = {}
-        for p in self.pages:
-            counts[p.node_id] = counts.get(p.node_id, 0) + 1
+        counts = collections.Counter(map(operator.attrgetter("node_id"), self.pages))
         total = len(self.pages)
         return {node: c / total for node, c in counts.items()}

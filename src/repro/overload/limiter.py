@@ -8,6 +8,8 @@ and ``repro serve`` (the host clock).
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError
 
 __all__ = ["TokenBucketLimiter"]
@@ -17,10 +19,10 @@ class TokenBucketLimiter:
     """A clock-agnostic token bucket (tokens = admitted operations)."""
 
     def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s <= 0:
-            raise ConfigurationError("rate_per_s must be positive")
-        if burst <= 0:
-            raise ConfigurationError("burst must be positive")
+        if not 0 < rate_per_s < math.inf:
+            raise ConfigurationError("rate_per_s must be a finite number > 0")
+        if not 0 < burst < math.inf:
+            raise ConfigurationError("burst must be a finite number > 0")
         self.rate_per_ns = rate_per_s / 1e9
         self.burst = burst
         self._tokens = burst

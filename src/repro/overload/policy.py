@@ -27,6 +27,7 @@ admits and serves everything and only measures deadlines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,6 +44,11 @@ REASON_RATE = "rate"
 REASON_QUEUE_FULL = "queue-full"
 REASON_DOOMED = "doomed"
 REASON_EXPIRED = "expired"
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is an integer of at least 1."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -64,16 +70,16 @@ class OverloadPolicy:
     priority_levels: int = 2
 
     def __post_init__(self) -> None:
-        if self.queue_capacity <= 0:
-            raise ConfigurationError("queue_capacity must be positive")
-        if self.rate_ops_per_s is not None and self.rate_ops_per_s <= 0:
-            raise ConfigurationError("rate_ops_per_s must be positive")
-        if self.burst_ops <= 0:
-            raise ConfigurationError("burst_ops must be positive")
+        if not _is_count(self.queue_capacity):
+            raise ConfigurationError("queue_capacity must be an integer >= 1")
+        if self.rate_ops_per_s is not None and not 0 < self.rate_ops_per_s < math.inf:
+            raise ConfigurationError("rate_ops_per_s must be a finite number > 0")
+        if not 0 < self.burst_ops < math.inf:
+            raise ConfigurationError("burst_ops must be a finite number > 0")
         if not self.default_budget_ns > 0:  # also rejects NaN
             raise ConfigurationError("default_budget_ns must be positive")
-        if self.priority_levels < 1:
-            raise ConfigurationError("priority_levels must be >= 1")
+        if not _is_count(self.priority_levels):
+            raise ConfigurationError("priority_levels must be an integer >= 1")
 
     @classmethod
     def monitor_only(cls, default_budget_ns: float = math.inf) -> "OverloadPolicy":

@@ -8,12 +8,14 @@ percentile reporter and Intel PCM's bandwidth counters.
 :class:`LatencyHistogram` uses logarithmic bucketing (HdrHistogram-style)
 so that recording is O(1) and memory is bounded no matter how many samples
 a long simulation produces, while relative error stays below the bucket
-growth factor.
+growth factor.  :meth:`LatencyHistogram.record_all` buckets a batch as
+one numpy array, with an exact per-value fallback next to bucket edges,
+and imports numpy only when called: a cache hit unpickles histograms
+from this module without loading numpy.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -25,6 +27,13 @@ __all__ = [
     "CdfPoint",
     "Counter",
 ]
+
+
+#: How near an integer a bucket quotient must lie for
+#: :meth:`LatencyHistogram.record_all` to recompute it with
+#: :func:`math.log`.  numpy's ``log`` and libm's differ by a few ulps at
+#: most, which moves a quotient by about 1e-12 at the default growth.
+_NEAR_EDGE = 1e-9
 
 
 class RunningStat:
@@ -192,13 +201,35 @@ class LatencyHistogram:
     def record_all(self, values: Sequence[float]) -> None:
         """Record each of ``values`` once, in order.
 
-        The same state as one :meth:`record` call per value: each
-        distinct value is bucketed once, and the mean, variance, min and
-        max follow the values in order.
+        The same counts and statistics as one :meth:`record` call per
+        value.  The whole list is bucketed at once with numpy's ``log``,
+        which may differ from :func:`math.log` in the last bit.  That
+        moves a value to another bucket only when its quotient
+        ``log(value / min) / log(growth)`` lies next to an integer, so
+        such values (and any NaN or infinity) are bucketed again one by
+        one with :meth:`_bucket_index`.  The mean, variance, min and max
+        follow the values in order.
         """
+        if not values:
+            return
+        # Imported here: a cache hit unpickles histograms without numpy.
+        import numpy as np
+
+        array = np.array(values, dtype=np.float64)
+        # ``not <=`` counts NaN as above the minimum, as _bucket_index does.
+        above = np.flatnonzero(~(array <= self._min_value))
+        quotient = np.log(array[above] / self._min_value) / self._log_growth
+        # False next to an integer, and for NaN and inf, which
+        # _bucket_index then rejects as record() does.
+        exact = np.abs(quotient - np.rint(quotient)) >= _NEAR_EDGE
+        index = np.zeros(len(array), dtype=np.intp)
+        index[above[exact]] = quotient[exact].astype(np.intp) + 1
+        for i in above[~exact].tolist():
+            index[i] = self._bucket_index(values[i])
+        counts = np.bincount(index)
+        occupied = np.flatnonzero(counts)
         buckets = self._buckets
-        for value, count in collections.Counter(values).items():
-            idx = self._bucket_index(value)
+        for idx, count in zip(occupied.tolist(), counts[occupied].tolist()):
             buckets[idx] = buckets.get(idx, 0) + count
         self.stat.record_all(values)
 

@@ -2,8 +2,8 @@
 
 :meth:`KeyDbServer.run` resolves and prices each epoch as arrays.  The
 reference below is the per-op loop it replaced: one ``next_operation``,
-one ``plan_get``/``plan_set`` and one scalar price per operation, and
-one ``record`` per latency.  Both run the same freshly built experiment,
+one ``plan_op`` and one scalar price per operation, and one ``record``
+per latency.  Both run the same freshly built experiment,
 and every observable result and every piece of final state must match
 exactly: float equality, not approximate equality.
 """
@@ -29,22 +29,44 @@ WARMUP = 1000
 SEED = 0xC0FFEE
 
 
-def _price_op(server, plan, ssd_utilization, read_lat, write_lat, struct_read, struct_write):
-    """Service time of one operation at current latencies."""
-    if plan.is_write:
-        node_lat = write_lat[plan.value_page.node_id]
-        struct_lat = struct_write
-    else:
-        node_lat = read_lat[plan.value_page.node_id]
-        struct_lat = struct_read
-    time_ns = server.store.profile.cpu_ns
-    time_ns += plan.struct_accesses * struct_lat
-    time_ns += plan.value_accesses * node_lat
+def _epoch_latencies(server):
+    """Per-node read and write latencies and the struct walk's mix averages.
+
+    Fault latency multipliers are applied to the node latencies before
+    the mix averages, as the server does once per epoch.
+    """
+    mix = server._access_mix or server.store.node_mix()
+    read_lat = {n: server._node_latency(n, 0.0) for n in server.platform.nodes}
+    write_lat = {n: server._node_latency(n, 1.0) for n in server.platform.nodes}
+    if server.faults is not None:
+        for n in read_lat:
+            mult = server.faults.latency_multiplier(n, server.now_ns)
+            if mult != 1.0:
+                read_lat[n] *= mult
+                write_lat[n] *= mult
+    struct_read = sum(frac * read_lat[n] for n, frac in mix.items())
+    struct_write = sum(frac * write_lat[n] for n, frac in mix.items())
+    return read_lat, write_lat, struct_read, struct_write
+
+
+def _memory_time(server, is_write, node, read_lat, write_lat, struct_read, struct_write):
+    """CPU, struct walk and value accesses of one operation, in that order."""
+    profile = server.store.profile
+    time_ns = profile.cpu_ns
+    time_ns += profile.struct_accesses * (struct_write if is_write else struct_read)
+    time_ns += profile.value_accesses * (write_lat if is_write else read_lat)[node]
+    return time_ns
+
+
+def _price_op(server, op, ssd_utilization, *latencies):
+    """Service time of one planned ``(is_write, page, ssd_read, ssd_write)``."""
+    is_write, page, ssd_read, ssd_write = op
+    time_ns = _memory_time(server, is_write, page.node_id, *latencies)
     if server.store.flash is not None:
-        if plan.ssd_read_bytes:
-            time_ns += server.store.flash.read_time_ns(plan.ssd_read_bytes, ssd_utilization)
-        if plan.ssd_write_bytes:
-            time_ns += server.store.flash.write_time_ns(plan.ssd_write_bytes, ssd_utilization)
+        if ssd_read:
+            time_ns += server.store.flash.read_time_ns(ssd_read, ssd_utilization)
+        if ssd_write:
+            time_ns += server.store.flash.write_time_ns(ssd_write, ssd_utilization)
     return time_ns
 
 
@@ -60,10 +82,8 @@ def reference_run(server, generator, total_ops, epoch_ops=2000, warmup_ops=0):
         plans = []
         for _ in range(batch):
             op = generator.next_operation()
-            if op.is_write:
-                plans.append(server.store.plan_set(op.key, server.now_ns))
-            else:
-                plans.append(server.store.plan_get(op.key, server.now_ns))
+            page, ssd_read, ssd_write = server.store.plan_op(op.key, op.is_write, server.now_ns)
+            plans.append((op.is_write, page, ssd_read, ssd_write))
 
         measuring = done >= warmup_ops
         epoch_busy_ns = 0.0
@@ -71,12 +91,13 @@ def reference_run(server, generator, total_ops, epoch_ops=2000, warmup_ops=0):
         node_read_bytes: Dict[int, float] = {}
         node_write_bytes: Dict[int, float] = {}
         shed = 0
-        tables = server._epoch_latency_tables()
+        latencies = _epoch_latencies(server)
         for plan in plans:
+            is_write, page, ssd_read, ssd_write = plan
             fault_extra = 0.0
             if server.faults is not None:
                 serviceable, fault_extra = server._apply_fault_policy(
-                    plan.value_page, result.counters
+                    page, result.counters
                 )
                 epoch_busy_ns += fault_extra
                 if not serviceable:
@@ -89,20 +110,23 @@ def reference_run(server, generator, total_ops, epoch_ops=2000, warmup_ops=0):
                             ok=False,
                         )
                     continue
-            t = _price_op(server, plan, ssd_utilization, *tables)
+            t = _price_op(server, plan, ssd_utilization, *latencies)
             epoch_busy_ns += t
             finish_ns = server.now_ns + epoch_busy_ns / server.threads
             if measuring:
-                if plan.is_write:
+                if is_write:
                     result.write_latency.record(t + fault_extra)
                 else:
                     result.read_latency.record(t + fault_extra)
                 if server.recovery is not None:
                     server.recovery.record(finish_ns, t + fault_extra, ok=True)
-            ssd_bytes += plan.ssd_read_bytes + plan.ssd_write_bytes
-            node = plan.value_page.node_id
-            touched = plan.value_bytes + 64 * (plan.struct_accesses + plan.value_accesses)
-            if plan.is_write:
+            ssd_bytes += ssd_read + ssd_write
+            node = page.node_id
+            profile = server.store.profile
+            touched = server.store.value_size + 64 * (
+                profile.struct_accesses + profile.value_accesses
+            )
+            if is_write:
                 node_write_bytes[node] = node_write_bytes.get(node, 0.0) + touched
             else:
                 node_read_bytes[node] = node_read_bytes.get(node, 0.0) + touched
@@ -250,3 +274,30 @@ def test_faulted_run_matches_per_op_reference(scenario, attempts):
     if attempts == 1 and scenario not in ("error-storm", "link-degrade"):
         assert counters["ops_shed"] > 0
     assert batched == reference
+
+
+@pytest.mark.parametrize("scenario", [None, "link-degrade", "error-storm"])
+def test_service_table_matches_scalar_formula(scenario):
+    """Every ``(is_write, node)`` entry, with fault multipliers in force."""
+    experiment = build_keydb_experiment("1:1", workload="A", record_count=RECORDS, seed=SEED)
+    server = experiment.server
+    if scenario is not None:
+        elapsed = _healthy_elapsed_ns()
+        window = (elapsed * FAULT_AT_FRACTION, elapsed * FAULT_SPAN_FRACTION)
+        plan = build_scenario(scenario, experiment.platform, SEED, window)
+        server.attach_faults(FaultInjector(experiment.platform, plan))
+    # Two epochs load the paths and set an access-weighted struct mix.
+    server.run(experiment.generator, 2 * EPOCH, epoch_ops=EPOCH)
+    assert server._utilization and server._access_mix
+    if scenario is not None:
+        start, end = plan.window()
+        server.now_ns = (start + end) / 2
+        assert any(
+            server.faults.latency_multiplier(n, server.now_ns) != 1.0
+            for n in experiment.platform.nodes
+        )
+    table = server._epoch_latency_tables()
+    latencies = _epoch_latencies(server)
+    for is_write in (False, True):
+        for n in experiment.platform.nodes:
+            assert table[int(is_write), n] == _memory_time(server, is_write, n, *latencies)

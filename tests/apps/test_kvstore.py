@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.hw import paper_cxl_platform
 from repro.hw.device import SsdDevice
 from repro.hw.spec import SsdSpec
-from repro.mem import AddressSpace, BindPolicy, MemoryInventory
+from repro.mem import AddressSpace, BindPolicy, MemoryInventory, numactl
 from repro.apps.kvstore import (
     TABLE1_CONFIGS,
     FlashTier,
@@ -79,17 +79,43 @@ class TestKeyValueStore:
 
     def test_plan_get_touches_page(self, space, platform):
         store = make_store(space, platform)
-        plan = store.plan_get(5, now_ns=123.0)
-        assert plan.value_page.access_count == 1
-        assert plan.value_page.last_access_ns == 123.0
-        assert not plan.is_write
-        assert plan.ssd_read_bytes == 0
+        page, ssd_read, ssd_write = store.plan_op(5, False, now_ns=123.0)
+        assert page is store.page_of(5)
+        assert page.access_count == 1
+        assert page.last_access_ns == 123.0
+        assert page.write_count == 0
+        assert ssd_read == 0
+        assert ssd_write == 0
 
     def test_plan_set_grows_space(self, space, platform):
         store = make_store(space, platform, records=16)
-        plan = store.plan_set(100, now_ns=0.0)
-        assert plan.is_write
+        page, _, _ = store.plan_op(100, True, now_ns=0.0)
+        assert page.write_count == 1
         assert store.record_count == 101
+        assert page is store.page_of(100)
+
+    def test_plan_get_outside_the_space_is_a_key_error(self, space, platform):
+        store = make_store(space, platform, records=16)
+        with pytest.raises(KeyError):
+            store.plan_op(16, False, now_ns=0.0)
+        assert store.record_count == 16
+
+    def test_plan_op_reads_and_persists_through_flash(self, space, platform):
+        flash = FlashTier(
+            SsdDevice(SsdSpec()), resident_values=2, value_size=1024,
+            cache_inefficiency=0.0,
+        )
+        store = make_store(space, platform, records=4, flash=flash)
+        # Keys 2 and 3 are resident; 0 and 1 were displaced at the fill.
+        assert store.plan_op(3, False, now_ns=0.0)[1:] == (0, 0)
+        assert store.plan_op(0, False, now_ns=1.0)[1:] == (1024, 0)  # evicts 2
+        assert store.plan_op(3, True, now_ns=2.0)[1:] == (0, 1024)
+        assert store.plan_op(2, True, now_ns=3.0)[1:] == (1024, 1024)
+        # An insert registers its value as resident: only the write.
+        assert store.plan_op(4, True, now_ns=4.0)[1:] == (0, 1024)
+        assert store.record_count == 5
+        assert flash.total_values == 5
+        assert (flash.faults, flash.hits) == (2, 3)
 
     def test_plan_batch_rejects_reads_outside_the_space(self, space, platform):
         store = make_store(space, platform, records=100)
@@ -117,6 +143,28 @@ class TestKeyValueStore:
     def test_node_mix_sums_to_one(self, space, platform):
         store = make_store(space, platform)
         assert sum(store.node_mix().values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("config", ["3:1", "1:1", "1:3", "bind", "empty"])
+    def test_node_mix_matches_a_loop_over_pages(self, space, platform, config):
+        if config == "bind":
+            store = make_store(space, platform, records=4097)
+        else:
+            n, m = (1, 1) if config == "empty" else map(int, config.split(":"))
+            store = KeyValueStore(
+                space, numactl.tier_interleave(platform, n, m), record_count=4097
+            )
+        if config == "empty":
+            store.pages = []
+        counts = {}
+        for page in store.pages:
+            counts[page.node_id] = counts.get(page.node_id, 0) + 1
+        expected = {node: c / len(store.pages) for node, c in counts.items()}
+        mix = store.node_mix()
+        assert list(mix.items()) == list(expected.items())
+        if config == "empty":
+            assert mix == {}
+        else:
+            assert (len(mix) == 1) == (config == "bind")
 
 
 class TestFlashTier:

@@ -141,6 +141,7 @@ def reference_open_loop(
     """The open loop as engine processes: one op, one request per arrival."""
     sim = Simulator()
     tracer = server.tracer
+    profile = server.store.profile
     rng = np.random.default_rng(seed)
     result = KeyDbResult()
     server._latency_tables()
@@ -198,48 +199,46 @@ def reference_open_loop(
                 continue
             op = request.payload
             arrival = request.arrival_ns
-            if op.is_write:
-                plan = server.store.plan_set(op.key, sim.now)
-            else:
-                plan = server.store.plan_get(op.key, sim.now)
-            service = base_service = server._price(plan)
+            page, ssd_read, ssd_write = server.store.plan_op(
+                op.key, op.is_write, sim.now
+            )
+            service = base_service = server._price(
+                page, op.is_write, ssd_read, ssd_write
+            )
             if injector is not None:
-                service *= injector.latency_multiplier(
-                    plan.value_page.node_id, sim.now
-                )
+                service *= injector.latency_multiplier(page.node_id, sim.now)
             if shed_doomed and _doomed(request, sim.now, service):
                 result.counters.add("ops_shed_doomed", 1)
                 _count(controller.metrics.shed, REASON_DOOMED)
                 continue
             if tracer.enabled:
-                w = 1 if plan.is_write else 0
+                w = 1 if op.is_write else 0
                 trace_start = sim.now
-                trace_cpu = server.store.profile.cpu_ns
-                trace_struct = plan.struct_accesses * server._struct[w]
+                trace_cpu = profile.cpu_ns
+                trace_struct = profile.struct_accesses * server._struct[w]
                 trace_value = (
-                    plan.value_accesses
-                    * server._lat_cache[w][plan.value_page.node_id]
+                    profile.value_accesses * server._lat_cache[w][page.node_id]
                 )
             yield sim.timeout(service)
             if tracer.enabled:
                 server._emit_op_trace(
-                    plan, arrival, trace_start, sim.now, base_service,
+                    page, op.is_write, arrival, trace_start, sim.now, base_service,
                     trace_cpu, trace_struct, trace_value,
                     degrade_ns=service - base_service,
                 )
             latency = sim.now - arrival  # queueing + service
             if not _complete(controller, request, sim.now, latency):
                 result.counters.add("deadline_misses", 1)
-            if plan.is_write:
+            if op.is_write:
                 result.write_latency.record(latency)
             else:
                 result.read_latency.record(latency)
-            node = plan.value_page.node_id
-            touched = plan.value_bytes + 64 * (
-                plan.struct_accesses + plan.value_accesses
+            node = page.node_id
+            touched = server.store.value_size + 64 * (
+                profile.struct_accesses + profile.value_accesses
             )
             node_bytes[node] = node_bytes.get(node, 0.0) + touched
-            if plan.is_write:
+            if op.is_write:
                 node_write_bytes[node] = (
                     node_write_bytes.get(node, 0.0) + touched
                 )
@@ -297,8 +296,8 @@ def _run(loop, policy, rate, seed, faults=None, traced=False, price=None,
     """One open-loop run as ``run_offered_load`` sets it up; its final state.
 
     ``faults`` builds the run's fault plan from its platform.  ``price``,
-    when given, makes a fresh ``(server, plan) -> ns`` stub for the
-    run's ``_price``.
+    when given, makes a fresh ``(server, page, is_write, ssd_read,
+    ssd_write) -> ns`` stub for the run's ``_price``.
     """
     controller = OverloadController(policy)
     tracer = Tracer() if traced else None
@@ -412,10 +411,9 @@ def test_completion_tied_with_an_arrival_keeps_engine_order(dispatch, offset):
     real_price = DesKeyDbServer._price
     dispatched = []
 
-    def recording_price(server, plan):
-        page = plan.value_page
+    def recording_price(server, page, *op):
         dispatched.append((page.last_access_ns, page.node_id))
-        return real_price(server, plan)
+        return real_price(server, page, *op)
 
     _run(DesKeyDbServer.run_open_loop, policy, rate, seed,
          price=lambda: recording_price, refresh_ops=1, duration_ns=duration_ns)
@@ -430,10 +428,10 @@ def test_completion_tied_with_an_arrival_keeps_engine_order(dispatch, offset):
     def tied_price():
         calls = itertools.count()
 
-        def price(server, plan):
+        def price(server, *op):
             if next(calls) == dispatch:
                 return t1 - t0
-            return real_price(server, plan)
+            return real_price(server, *op)
 
         return price
 

@@ -1,5 +1,7 @@
 """The token-bucket limiter."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -12,6 +14,13 @@ class TestTokenBucket:
             TokenBucketLimiter(0.0, 1.0)
         with pytest.raises(ConfigurationError):
             TokenBucketLimiter(1.0, 0.0)
+
+    @pytest.mark.parametrize("rate, burst", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_validation_rejects_non_finite_values(self, rate, burst):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TokenBucketLimiter(rate, burst)
 
     def test_burst_then_rate_limited(self):
         # 1000 ops/s, burst 2: two immediate admits, then dry.

@@ -42,6 +42,15 @@ class TestPolicyValidation:
             {"default_budget_ns": 0.0},
             {"priority_levels": 0},
             {"default_budget_ns": math.nan},
+            {"rate_ops_per_s": math.nan},
+            {"rate_ops_per_s": math.inf},
+            {"burst_ops": math.nan},
+            {"burst_ops": math.inf},
+            {"queue_capacity": math.nan},
+            {"queue_capacity": math.inf},
+            {"queue_capacity": 2.5},
+            {"priority_levels": math.nan},
+            {"priority_levels": 1.5},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
