@@ -78,10 +78,6 @@ def _panel_path(platform: Platform, panel: str):
     raise KeyError(f"unknown panel {panel!r}")
 
 
-def _load_fractions(load_points: int) -> List[float]:
-    return [0.02 + i * (1.13 / (load_points - 1)) for i in range(load_points)]
-
-
 def _check_backend(backend: str) -> None:
     if backend not in ("des", "analytic", "auto"):
         raise ConfigurationError(
@@ -117,8 +113,10 @@ def fig3_sweep_spec(
     ``backend`` is validated but stays out of the params: all three
     values share one cache entry per point.
     """
+    from ..workloads.mlc import load_fractions
+
     _check_backend(backend)
-    fractions = _load_fractions(load_points)
+    fractions = load_fractions(load_points)
     return SweepSpec(
         name="fig3",
         task=tasks.fig3_panel,
@@ -171,8 +169,10 @@ def fig4_sweep_spec(
     Like Fig. 3, every backend runs ``MlcProbe`` and ``backend`` stays
     out of the params.
     """
+    from ..workloads.mlc import load_fractions
+
     _check_backend(backend)
-    fractions = _load_fractions(load_points)
+    fractions = load_fractions(load_points)
     return SweepSpec(
         name="fig4",
         task=tasks.fig4_pattern_mix,

@@ -18,20 +18,22 @@ cross-check that the analytic sweep in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ...errors import ConfigurationError
 from ...faults.breaker import CircuitBreaker
-from ...faults.injector import FaultInjector
 from ...faults.metrics import RecoveryTracker
 from ...obs.tracing import NULL_TRACER, Tracer
 from ...sim.engine import Simulator
 from ...sim.stats import LatencyHistogram
 from ...units import GIB
-from ...workloads.llm_trace import ChatRequest
 from .backend import CpuBackend
 from .kvcache import KvCache
 from .serving import LlmServingExperiment
+
+if TYPE_CHECKING:
+    from ...faults.injector import FaultInjector
+    from ...workloads.llm_trace import ChatRequest
 
 __all__ = ["ServingResult", "LlmRouter"]
 

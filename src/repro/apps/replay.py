@@ -16,7 +16,7 @@ patterns without writing a new application model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import ConfigurationError
 from ..hw.paths import MemoryPath
@@ -26,7 +26,9 @@ from ..mem.tiering.base import TieringDaemon
 from ..sim.monitor import BandwidthMonitor
 from ..sim.stats import LatencyHistogram
 from ..units import CACHELINE_SIZE, gb_per_s
-from ..workloads.trace import PageTrace
+
+if TYPE_CHECKING:
+    from ..workloads.trace import PageTrace
 
 __all__ = ["ReplayResult", "TraceReplayer"]
 

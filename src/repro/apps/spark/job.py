@@ -25,16 +25,18 @@ slowdowns and motivate §5.3's bandwidth-aware-placement insight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...errors import ConfigurationError
-from ...faults.injector import FaultInjector
 from ...faults.plan import FaultKind
 from ...hw.calibration import path_latency_model
 from ...workloads.tpch import QueryProfile, QueryStage
 from .cluster import ClusterConfig, tier_bandwidths
 from .executor import SparkAppSpec
 from .shuffle import MEMORY_PASSES, network_time_ns, plan_spill, ssd_time_ns
+
+if TYPE_CHECKING:
+    from ...faults.injector import FaultInjector
 
 __all__ = ["PhaseCosts", "StageResult", "QueryResult", "SparkQueryRunner"]
 

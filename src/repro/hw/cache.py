@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..units import KIB, MIB
-from ..workloads.trace import PageTrace
+
+if TYPE_CHECKING:
+    from ..workloads.trace import PageTrace
 
 __all__ = ["CacheLevel", "CacheHierarchy", "sapphire_rapids_caches"]
 

@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..faults.injector import FaultInjector
 from .limiter import TokenBucketLimiter
 from .metrics import OverloadMetrics
+
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector
 
 __all__ = ["OverloadPolicy", "OverloadController"]
 

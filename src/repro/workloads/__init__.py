@@ -14,6 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "MlcCurve": ".mlc",
     "MlcPoint": ".mlc",
     "MlcProbe": ".mlc",
+    "load_fractions": ".mlc",
     "PAPER_QUERY_NAMES": ".tpch",
     "QueryProfile": ".tpch",
     "QueryStage": ".tpch",

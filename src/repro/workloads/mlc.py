@@ -20,20 +20,30 @@ direction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
-from ..hw.paths import MemoryPath
-from ..hw.topology import Platform
 from ..units import to_gb_per_s
 
-__all__ = ["MlcPoint", "MlcCurve", "MlcProbe", "PAPER_MIXES"]
+if TYPE_CHECKING:
+    from ..hw.paths import MemoryPath
+    from ..hw.topology import Platform
+
+__all__ = ["MlcPoint", "MlcCurve", "MlcProbe", "PAPER_MIXES", "load_fractions"]
 
 #: The read:write mixes the paper sweeps (Fig. 3 legends / Fig. 4 panels).
 PAPER_MIXES: Tuple[Tuple[int, int], ...] = ((1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (0, 1))
+
+
+def load_fractions(points: int) -> List[float]:
+    """MLC's automatic ramp: ``points`` offered loads, evenly spaced from
+    2 % to 115 % of peak.  At the stock 8 and 24 points these are the
+    same floats as ``numpy.linspace(0.02, 1.15, points)``."""
+    if points < 2:
+        raise WorkloadError("a load ramp needs at least 2 points")
+    return [0.02 + i * (1.13 / (points - 1)) for i in range(points)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,16 @@ class MlcProbe:
             raise WorkloadError("invalid read:write mix")
         write_fraction = writes / (reads + writes)
         if load_points is None:
-            load_points = list(np.linspace(0.02, 1.15, 24))
+            load_points = load_fractions(24)
+        if len(load_points) == 0:
+            raise WorkloadError("load_points must not be empty")
+        for fraction in load_points:
+            if not (math.isfinite(fraction) and fraction > 0):
+                raise WorkloadError("load fractions must be finite and positive")
 
         peak = path.peak_bandwidth(write_fraction)
         points: List[MlcPoint] = []
         for fraction in load_points:
-            if fraction <= 0:
-                raise WorkloadError("load fractions must be positive")
             offered = fraction * peak
             demands = [
                 self.platform.demand("probe", path, offered, write_fraction)

@@ -2,11 +2,12 @@
 
 Package ``__init__``s resolve their exports on first access
 (:mod:`repro._lazy`), the CLI imports a subcommand's stack on dispatch,
-and the objects a cache hit unpickles live in numpy-free modules.  Each
-check runs in a fresh interpreter, since this process has long since
-imported everything.
+the objects a cache hit unpickles live in numpy-free modules, and only
+the modules that build arrays import numpy.  Each check runs in a fresh
+interpreter, since this process has long since imported everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -123,6 +124,72 @@ def test_warm_fig5_sweep_loads_no_numpy(tmp_path):
     assert (warm["hits"], warm["misses"]) == (28, 0)
     assert not warm["numpy"]
     assert warm["export"] == cold_export
+
+
+@pytest.mark.parametrize("target", ["fig3", "fig4", "fig7", "fig10"])
+def test_light_figure_sweep_loads_no_numpy(target):
+    """The MLC, Spark and LLM sweeps build no arrays: running one, cold
+    and uncached, imports no numpy and exports the same bytes."""
+    from repro.cli import stock_sweep_spec
+    from repro.parallel import merge_metrics_documents, run_sweep
+
+    spec = stock_sweep_spec(target, quick=True, backend="des")
+    sweep = run_sweep(spec, workers=1).raise_failures()
+    export = json.dumps(merge_metrics_documents(
+        [(pr.key, pr.value["metrics"]) for pr in sweep.results],
+        generated_by=f"repro sweep {target}",
+    ), indent=2)
+    report = _run(f"""
+        import json, sys
+        from repro.cli import stock_sweep_spec
+        from repro.parallel import merge_metrics_documents, run_sweep
+
+        spec = stock_sweep_spec({target!r}, quick=True, backend="des")
+        sweep = run_sweep(spec, workers=1).raise_failures()
+        doc = merge_metrics_documents(
+            [(pr.key, pr.value["metrics"]) for pr in sweep.results],
+            generated_by="repro sweep {target}",
+        )
+        print(json.dumps({{
+            "numpy": "numpy" in sys.modules,
+            "export": json.dumps(doc, indent=2),
+        }}))
+    """)
+    assert not report["numpy"]
+    assert report["export"] == export
+
+
+def test_numpy_is_imported_at_module_top_only_by_array_modules():
+    """Only the modules that build arrays import numpy at module top;
+    the rest reach them under ``TYPE_CHECKING`` or inside a function."""
+    root = os.path.join(SRC, "repro")
+    importers = set()
+    for dirpath, _, filenames in os.walk(root):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                    importers.add(os.path.relpath(path, root)[:-3].replace(os.sep, "/"))
+    assert importers == {
+        "analytic/keydb",
+        "apps/kvstore/des_server", "apps/kvstore/flash",
+        "apps/kvstore/server", "apps/kvstore/store",
+        "core/pooling",
+        "faults/injector",
+        "sim/rng",
+        "workloads/distributions", "workloads/llm_trace",
+        "workloads/trace", "workloads/ycsb",
+    }
 
 
 def test_racing_threads_resolve_identical_objects():

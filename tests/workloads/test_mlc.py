@@ -1,11 +1,12 @@
 """Tests for the MLC-style loaded-latency probe — these are the Fig. 3/4
 shape checks."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.hw import paper_cxl_platform
-from repro.workloads import MlcProbe
+from repro.workloads import MlcProbe, load_fractions
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,58 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             probe.loaded_latency_curve(dram_path(platform), 0, 0)
 
-    def test_load_fractions(self, probe, platform):
+    def test_load_fractions(self, probe, platform, monkeypatch):
+        """A ramp with a fraction that is not finite and positive, or no
+        fraction at all, is rejected before any allocation runs."""
+        def allocate(demands):
+            raise AssertionError("allocated before rejecting the ramp")
+
+        monkeypatch.setattr(platform, "allocate", allocate)
+        for load_points in ([0.0], [-0.1], [float("nan")], [float("inf")],
+                            [0.5, float("nan")], []):
+            with pytest.raises(WorkloadError):
+                probe.loaded_latency_curve(
+                    cxl_path(platform), 1, 0, load_points=load_points
+                )
+
+
+#: The parent-pinned stock ramps: fig3/fig4 carry them as point params,
+#: so any drift re-keys every cached point.
+QUICK_RAMP = [
+    0.02, 0.1814285714285714, 0.34285714285714286, 0.5042857142857142,
+    0.6657142857142857, 0.8271428571428572, 0.9885714285714285, 1.15,
+]
+FULL_RAMP = [
+    0.02, 0.06913043478260869, 0.11826086956521739, 0.16739130434782606,
+    0.21652173913043476, 0.26565217391304347, 0.31478260869565217,
+    0.36391304347826087, 0.41304347826086957, 0.46217391304347827,
+    0.5113043478260869, 0.5604347826086956, 0.6095652173913043,
+    0.658695652173913, 0.7078260869565217, 0.7569565217391304,
+    0.8060869565217391, 0.8552173913043478, 0.9043478260869565,
+    0.9534782608695652, 1.0026086956521738, 1.0517391304347825,
+    1.1008695652173912, 1.15,
+]
+
+
+class TestLoadRamp:
+    @pytest.mark.parametrize("points", [8, 24])
+    def test_stock_ramps_are_mlc_linspace(self, points):
+        ramp = load_fractions(points)
+        assert ramp == np.linspace(0.02, 1.15, points).tolist()
+        assert all(type(f) is float for f in ramp)
+
+    def test_needs_two_points(self):
         with pytest.raises(WorkloadError):
-            probe.loaded_latency_curve(dram_path(platform), 1, 0, load_points=[0.0])
+            load_fractions(1)
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    @pytest.mark.parametrize("quick, ramp", [(True, QUICK_RAMP), (False, FULL_RAMP)],
+                             ids=["quick", "full"])
+    def test_stock_sweep_ramps_are_pinned(self, target, quick, ramp):
+        from repro.cli import stock_sweep_spec
+
+        spec = stock_sweep_spec(target, quick=quick, backend="des")
+        assert [p.params["fractions"] for p in spec.points] == [ramp] * len(spec.points)
 
 
 class TestFig3aMmem:
