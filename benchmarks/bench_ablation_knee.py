@@ -39,7 +39,7 @@ def test_ablation_knee_position_per_path(benchmark, report):
 
 def test_ablation_knee_vs_write_share(benchmark, platform, report):
     benchmark.pedantic(lambda: None, rounds=1)  # artifact test; timing in sibling bench
-    probe = MlcProbe(platform, threads=16)
+    probe = MlcProbe(platform)
     node = platform.dram_nodes(0)[0]
     path = platform.path(0, node.node_id, initiator_domain=node.domain)
     points = [i / 100 for i in range(2, 116)]

@@ -1,12 +1,11 @@
 """Engine hot-path microbenchmark: events dispatched per second.
 
-Exercises the dispatch-heavy primitives the application stacks lean on
-— timeout storms, contended ``Resource`` request/release, ``AnyOf``
-races — and reports raw events/second plus a *normalized score*: engine
-events per unit of a pure-Python calibration loop.  The normalized
-score is what ``--check`` guards; dividing out the calibration loop
-makes the threshold (roughly) hardware independent, so the same
-baseline works on a laptop and in CI.
+Exercises the two primitives the engine's users lean on — timeout
+storms and contended ``Resource`` request/release — and reports raw
+events/second plus a *normalized score*: engine events per unit of a
+pure-Python calibration loop.  The normalized score is what ``--check``
+guards; dividing out the calibration loop makes the threshold (roughly)
+hardware independent, so the same baseline works on a laptop and in CI.
 
 Usage::
 
@@ -33,7 +32,6 @@ from repro.sim.resources import Resource
 BASELINE_SCORES = {
     "timeout_storm": 0.06,
     "resource_contention": 0.06,
-    "anyof_races": 0.05,
 }
 
 #: Allowed fractional regression of the normalized score.
@@ -98,23 +96,9 @@ def resource_contention(processes: int = 120, rounds: int = 40) -> Simulator:
     return sim
 
 
-def anyof_races(processes: int = 120, rounds: int = 40) -> Simulator:
-    """AnyOf of a fast and a slow timeout, every round (combinator path)."""
-    sim = Simulator()
-
-    def worker(fast: float):
-        for _ in range(rounds):
-            yield sim.any_of([sim.timeout(fast), sim.timeout(fast * 10.0)])
-
-    for i in range(processes):
-        sim.process(worker(1.0 + (i % 3)), label="race")
-    return sim
-
-
 WORKLOADS = {
     "timeout_storm": timeout_storm,
     "resource_contention": resource_contention,
-    "anyof_races": anyof_races,
 }
 
 

@@ -1,7 +1,7 @@
 """Fig. 3: loaded-latency curves for MMEM / MMEM-r / CXL / CXL-r.
 
 Regenerates the four panels of Fig. 3 with the calibrated MLC probe
-(16 threads, SNC-4 enabled) and checks the §3.2 anchors: idle latencies
+(SNC-4 enabled) and checks the §3.2 anchors: idle latencies
 (97 / 130 / 250.42 / 485 ns), peak bandwidths (67 / 54.6 / 56.7 /
 20.4 GB/s) and the latency blow-up near saturation.
 

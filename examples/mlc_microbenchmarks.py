@@ -18,7 +18,7 @@ from repro.workloads import MlcProbe
 
 def main() -> None:
     platform = paper_cxl_platform(snc_enabled=True)
-    probe = MlcProbe(platform, threads=16)
+    probe = MlcProbe(platform)
     dram = platform.dram_nodes(0)[0]
     cxl = platform.cxl_nodes()[0]
     dram_path = platform.path(0, dram.node_id, initiator_domain=dram.domain)

@@ -31,7 +31,7 @@ def main() -> None:
         "CXL-r": platform.path(1, cxl.node_id),
     }
     rows = []
-    probe = MlcProbe(platform, threads=16)
+    probe = MlcProbe(platform)
     for name, path in paths.items():
         curve = probe.loaded_latency_curve(path, 2, 1)
         rows.append(

@@ -144,9 +144,9 @@ def fig3_loaded_latency(
 ) -> Dict[str, Dict[str, MlcCurve]]:
     """Fig. 3: loaded-latency curves for the four distances.
 
-    Returns ``{panel: {"r:w": MlcCurve}}`` with 16 MLC threads on the
-    SNC-enabled platform, as in §3.1.  Panels are independent and fan
-    out across ``workers`` processes.
+    Returns ``{panel: {"r:w": MlcCurve}}`` on the SNC-enabled platform,
+    as in §3.1.  Panels are independent and fan out across ``workers``
+    processes.
     """
     spec = fig3_sweep_spec(panels=panels, mixes=mixes, load_points=load_points,
                            backend=backend)

@@ -2,7 +2,7 @@
 
 The paper's KeyDB sweeps (figs 5 and 8) converge to fixed points of one
 self-consistency map over the ``repro.hw`` bandwidth/latency knots;
-this package solves that map directly instead of simulating every
+this package iterates that map directly instead of simulating every
 event, at a >=25x per-point speedup with calibrated, pinned error
 bounds.  A fig5/fig8 point names its model in ``params["backend"]``,
 and its one task (:mod:`repro.parallel.tasks`) imports this package
@@ -10,9 +10,8 @@ only when that model is ``"analytic"``.  The fig3/fig4 loaded-latency
 curves have no analytic model: every backend runs the allocator-backed
 :class:`~repro.workloads.mlc.MlcProbe`.
 
-* :mod:`~repro.analytic.model` — a generic damped fixed-point solver;
 * :mod:`~repro.analytic.keydb` — the KeyDB steady-state model
-  (fig5/fig8);
+  (fig5/fig8), with its own undamped fixed-point loop;
 * :mod:`~repro.analytic.select` — the ``--backend auto`` routing
   policy (steady states -> analytic, transients -> DES);
 * :mod:`~repro.analytic.validate` — the DES-vs-analytic calibration
@@ -26,7 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BACKENDS": ".select",
     "CalibrationReport": ".validate",
     "DEFAULT_FIG5_CELLS": ".validate",
-    "FixedPoint": ".model",
     "MetricError": ".validate",
     "PINNED_TOLERANCES": ".validate",
     "analytic_keydb_config": ".keydb",
@@ -37,6 +35,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "run_calibration": ".validate",
     "scrambled_key_pmf": ".keydb",
     "select_backend": ".select",
-    "solve_fixed_point": ".model",
     "zipf_rank_pmf": ".keydb",
 })

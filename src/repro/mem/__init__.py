@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BindPolicy": ".policy",
     "InterleavePolicy": ".policy",
     "MemPolicy": ".policy",
-    "PreferredPolicy": ".policy",
     "WeightedInterleavePolicy": ".policy",
     "HotPageSelectionDaemon": ".tiering",
     "MigrationRound": ".tiering",

@@ -1,15 +1,14 @@
-"""NUMA memory policies: bind, preferred, interleave, weighted N:M interleave.
+"""NUMA memory policies: bind, interleave, weighted N:M interleave.
 
 These mirror the Linux mempolicies the paper's experiments are built on
 (§2.3 and Table 1):
 
 * ``MPOL_BIND`` — :class:`BindPolicy`; what ``numactl --membind`` does in
   the paper's CXL-only and MMEM-only configurations (§4.3).
-* ``MPOL_PREFERRED`` — :class:`PreferredPolicy`; fill a preferred node
-  first, then fall back (the Hot-Promote setup allocates half the
-  dataset on CXL this way).
 * ``MPOL_INTERLEAVE`` — :class:`InterleavePolicy`; classic 1:1
-  round-robin.
+  round-robin.  The Hot-Promote setup starts from it
+  (:func:`~repro.mem.numactl.hot_promote_initial`), which puts half the
+  dataset on CXL.
 * **N:M tiered interleave** — :class:`WeightedInterleavePolicy`; the
   unofficial kernel patch's policy where N pages go to top-tier nodes
   for every M pages on lower tiers (``vm.numa_tier_interleave``), used
@@ -31,7 +30,6 @@ from ..errors import AllocationError, PolicyError
 __all__ = [
     "MemPolicy",
     "BindPolicy",
-    "PreferredPolicy",
     "InterleavePolicy",
     "WeightedInterleavePolicy",
 ]
@@ -131,25 +129,6 @@ class BindPolicy(MemPolicy):
         for node, pages in need.items():
             nodes += [node] * pages
         return nodes
-
-
-class PreferredPolicy(MemPolicy):
-    """Fill ``preferred`` first; overflow onto ``fallbacks`` in order."""
-
-    def __init__(self, preferred: int, fallbacks: Sequence[int] = ()) -> None:
-        self._preferred = preferred
-        self._fallbacks = tuple(fallbacks)
-
-    def nodes(self) -> Tuple[int, ...]:
-        return (self._preferred,) + self._fallbacks
-
-    def place(self, free_bytes: Dict[int, int], page_size: int) -> int:
-        for node in self.nodes():
-            if self._fits(node, free_bytes, page_size):
-                return node
-        raise AllocationError(
-            f"preferred node {self._preferred} and fallbacks {self._fallbacks} are full"
-        )
 
 
 class InterleavePolicy(MemPolicy):

@@ -102,7 +102,7 @@ def fig3_panel(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     from ..workloads.mlc import MlcProbe
 
     platform = paper_cxl_platform(snc_enabled=True)
-    probe = MlcProbe(platform, threads=int(params.get("threads", 16)))
+    probe = MlcProbe(platform)
     panel = params["panel"]
     path = _panel_path(platform, panel)
     curves = {
@@ -137,7 +137,7 @@ def fig4_pattern_mix(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
 
     platform = paper_cxl_platform(snc_enabled=True)
     pattern = params["pattern"]
-    probe = MlcProbe(platform, threads=16, pattern=pattern)
+    probe = MlcProbe(platform, pattern=pattern)
     r, w = params["mix"]
     per_panel = {
         panel: probe.loaded_latency_curve(

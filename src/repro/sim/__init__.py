@@ -8,8 +8,6 @@ This subpackage is application-agnostic.  The hardware model
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "AllOf": ".engine",
-    "AnyOf": ".engine",
     "Event": ".engine",
     "Process": ".engine",
     "Simulator": ".engine",

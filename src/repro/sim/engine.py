@@ -13,6 +13,13 @@ the simulator only needs a small, fully deterministic core):
   value at resume.  A process is itself an event that fires when the
   generator returns, so processes can wait on each other.
 
+Its two users — the closed-loop event-driven KeyDB server
+(:mod:`repro.apps.kvstore.des_server`) and the LLM router
+(:mod:`repro.apps.llm.router`) — only wait on timeouts and on FIFO
+:class:`~repro.sim.resources.Resource` grants, so that is all the engine
+offers: no event failure and no combinators.  An exception raised inside
+a process propagates out of :meth:`Simulator.run`.
+
 Time is in nanoseconds (see :mod:`repro.units`).
 """
 
@@ -23,28 +30,26 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "Timeout", "Process", "Simulator", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Process", "Simulator"]
 
 
 class Event:
     """A one-shot occurrence in simulated time.
 
-    An event starts *pending*; :meth:`succeed` (or :meth:`fail`) makes it
-    *triggered*, scheduling its callbacks to run at the current simulation
-    time.  Waiting processes are resumed with the event's value.
+    An event starts *pending*; :meth:`succeed` makes it *triggered*,
+    scheduling its callbacks to run at the current simulation time.
+    Waiting processes are resumed with the event's value.
 
     Events are the engine's unit of allocation — a loaded sweep creates
     tens of millions of them — so the class (and every subclass) uses
     ``__slots__`` to keep instances small and attribute access fast.
     """
 
-    __slots__ = ("sim", "value", "failed", "_triggered", "_dispatched",
-                 "callbacks", "_owner")
+    __slots__ = ("sim", "value", "_triggered", "_dispatched", "callbacks", "_owner")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.value: Any = None
-        self.failed = False
         self._triggered = False
         self._dispatched = False
         self.callbacks: List[Callable[["Event"], None]] = []
@@ -54,17 +59,8 @@ class Event:
 
     @property
     def triggered(self) -> bool:
-        """True once the event has been succeeded or failed."""
+        """True once the event has been succeeded."""
         return self._triggered
-
-    @property
-    def dispatched(self) -> bool:
-        """True once the event's callbacks have run.
-
-        After dispatch, newly appended callbacks would never fire;
-        waiters must check this flag and resume immediately instead.
-        """
-        return self._dispatched
 
     def succeed(self, value: Any = None) -> "Event":
         """Mark the event successful and schedule its callbacks now."""
@@ -72,32 +68,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self.value = value
-        self.sim._schedule_event(self)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Mark the event failed; waiting processes see the exception.
-
-        The exception keeps (or, for a freshly constructed one, gains) a
-        traceback anchored at the ``fail()`` call site, so that when it
-        is eventually re-raised — from :meth:`Process._resume` or
-        :meth:`Simulator.run_until_event` — the original failure context
-        is part of the chain instead of being lost.
-        """
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        if not isinstance(exc, BaseException):
-            raise SimulationError(f"fail() requires an exception instance, got {exc!r}")
-        if exc.__traceback__ is None:
-            # Anchor the traceback at the fail site so re-raises chain back.
-            try:
-                raise exc
-            except BaseException:
-                pass
-        self._triggered = True
-        self.failed = True
-        self.value = exc
-        self.sim._schedule_event(self)
+        self.sim._schedule_at(self.sim.now, self)
         return self
 
     def _dispatch(self) -> None:
@@ -125,12 +96,11 @@ class Process(Event):
     """A coroutine driven by the events it yields.
 
     The wrapped generator yields :class:`Event` objects.  When a yielded
-    event fires, the generator resumes with ``event.value`` (or the
-    exception is thrown into it if the event failed).  The process itself
-    is an event that succeeds with the generator's return value.
+    event fires, the generator resumes with ``event.value``.  The process
+    itself is an event that succeeds with the generator's return value.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "label")
+    __slots__ = ("_send", "label")
 
     def __init__(
         self,
@@ -139,12 +109,10 @@ class Process(Event):
         label: Optional[str] = None,
     ) -> None:
         super().__init__(sim)
-        self._gen = gen
-        # Bind the generator's send/throw once: _resume runs once per
+        # Bind the generator's send once: _resume runs once per
         # dispatched event, and creating a fresh bound-method object on
         # every resume is measurable allocator churn on long sweeps.
         self._send = gen.send
-        self._throw = gen.throw
         #: Process-type label for engine profiling (defaults to the
         #: generator function's name).
         self.label = label or getattr(gen, "__name__", "process")
@@ -157,28 +125,10 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         try:
-            if trigger.failed:
-                target = self._throw(trigger.value)
-            else:
-                target = self._send(trigger.value)
+            target = self._send(trigger.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # propagate crash to waiters
-            if (
-                trigger.failed
-                and exc is not trigger.value
-                and exc.__context__ is None
-                and exc.__cause__ is None
-            ):
-                # The generator swallowed the triggering failure and then
-                # raised a fresh exception outside the except block; chain
-                # the original so its traceback is not lost.
-                exc.__context__ = trigger.value
-            if self.callbacks:
-                self.fail(exc)
-                return
-            raise
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event objects"
@@ -189,118 +139,10 @@ class Process(Event):
             target._owner = self.label
         if target._dispatched:
             # Already-dispatched event: its callback list is dead, so
-            # resume via an immediate timeout carrying the same value —
-            # preserving failure, so a failed event still throws.
-            imm = Timeout(self.sim, 0.0, value=target.value)
-            imm.failed = target.failed
-            imm.callbacks.append(self._resume)
+            # resume via an immediate timeout carrying the same value.
+            Timeout(self.sim, 0.0, value=target.value).callbacks.append(self._resume)
         else:
             target.callbacks.append(self._resume)
-
-
-class _Combinator(Event):
-    """Shared child-callback bookkeeping for :class:`AllOf`/:class:`AnyOf`.
-
-    A combinator registers a callback on every pending child.  Once the
-    combinator resolves, those callbacks are dead weight: a child that
-    never fires (a fault trigger, an idle deadline) would otherwise keep
-    one stale callback per combinator it ever raced in, growing its
-    callback list without bound.  :meth:`_resolve` prunes the losing
-    children's registrations so callback lists stay bounded no matter how
-    many combinators share a long-lived event.
-    """
-
-    __slots__ = ("_watched",)
-
-    def __init__(self, sim: "Simulator") -> None:
-        super().__init__(sim)
-        #: (child, callback) registrations to undo at resolution.
-        self._watched: List[Tuple[Event, Callable[[Event], None]]] = []
-
-    def _watch(self, child: Event, callback: Callable[[Event], None]) -> None:
-        child.callbacks.append(callback)
-        self._watched.append((child, callback))
-
-    def _resolve(self, failed: bool, value: Any) -> None:
-        """Trigger the combinator and detach from still-pending children."""
-        watched, self._watched = self._watched, []
-        for child, callback in watched:
-            if not child._dispatched:
-                try:
-                    child.callbacks.remove(callback)
-                except ValueError:  # pragma: no cover - already detached
-                    pass
-        if failed:
-            self.fail(value)
-        else:
-            self.succeed(value)
-
-
-class AllOf(_Combinator):
-    """An event that fires when all of its child events have fired."""
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:
-        super().__init__(sim)
-        self._pending = 0
-        self._values: List[Any] = [None] * len(events)
-        if not events:
-            self.succeed([])
-            return
-        first_failure: Optional[BaseException] = None
-        for i, ev in enumerate(events):
-            if ev.dispatched:
-                if ev.failed and first_failure is None:
-                    first_failure = ev.value
-                self._values[i] = ev.value
-            else:
-                self._pending += 1
-                self._watch(ev, self._make_cb(i))
-        if first_failure is not None:
-            # A failed-but-dispatched child fails the combinator, exactly
-            # as a failing pending child would via its callback.
-            self._resolve(True, first_failure)
-        elif self._pending == 0:
-            self.succeed(self._values)
-
-    def _make_cb(self, index: int) -> Callable[[Event], None]:
-        def _cb(ev: Event) -> None:
-            if self._triggered:
-                return
-            if ev.failed:
-                self._resolve(True, ev.value)
-                return
-            self._values[index] = ev.value
-            self._pending -= 1
-            if self._pending == 0:
-                self._resolve(False, self._values)
-
-        return _cb
-
-
-class AnyOf(_Combinator):
-    """An event that fires when the first of its child events fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:
-        super().__init__(sim)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for ev in events:
-            if ev.dispatched:
-                # An already-dispatched child's callback list is dead
-                # (appending would never fire); it IS the first event, so
-                # resolve immediately — mirroring Process._resume/AllOf.
-                self._resolve(ev.failed, ev.value)
-                return
-            self._watch(ev, self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        self._resolve(ev.failed, ev.value)
 
 
 class Simulator:
@@ -315,8 +157,6 @@ class Simulator:
         #: and results are unchanged).
         self.profile: Optional[Any] = None
 
-    # -- scheduling ------------------------------------------------------
-
     def _schedule_at(self, time: float, event: Event) -> None:
         if time < self.now:
             raise SimulationError(
@@ -324,9 +164,6 @@ class Simulator:
             )
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-
-    def _schedule_event(self, event: Event) -> None:
-        self._schedule_at(self.now, event)
 
     # -- public factory helpers ------------------------------------------
 
@@ -348,14 +185,6 @@ class Simulator:
         """
         return Process(self, gen, label=label)
 
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Event that fires when every event in ``events`` has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Event that fires when the first event in ``events`` fires."""
-        return AnyOf(self, events)
-
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
@@ -369,39 +198,7 @@ class Simulator:
         self.now = time
         event._dispatch()
 
-    def peek(self) -> float:
-        """Time of the next scheduled event (inf if none)."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock passes ``until``.
-
-        When ``until`` is given, the clock is left exactly at ``until``
-        even if no event lands on it, so back-to-back ``run(until=...)``
-        calls tile time without gaps.
-        """
-        if until is not None and until < self.now:
-            raise SimulationError(f"run until {until} is in the past ({self.now})")
+    def run(self) -> None:
+        """Run until the heap drains."""
         while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
             self.step()
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` fires; returns its value.
-
-        Raises :class:`SimulationError` if the heap drains (or the
-        optional time ``limit`` passes) first, and re-raises the event's
-        exception if it failed.
-        """
-        while not event.triggered:
-            if not self._heap:
-                raise SimulationError("event queue drained before event fired")
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimulationError("time limit reached before event fired")
-            self.step()
-        if event.failed:
-            raise event.value
-        return event.value

@@ -53,7 +53,7 @@ class TrafficDemand:
     write_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
+        if not self.rate >= 0:  # also rejects NaN
             raise SimulationError(f"demand rate must be >= 0, got {self.rate}")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise SimulationError("write_fraction must be in [0, 1]")

@@ -1,10 +1,11 @@
 """An Intel MLC-style loaded-latency probe over the simulated platform.
 
-Reproduces the methodology of §3.1: ``N`` probe threads (16 in the
-paper) each issue 64-byte accesses at a controlled injection rate; the
-harness sweeps the aggregate offered load from near-idle to beyond
-saturation and records ``(achieved bandwidth, loaded latency)`` pairs —
-the loaded-latency curves of Fig. 3 and Fig. 4.
+Reproduces the methodology of §3.1, where 16 MLC threads issue 64-byte
+accesses at a controlled injection rate.  The model has no threads: it
+offers their aggregate load to the bandwidth allocator as one flow,
+sweeps it from near-idle to beyond saturation and records ``(achieved
+bandwidth, loaded latency)`` pairs — the loaded-latency curves of
+Fig. 3 and Fig. 4.
 
 Access *pattern* (sequential vs random) is accepted for API fidelity
 but does not change the result: §3.3 reports "we do not observe any
@@ -91,18 +92,10 @@ class MlcCurve:
 class MlcProbe:
     """Sweeps offered load against one memory path."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        threads: int = 16,
-        pattern: str = "sequential",
-    ) -> None:
-        if threads <= 0:
-            raise WorkloadError("threads must be positive")
+    def __init__(self, platform: Platform, pattern: str = "sequential") -> None:
         if pattern not in ("sequential", "random"):
             raise WorkloadError(f"unknown access pattern {pattern!r}")
         self.platform = platform
-        self.threads = threads
         self.pattern = pattern
 
     def loaded_latency_curve(

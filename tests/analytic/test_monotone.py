@@ -17,7 +17,7 @@ from repro.workloads.mlc import MlcProbe
 PLATFORM = paper_cxl_platform(snc_enabled=True)
 CXL = PLATFORM.cxl_nodes()[0]
 CXL_PATH = PLATFORM.path(0, CXL.node_id)
-PROBE = MlcProbe(PLATFORM, threads=16)
+PROBE = MlcProbe(PLATFORM)
 # The CXL chain's capacity at a 3:1 mix: a lone flow's achieved rate
 # under unbounded offered load.
 CXL_CAPACITY_3_1 = PROBE.bandwidth_matrix(reads=3, writes=1)[(0, CXL.node_id)]

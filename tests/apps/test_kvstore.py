@@ -1,5 +1,8 @@
 """Tests for the KeyDB application model (units + §4.1/§4.3 shape checks)."""
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 
@@ -360,3 +363,24 @@ class TestFig8CxlOnly:
         mmem, cxl = pair
         penalty = cxl.read_latency.mean / mmem.read_latency.mean
         assert penalty < 1.5
+
+
+class TestSeedStability:
+    def test_keydb_interleave_ratio_stable_across_seeds(self):
+        """The 1:1 interleave slowdown band must not be a seed artifact."""
+        slowdowns = []
+        for seed in (11, 22, 33):
+            base = run_keydb_config(
+                "mmem", record_count=16_384, total_ops=20_000, seed=seed
+            ).throughput_ops_per_s
+            inter = run_keydb_config(
+                "1:1", record_count=16_384, total_ops=20_000, seed=seed
+            ).throughput_ops_per_s
+            slowdowns.append(base / inter)
+        mean = statistics.mean(slowdowns)
+        stdev = statistics.stdev(slowdowns)
+        assert stdev / mean < 0.05
+        # The 95 % normal-approximation confidence interval of the mean
+        # lies inside the band.
+        half = 1.96 * stdev / math.sqrt(len(slowdowns))
+        assert 1.15 <= mean - half and mean + half <= 1.6

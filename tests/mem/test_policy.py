@@ -10,7 +10,6 @@ from repro.mem import AddressSpace, MemoryInventory, numactl
 from repro.mem.policy import (
     BindPolicy,
     InterleavePolicy,
-    PreferredPolicy,
     WeightedInterleavePolicy,
 )
 
@@ -42,21 +41,6 @@ class TestBindPolicy:
         p = BindPolicy([1])
         with pytest.raises(AllocationError):
             p.place(free(n0=PAGE * 100, n1=0), PAGE)
-
-
-class TestPreferredPolicy:
-    def test_preferred_then_fallback(self):
-        p = PreferredPolicy(preferred=0, fallbacks=[1])
-        assert p.place(free(n0=PAGE, n1=PAGE), PAGE) == 0
-        assert p.place(free(n0=0, n1=PAGE), PAGE) == 1
-
-    def test_raises_when_all_full(self):
-        p = PreferredPolicy(0, [1])
-        with pytest.raises(AllocationError):
-            p.place(free(n0=0, n1=0), PAGE)
-
-    def test_nodes(self):
-        assert PreferredPolicy(2, [0, 1]).nodes() == (2, 0, 1)
 
 
 class TestInterleavePolicy:
@@ -190,8 +174,6 @@ def _paper_policy(kind, order):
     """A policy over the paper platform's nodes (two DRAM, two CXL)."""
     if kind == "bind":
         return BindPolicy(order)
-    if kind == "preferred":
-        return PreferredPolicy(order[0], order[1:])
     if kind == "interleave":
         return InterleavePolicy(order)
     n, m = (int(x) for x in kind.split(":"))
@@ -203,7 +185,7 @@ class TestPlaceMany:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(["bind", "preferred", "interleave", "3:1", "1:1", "1:3"]),
+        kind=st.sampled_from(["bind", "interleave", "3:1", "1:1", "1:3"]),
         order=st.permutations([0, 1, 2, 3]).flatmap(
             lambda nodes: st.integers(1, 4).map(lambda k: nodes[:k])
         ),
@@ -236,7 +218,7 @@ class TestPlaceMany:
     def test_batch_that_cannot_be_placed(self):
         platform = paper_cxl_platform(snc_enabled=False)
         cap = {0: 5 * PAGE, 1: 2 * PAGE, 2: 3 * PAGE, 3: 0}
-        for kind in ("bind", "preferred", "interleave", "3:1", "1:1", "1:3"):
+        for kind in ("bind", "interleave", "3:1", "1:1", "1:3"):
             arms = [_paper_policy(kind, [0, 1, 2, 3]) for _ in range(2)]
             inventory = MemoryInventory(platform, capacity_override=cap)
             space = AddressSpace(inventory)

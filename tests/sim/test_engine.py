@@ -49,38 +49,9 @@ class TestClockAndEvents:
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
-    def test_run_until_leaves_clock_at_until(self):
-        sim = Simulator()
-        sim.timeout(50.0)
-        sim.run(until=200.0)
-        assert sim.now == 200.0
-
-    def test_run_until_does_not_fire_later_events(self):
-        sim = Simulator()
-        fired = []
-        sim.timeout(300.0).callbacks.append(lambda e: fired.append(1))
-        sim.run(until=200.0)
-        assert fired == []
-        sim.run()
-        assert fired == [1]
-
-    def test_run_until_past_raises(self):
-        sim = Simulator()
-        sim.timeout(10.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.run(until=5.0)
-
     def test_step_without_events_raises(self):
         with pytest.raises(SimulationError):
             Simulator().step()
-
-    def test_peek_returns_next_event_time(self):
-        sim = Simulator()
-        sim.timeout(42.0)
-        assert sim.peek() == 42.0
-        sim.run()
-        assert sim.peek() == float("inf")
 
 
 class TestProcesses:
@@ -145,26 +116,6 @@ class TestProcesses:
         sim.run()
         assert log == [(25.0, "open")]
 
-    def test_failed_event_raises_inside_process(self):
-        sim = Simulator()
-        gate = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield gate
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        def failer():
-            yield sim.timeout(1.0)
-            gate.fail(RuntimeError("boom"))
-
-        sim.process(waiter())
-        sim.process(failer())
-        sim.run()
-        assert caught == ["boom"]
-
     def test_yielding_non_event_raises(self):
         sim = Simulator()
 
@@ -200,59 +151,6 @@ class TestProcesses:
         sim.process(late_waiter())
         sim.run()
         assert results == [(10.0, "early")]
-
-
-class TestCombinators:
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            values = yield sim.all_of([sim.timeout(5.0, "a"), sim.timeout(9.0, "b")])
-            results.append((sim.now, values))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(9.0, ["a", "b"])]
-
-    def test_all_of_empty_list_fires_immediately(self):
-        sim = Simulator()
-        ev = sim.all_of([])
-        assert ev.triggered
-
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            value = yield sim.any_of([sim.timeout(50.0, "slow"), sim.timeout(2.0, "fast")])
-            results.append((sim.now, value))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(2.0, "fast")]
-
-    def test_any_of_requires_events(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.any_of([])
-
-    def test_run_until_event(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.timeout(7.0)
-            return "done"
-
-        proc_ev = sim.process(proc())
-        assert sim.run_until_event(proc_ev) == "done"
-        assert sim.now == 7.0
-
-    def test_run_until_event_drained_queue_raises(self):
-        sim = Simulator()
-        never = sim.event()
-        with pytest.raises(SimulationError):
-            sim.run_until_event(never)
 
 
 class TestDeterminism:

@@ -17,6 +17,13 @@ class TestValidation:
         with pytest.raises(SimulationError):
             demand("a", ["r"], -1.0)
 
+    def test_nan_rate_rejected(self):
+        # NaN compares false against everything, so a "< 0" test lets it
+        # through and the allocator then treats the flow as zero traffic.
+        with pytest.raises(SimulationError):
+            demand("a", ["r"], float("nan"))
+        assert demand("a", ["r"], float("inf")).rate == float("inf")
+
     def test_bad_write_fraction_rejected(self):
         with pytest.raises(SimulationError):
             demand("a", ["r"], 1.0, wf=1.5)

@@ -59,7 +59,7 @@ class TestMlcProperties:
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
     def test_achieved_never_exceeds_offered(self, r_extra, w_extra):
         reads, writes = 1 + r_extra, w_extra
-        probe = MlcProbe(PLATFORM, threads=16)
+        probe = MlcProbe(PLATFORM)
         curve = probe.loaded_latency_curve(DRAM_PATH, reads, writes)
         for p in curve.points:
             assert p.achieved_bytes_per_s <= p.offered_bytes_per_s * (1 + 1e-9)
@@ -68,7 +68,7 @@ class TestMlcProperties:
     @given(st.sampled_from(["mmem_local", "cxl_local"]))
     def test_latency_non_decreasing_along_sweep(self, kind):
         path = DRAM_PATH if kind == "mmem_local" else CXL_PATH
-        probe = MlcProbe(PLATFORM, threads=16)
+        probe = MlcProbe(PLATFORM)
         curve = probe.loaded_latency_curve(path, 1, 0)
         latencies = [p.latency_ns for p in curve.points]
         assert latencies == sorted(latencies)

@@ -4,7 +4,7 @@ shape checks."""
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.hw import paper_cxl_platform
 from repro.workloads import MlcProbe, load_fractions
 
@@ -16,7 +16,7 @@ def platform():
 
 @pytest.fixture(scope="module")
 def probe(platform):
-    return MlcProbe(platform, threads=16)
+    return MlcProbe(platform)
 
 
 def dram_path(platform):
@@ -35,10 +35,6 @@ def remote_dram_path(platform):
 
 
 class TestValidation:
-    def test_thread_count(self, platform):
-        with pytest.raises(WorkloadError):
-            MlcProbe(platform, threads=0)
-
     def test_pattern(self, platform):
         with pytest.raises(WorkloadError):
             MlcProbe(platform, pattern="strided")
@@ -238,6 +234,15 @@ class TestBackgroundContention:
             background=[(path, gb_per_s(30.0), 0.0)],
         )
         assert noisy.points[0].latency_ns > quiet.points[0].latency_ns
+
+    def test_nan_background_rate_rejected(self, probe, platform):
+        """A NaN flow is an error, not a flow that is silently absent."""
+        path = cxl_path(platform)
+        with pytest.raises(SimulationError):
+            probe.loaded_latency_curve(
+                path, 2, 1, load_points=[0.5],
+                background=[(path, float("nan"), 0.0)],
+            )
 
 
 class TestMatrixModes:
