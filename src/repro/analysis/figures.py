@@ -1,24 +1,25 @@
 """Per-figure experiment runners.
 
-One function per paper artifact; each returns plain data structures the
+One runner per paper artifact; each returns plain data structures the
 benchmarks print and the tests assert on.  All runners accept scale
 parameters so the same code serves quick CI checks and the full
 benchmark harness.
 
-Every runner also accepts ``workers``: its independent cells fan out
-through :func:`repro.parallel.run_sweep` (``None`` defers to
-``$REPRO_WORKERS``, defaulting to serial in-process execution), and
-``cache`` (a :class:`~repro.cache.store.SweepCache`): completed cells
-are memoized by content fingerprint so warm re-runs and interrupted
-sweeps skip finished work.  Cells keep the paper protocol of sharing
-the root seed, and results are re-assembled in the historical order, so
-a parallel or cache-served figure is bit-identical to a serial cold one.
+Each figure has three pieces:
 
-Each figure also exposes its grid as a ``*_sweep_spec`` builder — the
-shared catalog behind the runners here and the ``repro sweep`` CLI.
-Both run the figure's one task (:mod:`repro.parallel.tasks`), which
-returns a per-cell ``repro.metrics/v1`` document with the plain value
-under ``"result"``, so a runner and ``repro sweep`` share cache entries.
+* ``*_sweep_spec``: the figure's grid, one point per independent
+  cell, behind both the runner and ``repro sweep``;
+* a ``*_from_sweep(spec, sweep)`` assembler: the figure's data structure
+  from each point's ``value["result"]``, which is what ``repro sweep``
+  renders as the paper's table;
+* the runner: spec, :func:`repro.parallel.run_sweep`, assembler.
+
+Every point runs the figure's one task (:mod:`repro.parallel.tasks`), and
+cells keep the paper protocol of sharing the root seed.  Runners execute
+through :func:`~repro.parallel.run_sweep` with its defaults: points fan
+out over ``$REPRO_WORKERS`` processes (serial in-process when unset) and
+come back in spec order, so a parallel figure is bit-identical to a
+serial one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..parallel import SweepPoint, SweepSpec, run_sweep, tasks
+from ..parallel import SweepPoint, SweepResult, SweepSpec, run_sweep, tasks
 from ..sim.seed import DEFAULT_SEED
 from ..units import GIB
 
@@ -40,19 +41,25 @@ if TYPE_CHECKING:
 
 __all__ = [
     "fig3_sweep_spec",
+    "fig3_from_sweep",
     "fig3_loaded_latency",
     "fig4_sweep_spec",
+    "fig4_from_sweep",
     "fig4_path_comparison",
     "Fig5Result",
     "fig5_sweep_spec",
+    "fig5_from_sweep",
     "fig5_keydb",
     "fig7_sweep_spec",
+    "fig7_from_sweep",
     "fig7_spark",
     "Fig8Result",
     "fig8_sweep_spec",
+    "fig8_from_sweep",
     "fig8_cxl_only",
     "Fig10Result",
     "fig10_sweep_spec",
+    "fig10_from_sweep",
     "fig10_llm",
 ]
 
@@ -133,26 +140,27 @@ def fig3_sweep_spec(
     )
 
 
+def fig3_from_sweep(
+    spec: SweepSpec, sweep: SweepResult
+) -> Dict[str, Dict[str, MlcCurve]]:
+    """Fig. 3's ``{panel: {"r:w": MlcCurve}}`` from its sweep's points."""
+    return {pr.key: pr.value["result"] for pr in sweep.results}
+
+
 def fig3_loaded_latency(
     panels: Sequence[str] = FIG3_PANELS,
     mixes: Sequence[Tuple[int, int]] = FIG3_MIXES,
     load_points: int = 24,
     backend: str = "des",
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
 ) -> Dict[str, Dict[str, MlcCurve]]:
     """Fig. 3: loaded-latency curves for the four distances.
 
     Returns ``{panel: {"r:w": MlcCurve}}`` on the SNC-enabled platform,
-    as in §3.1.  Panels are independent and fan out across ``workers``
-    processes.
+    as in §3.1.
     """
     spec = fig3_sweep_spec(panels=panels, mixes=mixes, load_points=load_points,
                            backend=backend)
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    return {pr.key: pr.value["result"] for pr in sweep.results}
+    return fig3_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def fig4_sweep_spec(
@@ -190,6 +198,18 @@ def fig4_sweep_spec(
     )
 
 
+def fig4_from_sweep(
+    spec: SweepSpec, sweep: SweepResult
+) -> Dict[str, Dict[str, Dict[str, MlcCurve]]]:
+    """Fig. 4's ``{pattern: {"r:w": {panel: MlcCurve}}}`` from its sweep."""
+    out: Dict[str, Dict[str, Dict[str, MlcCurve]]] = {}
+    for point, pr in zip(spec.points, sweep.results):
+        pattern = point.params["pattern"]
+        r, w = point.params["mix"]
+        out.setdefault(pattern, {})[f"{r}:{w}"] = pr.value["result"]
+    return out
+
+
 def fig4_path_comparison(
     write_fractions_mixes: Sequence[Tuple[int, int]] = (
         (1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (0, 1),
@@ -197,15 +217,11 @@ def fig4_path_comparison(
     patterns: Sequence[str] = ("sequential", "random"),
     load_points: int = 24,
     backend: str = "des",
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
 ) -> Dict[str, Dict[str, Dict[str, MlcCurve]]]:
     """Fig. 4: per-mix comparison of all distances, both patterns.
 
     Returns ``{pattern: {"r:w": {panel: MlcCurve}}}`` — panels (a)-(f)
     are the sequential mixes; (g)/(h) are the random read/write-only.
-    Each (pattern, mix) cell fans out across ``workers`` processes.
     """
     spec = fig4_sweep_spec(
         write_fractions_mixes=write_fractions_mixes,
@@ -213,14 +229,7 @@ def fig4_path_comparison(
         load_points=load_points,
         backend=backend,
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    out: Dict[str, Dict[str, Dict[str, MlcCurve]]] = {}
-    for point, pr in zip(spec.points, sweep.results):
-        pattern = point.params["pattern"]
-        r, w = point.params["mix"]
-        out.setdefault(pattern, {})[f"{r}:{w}"] = pr.value["result"]
-    return out
+    return fig4_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -286,6 +295,17 @@ def fig5_sweep_spec(
                      base_seed=seed)
 
 
+def fig5_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig5Result:
+    """Fig. 5's per-(workload, configuration) results from its sweep."""
+    result = Fig5Result()
+    for point, pr in zip(spec.points, sweep.results):
+        workload = point.params["workload"]
+        result.results.setdefault(workload, {})[point.params["config"]] = (
+            pr.value["result"]
+        )
+    return result
+
+
 def fig5_keydb(
     workloads: Sequence[str] = ("A", "B", "C", "D"),
     configs: Sequence[str] = (
@@ -295,9 +315,6 @@ def fig5_keydb(
     total_ops: int = 100_000,
     seed: int = 0xC0FFEE,
     backend: str = "des",
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
 ) -> Fig5Result:
     """Fig. 5: run every (workload, configuration) cell."""
     spec = fig5_sweep_spec(
@@ -308,15 +325,7 @@ def fig5_keydb(
         seed=seed,
         backend=backend,
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    result = Fig5Result()
-    for point, pr in zip(spec.points, sweep.results):
-        workload = point.params["workload"]
-        result.results.setdefault(workload, {})[point.params["config"]] = (
-            pr.value["result"]
-        )
-    return result
+    return fig5_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def fig7_sweep_spec(
@@ -340,14 +349,17 @@ def fig7_sweep_spec(
     )
 
 
-def fig7_spark(
-    workers: Optional[int] = None, cache=None, supervise=None
+def fig7_from_sweep(
+    spec: SweepSpec, sweep: SweepResult
 ) -> Dict[str, Dict[str, QueryResult]]:
+    """Fig. 7's ``{config: {query: QueryResult}}`` from its sweep."""
+    return {pr.key: pr.value["result"] for pr in sweep.results}
+
+
+def fig7_spark() -> Dict[str, Dict[str, QueryResult]]:
     """Fig. 7: every Spark configuration x every TPC-H query."""
     spec = fig7_sweep_spec()
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    return {pr.key: pr.value["result"] for pr in sweep.results}
+    return fig7_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -391,24 +403,24 @@ def fig8_sweep_spec(
                      base_seed=seed)
 
 
+def fig8_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig8Result:
+    """Fig. 8's MMEM/CXL pair from its sweep."""
+    return Fig8Result(mmem=sweep.value("mmem")["result"],
+                      cxl=sweep.value("cxl")["result"])
+
+
 def fig8_cxl_only(
     record_count: int = 102_400,
     total_ops: int = 150_000,
     seed: int = 0xC0FFEE,
     backend: str = "des",
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
 ) -> Fig8Result:
     """Fig. 8: the §4.3 numactl-bound YCSB-C pair."""
     spec = fig8_sweep_spec(
         record_count=record_count, total_ops=total_ops, seed=seed,
         backend=backend,
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    return Fig8Result(mmem=sweep.value("mmem")["result"],
-                      cxl=sweep.value("cxl")["result"])
+    return fig8_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -454,24 +466,26 @@ def fig10_sweep_spec(
     )
 
 
-def fig10_llm(
-    backend_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    fig10b_threads: Sequence[int] = (4, 8, 12, 16, 20, 24, 28, 32),
-    fig10c_kv_gib: Sequence[int] = (0, 1, 2, 4, 8, 16, 32),
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
-) -> Fig10Result:
-    """Fig. 10(a)-(c): serving-rate sweep plus both bandwidth probes."""
+#: Fig. 10(b)'s thread counts and Fig. 10(c)'s KV-cache sizes (GiB).
+FIG10B_THREADS: Tuple[int, ...] = (4, 8, 12, 16, 20, 24, 28, 32)
+FIG10C_KV_GIB: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32)
+
+
+def fig10_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig10Result:
+    """Fig. 10(a)'s series from its sweep, plus the (b)/(c) bandwidth
+    probes, which run here: they are closed-form and not sweep points."""
     from ..apps.llm.serving import LlmServingExperiment
 
-    spec = fig10_sweep_spec(backend_counts=backend_counts)
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
     serving = {pr.key: pr.value["result"] for pr in sweep.results}
     probe = LlmServingExperiment("mmem")
-    fig10b = [(t, probe.fig10b_bandwidth_gbps(t)) for t in fig10b_threads]
+    fig10b = [(t, probe.fig10b_bandwidth_gbps(t)) for t in FIG10B_THREADS]
     fig10c = [
-        (kv, probe.fig10c_bandwidth_gbps(kv * GIB)) for kv in fig10c_kv_gib
+        (kv, probe.fig10c_bandwidth_gbps(kv * GIB)) for kv in FIG10C_KV_GIB
     ]
     return Fig10Result(serving=serving, fig10b=fig10b, fig10c=fig10c)
+
+
+def fig10_llm(backend_counts: Sequence[int] = (1, 2, 3, 4, 5, 6)) -> Fig10Result:
+    """Fig. 10(a)-(c): serving-rate sweep plus both bandwidth probes."""
+    spec = fig10_sweep_spec(backend_counts=backend_counts)
+    return fig10_from_sweep(spec, run_sweep(spec).raise_failures())

@@ -29,7 +29,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PINNED_TOLERANCES": ".validate",
     "analytic_keydb_config": ".keydb",
     "analytic_keydb_cxl_only": ".keydb",
-    "estimated_events_avoided": ".select",
     "require_analytic": ".select",
     "routing_summary": ".select",
     "run_calibration": ".validate",

@@ -56,8 +56,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..apps.kvstore.experiment import default_warmup_ops
+from ..apps.kvstore.flash import (
+    CACHE_INEFFICIENCY,
+    OS_CACHE_HIT_RATE,
+    PAGE_CACHE_HIT_NS,
+    WRITE_AMORTIZATION,
+)
 from ..apps.kvstore.result import KeyDbResult
-from ..apps.kvstore.server import MIGRATION_BANDWIDTH
+from ..apps.kvstore.server import EPOCH_OPS, MIGRATION_BANDWIDTH
 from ..apps.kvstore.store import ServiceProfile
 from ..errors import ConfigurationError
 from ..hw.presets import paper_cxl_platform
@@ -76,11 +83,6 @@ __all__ = [
     "analytic_keydb_config",
     "analytic_keydb_cxl_only",
 ]
-
-#: Epoch size of the DES server loop; used to reconstruct the tiering
-#: daemon's tick timeline.
-EPOCH_OPS = 2000
-
 
 # -- exact workload distributions -------------------------------------------
 
@@ -205,9 +207,9 @@ class _FlashModel:
     write_latency_ns: float
     read_bw: float
     write_bw: float
-    os_hit: float = 0.45
-    page_cache_ns: float = 5_000.0
-    write_amortization: float = 0.10
+    os_hit: float = OS_CACHE_HIT_RATE
+    page_cache_ns: float = PAGE_CACHE_HIT_NS
+    write_amortization: float = WRITE_AMORTIZATION
 
     def fault_read_classes(self, ssd_utilization: float) -> List[Tuple[float, float]]:
         """(probability, latency) branches of one fault read."""
@@ -267,7 +269,7 @@ def _flash_model(
         raise ConfigurationError(f"bad spill fraction in {config!r}")
     resident = max(1, int(record_count * (1.0 - spilled)))
     spilled_fraction = max(0.0, 1.0 - resident / record_count)
-    churn = 0.10 * spilled_fraction  # FlashTier.cache_inefficiency
+    churn = CACHE_INEFFICIENCY * spilled_fraction
     if spec.distribution == "latest":
         # Latest-distribution residency *is* recency: reads only miss on
         # ranks beyond the LRU capacity; inserts always land resident.
@@ -277,7 +279,7 @@ def _flash_model(
         # midpoint count captures the run-averaged effect.
         grown = record_count + spec.insert_fraction * total_ops / 2.0
         mid_pmf = zipf_rank_pmf(int(grown))
-        churn = 0.10 * max(0.0, 1.0 - resident / grown)
+        churn = CACHE_INEFFICIENCY * max(0.0, 1.0 - resident / grown)
         tail = float(mid_pmf[resident:].sum()) if resident < mid_pmf.size else 0.0
         read_miss = tail + churn * (1.0 - tail)
         write_miss = churn
@@ -378,16 +380,8 @@ def _solve_steady_state(
         read_classes: List[Tuple[float, float]] = []
         write_classes: List[Tuple[float, float]] = []
         for n in nodes:
-            base_r = (
-                profile.cpu_ns
-                + profile.struct_accesses * struct_read
-                + profile.value_accesses * read_lat[n]
-            )
-            base_w = (
-                profile.cpu_ns
-                + profile.struct_accesses * struct_write
-                + profile.value_accesses * write_lat[n]
-            )
+            base_r = profile.service_ns(struct_read, read_lat[n])
+            base_w = profile.service_ns(struct_write, write_lat[n])
             p_r = node_read_mass.get(n, 0.0)
             p_w = node_write_mass.get(n, 0.0)
             if flash is None:
@@ -628,7 +622,7 @@ def analytic_keydb_config(
         raise ConfigurationError(f"unknown YCSB workload {workload!r}")
     spec = WORKLOADS[workload]
     if warmup_ops is None:
-        warmup_ops = total_ops // 2 if config == "hot-promote" else total_ops // 10
+        warmup_ops = default_warmup_ops(config, total_ops)
     platform = _shared_platform(False)
     profile = ServiceProfile.capacity()
     value_size = KIB

@@ -15,8 +15,7 @@ The fig5/fig8 spec builders write its answer into each point's
 target    routing under ``--backend auto``
 ========  =====================================================
 fig3      analytic in the routing line; every backend runs the
-          one allocator-backed ``MlcProbe``, so no events are
-          avoided
+          one allocator-backed ``MlcProbe``
 fig4      same as fig3
 fig5      analytic, except ``hot-promote`` cells -> DES (the
           migration ramp is a transient)
@@ -34,7 +33,7 @@ forcing it.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Tuple
+from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigurationError
 
@@ -43,7 +42,6 @@ __all__ = [
     "ANALYTIC_TARGETS",
     "select_backend",
     "require_analytic",
-    "estimated_events_avoided",
     "routing_summary",
 ]
 
@@ -81,32 +79,12 @@ def require_analytic(target: str) -> None:
         )
 
 
-def estimated_events_avoided(target: str, params: Mapping[str, Any]) -> int:
-    """Roughly how many DES events one analytic-routed point skips.
-
-    KeyDB points price one event per operation.  MLC points (fig3/fig4)
-    run the same allocator under every backend, so they skip none.  The
-    estimate feeds the ``--backend auto`` routing summary line — an
-    order-of-magnitude narration, not an accounting identity.
-    """
-    if target in ("fig5", "fig8"):
-        return int(params.get("total_ops", 0))
-    return 0
-
-
-def routing_summary(decisions: Iterable[Tuple[str, int]]) -> str:
+def routing_summary(backends: Iterable[str]) -> str:
     """One-line account of an ``auto`` sweep's routing.
 
-    ``decisions`` yields ``(backend, events_avoided)`` per point; the
-    line mirrors the runner's cache summary format, e.g.
-    ``backend: 24 analytic, 4 des (~480000 est. DES events avoided)``.
+    ``backends`` yields each point's backend; the line mirrors the
+    runner's cache summary format, e.g. ``backend: 24 analytic, 4 des``.
     """
-    analytic = des = avoided = 0
-    for backend, events in decisions:
-        if backend == "analytic":
-            analytic += 1
-            avoided += events
-        else:
-            des += 1
-    return (f"backend: {analytic} analytic, {des} des "
-            f"(~{avoided} est. DES events avoided)")
+    backends = list(backends)
+    analytic = backends.count("analytic")
+    return f"backend: {analytic} analytic, {len(backends) - analytic} des"

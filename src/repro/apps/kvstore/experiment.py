@@ -41,6 +41,7 @@ __all__ = [
     "TABLE1_CONFIGS",
     "KeyDbExperiment",
     "build_keydb_experiment",
+    "default_warmup_ops",
     "run_keydb_config",
     "run_keydb_cxl_only",
 ]
@@ -66,13 +67,18 @@ class KeyDbExperiment:
     server: KeyDbServer
     generator: YcsbGenerator
 
-    def run(
-        self, total_ops: int, warmup_ops: int = 0, epoch_ops: int = 2000
-    ) -> KeyDbResult:
+    def run(self, total_ops: int, warmup_ops: int = 0) -> KeyDbResult:
         """Run the workload and return throughput/latency results."""
-        return self.server.run(
-            self.generator, total_ops, epoch_ops=epoch_ops, warmup_ops=warmup_ops
-        )
+        return self.server.run(self.generator, total_ops, warmup_ops=warmup_ops)
+
+
+def default_warmup_ops(config: str, total_ops: int) -> int:
+    """Operations a Fig. 5 cell discards before measuring.
+
+    Hot-promote needs half the run for the daemon to converge; every
+    other configuration warms up for a tenth.
+    """
+    return total_ops // 2 if config == "hot-promote" else total_ops // 10
 
 
 def _build_store(
@@ -185,8 +191,7 @@ def run_keydb_config(
 ) -> KeyDbResult:
     """Build and run one Fig. 5 cell; returns the YCSB-style result."""
     if warmup_ops is None:
-        # Hot-promote needs enough warmup for the daemon to converge.
-        warmup_ops = total_ops // 2 if config == "hot-promote" else total_ops // 10
+        warmup_ops = default_warmup_ops(config, total_ops)
     experiment = build_keydb_experiment(
         config, workload=workload, record_count=record_count, seed=seed
     )

@@ -26,24 +26,41 @@ import numpy as np
 from ...errors import ConfigurationError
 from ...hw.device import SsdDevice
 
-__all__ = ["FlashTier"]
+__all__ = [
+    "CACHE_INEFFICIENCY",
+    "OS_CACHE_HIT_RATE",
+    "PAGE_CACHE_HIT_NS",
+    "WRITE_AMORTIZATION",
+    "FlashTier",
+]
+
+#: Residual miss probability per unit of spilled fraction (the RocksDB
+#: churn described above).
+CACHE_INEFFICIENCY = 0.10
+
+#: Share of each SSD value write that every SET pays (group commit plus
+#: its share of flush and compaction).
+WRITE_AMORTIZATION = 0.10
+
+#: Share of faults the OS page cache serves without a device access.
+OS_CACHE_HIT_RATE = 0.45
+
+#: Service time of a fault satisfied by the OS page cache (memcpy +
+#: syscall, no device access).
+PAGE_CACHE_HIT_NS = 5_000.0
 
 
 class FlashTier:
     """LRU value-residency model over an SSD device."""
-
-    #: Service time of a fault satisfied by the OS page cache (memcpy +
-    #: syscall, no device access).
-    PAGE_CACHE_HIT_NS = 5_000.0
 
     def __init__(
         self,
         ssd: SsdDevice,
         resident_values: int,
         value_size: int,
-        cache_inefficiency: float = 0.10,
-        write_amortization: float = 0.10,
-        os_cache_hit_rate: float = 0.45,
+        cache_inefficiency: float = CACHE_INEFFICIENCY,
+        write_amortization: float = WRITE_AMORTIZATION,
+        os_cache_hit_rate: float = OS_CACHE_HIT_RATE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if resident_values <= 0:
@@ -240,7 +257,7 @@ class FlashTier:
             nbytes, is_write=False, utilization=utilization,
             count=count - int(np.count_nonzero(hit)),
         )
-        return np.where(hit, self.PAGE_CACHE_HIT_NS, device)
+        return np.where(hit, PAGE_CACHE_HIT_NS, device)
 
     def write_time_ns(
         self, nbytes: int, utilization: float = 0.0, count: int = 1

@@ -62,6 +62,9 @@ __all__ = ["KeyDbResult", "KeyDbServer"]
 #: Effective single-threaded kernel page-copy bandwidth for migrations.
 MIGRATION_BANDWIDTH = gb_per_s(6.0)
 
+#: Operations priced per epoch: one latency table, one tiering tick.
+EPOCH_OPS = 2000
+
 
 class KeyDbServer:
     """Prices YCSB operations against the platform's memory paths."""
@@ -270,7 +273,7 @@ class KeyDbServer:
         self,
         generator: YcsbGenerator,
         total_ops: int,
-        epoch_ops: int = 2000,
+        epoch_ops: int = EPOCH_OPS,
         warmup_ops: int = 0,
     ) -> KeyDbResult:
         """Run ``total_ops`` operations; discard ``warmup_ops`` from stats.

@@ -17,7 +17,7 @@ fingerprint of exactly its inputs plus a *code fingerprint* of the
 :mod:`~repro.cache.store` is the on-disk store — atomic tmp+rename
 writes (concurrent-writer safe), a size-capped LRU eviction policy,
 and corruption demoted to a miss.  :mod:`~repro.cache.obs` exports the
-hit/miss/evict/resume counters through the PR 3 metrics registry.
+store's shape through the metrics registry.
 
 Knobs: ``$REPRO_CACHE_DIR`` (location), ``$REPRO_CACHE_MAX_BYTES``
 (cap), ``--no-cache`` on every sweep-shaped CLI command, and
@@ -48,8 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "code_fingerprint": ".fingerprint",
     "default_cache_dir": ".store",
     "point_fingerprint": ".fingerprint",
-    "register_cache_stats": ".obs",
     "register_store_snapshot": ".obs",
-    "register_sweep_result": ".obs",
     "task_name": ".fingerprint",
 })

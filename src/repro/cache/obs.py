@@ -1,58 +1,25 @@
-"""Cache and sweep counters as lazy ``repro.obs`` collectors.
+"""The on-disk store shape as a lazy ``repro.obs`` collector.
 
-Two adapters in the same style as every other accounting object's
+An adapter in the same style as every other accounting object's
 ``register_into``: a callback registered on a
 :class:`~repro.obs.registry.MetricsRegistry` that emits samples at
-snapshot time, so wiring costs nothing while the sweep runs.
+snapshot time.  ``repro cache stats --json`` exports it.
 
-These samples are deliberately **not** part of the merged per-point
-``repro.metrics/v1`` export: hit/miss counts differ between a cold and
-a warm run, and the merged document must stay byte-identical across
-the two.  They surface instead through ``repro cache stats --json``
-and the sweep summary lines.
+Cache counters are deliberately **not** part of merged per-point
+``repro.metrics/v1`` exports: hit/miss counts differ between a cold and
+a warm run, and the merged document must stay byte-identical across the
+two.  A sweep's own counters travel as ``SweepResult.cache_stats`` and
+surface in the ``repro sweep`` summary lines.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..parallel.jobs import SweepResult
-    from .store import CacheStats, SweepCache
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .store import SweepCache
 
-__all__ = [
-    "register_cache_stats",
-    "register_store_snapshot",
-    "register_sweep_result",
-]
-
-
-def register_cache_stats(
-    registry: Any, stats: "CacheStats", labels: Any = None
-) -> None:
-    """Export hit/miss/eviction/resume counters as a lazy collector.
-
-    Samples: ``sweep_cache_hits`` / ``_misses`` / ``_stores`` /
-    ``_store_failures`` / ``_evictions`` / ``_corrupted`` (counters) and
-    ``sweep_points_resumed`` (counter).
-    """
-    from ..obs.registry import Sample
-
-    base = dict(labels or {})
-
-    def collect():
-        for name, value in (
-            ("sweep_cache_hits", stats.hits),
-            ("sweep_cache_misses", stats.misses),
-            ("sweep_cache_stores", stats.stores),
-            ("sweep_cache_store_failures", stats.store_failures),
-            ("sweep_cache_evictions", stats.evictions),
-            ("sweep_cache_corrupted", stats.corrupted),
-            ("sweep_points_resumed", stats.resumed),
-        ):
-            yield Sample(name, "counter", dict(base), float(value))
-
-    registry.register_collector(collect)
+__all__ = ["register_store_snapshot"]
 
 
 def register_store_snapshot(registry: Any, cache: "SweepCache") -> None:
@@ -69,39 +36,3 @@ def register_store_snapshot(registry: Any, cache: "SweepCache") -> None:
             yield Sample(name, "gauge", {}, float(value))
 
     registry.register_collector(collect)
-
-
-def register_sweep_result(registry: Any, sweep: "SweepResult") -> None:
-    """Export per-point wall-clock and cache provenance as a collector.
-
-    ``sweep_point_elapsed_s{sweep=,point=,cached=}`` gauges (0.0 for a
-    cache-served point: no execution happened), plus the sweep's cache
-    counters when it ran with a cache attached and its runner health
-    counters when the supervised runner recorded any.
-    """
-    from ..obs.registry import Sample
-
-    def collect():
-        for pr in sweep.results:
-            yield Sample(
-                "sweep_point_elapsed_s",
-                "gauge",
-                {
-                    "sweep": sweep.name,
-                    "point": pr.key,
-                    "cached": "1" if pr.cached else "0",
-                },
-                float(pr.elapsed_s),
-            )
-
-    registry.register_collector(collect)
-    if sweep.cache_stats is not None:
-        register_cache_stats(
-            registry, sweep.cache_stats, labels={"sweep": sweep.name}
-        )
-    if sweep.runner_health is not None:
-        from ..parallel.obs import register_runner_health
-
-        register_runner_health(
-            registry, sweep.runner_health, labels={"sweep": sweep.name}
-        )

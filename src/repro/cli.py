@@ -1,38 +1,38 @@
 """Command-line interface: regenerate any paper artifact from the shell.
 
-``repro <artifact>`` runs the corresponding experiment and prints the
-paper-style rows/series::
+``repro sweep <target>`` runs one stock figure sweep and prints it as the
+paper reports it (slowdowns normalized to MMEM, throughput drops, tail
+penalties); ``--json`` prints the merged ``repro.metrics/v1`` export
+instead::
 
-    repro fig3            # loaded-latency curves (all four distances)
-    repro fig5 --quick    # KeyDB YCSB table (scaled)
-    repro fig7            # Spark TPC-H normalized times
-    repro fig8            # CXL-only KeyDB pair
-    repro fig10           # LLM serving sweep
-    repro tables          # Tables 1, 2, 3, 4
+    repro sweep fig3              # loaded-latency curves (all four distances)
+    repro sweep fig5 --quick      # KeyDB YCSB table (scaled)
+    repro sweep fig7              # Spark TPC-H normalized times
+    repro sweep fig8 --quick      # CXL-only KeyDB pair
+    repro sweep fig10             # LLM serving sweep
+    repro sweep overload --quick  # offered load vs goodput
+    repro sweep fig5 --quick --workers 4 --json   # parallel, merged metrics
+    repro tables                  # Tables 1, 2, 3, 4
     repro cost --r-d 10 --r-c 8 --c 2 --r-t 1.1
     repro advise --demand-gbps 55 --write-fraction 0.2
     repro faults list                     # RAS scenario catalog
     repro faults run device-loss --app keydb --quick --json
-    repro overload sweep --quick          # offered load vs goodput
     repro overload faults --quick         # shedding vs uncontrolled
     repro metrics --quick --json          # metrics-registry snapshot
     repro trace --quick                   # per-layer latency breakdown
-    repro sweep fig5 --quick --workers 4  # parallel sweep, merged metrics
-    repro sweep fig10 --quick             # any stock figure target
     repro cache stats                     # result-cache shape
     repro cache verify                    # integrity-scan every entry
     repro serve --port 8023               # HTTP what-if job service
 
-Sweep-shaped commands (figures, ``overload sweep``, ``faults run``,
-``sweep``) take ``--workers N`` to fan independent points across
-supervised processes; ``$REPRO_WORKERS`` sets the default.  Parallel
-results are bit-identical to serial ones.  The same commands take
-``--point-timeout S`` (kill and retry a point past its deadline),
-``--retries N`` (bounded retry of crashes, deadline kills and
-transient errors, with exponential backoff) and ``--fail-fast``; when
-anything was retried, killed or quarantined, a one-line health summary
-lands on stderr.  Ctrl-C drains gracefully: completed points persist
-to the cache, a resume manifest records the cut, and exit is 130.
+Sweep-shaped commands (``sweep``, ``faults run``) take ``--workers N``
+to fan independent points across supervised processes;
+``$REPRO_WORKERS`` sets the default.  Parallel results are bit-identical
+to serial ones.  The same commands take ``--point-timeout S`` (kill and
+retry a point past its deadline), ``--retries N`` (bounded retry of
+crashes, deadline kills and transient errors, with exponential backoff)
+and ``--fail-fast``; a one-line health summary lands on stderr.  Ctrl-C
+drains gracefully: completed points persist to the cache, a resume
+manifest records the cut, and exit is 130.
 
 The same commands memoize completed points in a content-addressed
 on-disk cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro/sweeps``):
@@ -41,7 +41,8 @@ the last persisted point, and editing any ``repro`` source invalidates
 every stale entry via the code fingerprint.  ``--no-cache`` opts a run
 out; ``repro cache {stats,clear,verify}`` maintains the store.
 
-The same runners back ``pytest benchmarks/``; the CLI is the
+``pytest benchmarks/`` runs the figure runners of
+:mod:`repro.analysis.figures` on the same sweep specs; the CLI is the
 no-test-harness path for interactive exploration.
 """
 
@@ -60,7 +61,7 @@ __all__ = ["main"]
 
 def _open_cache(args: argparse.Namespace):
     """The result cache for one command (None under ``--no-cache``)."""
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     from .cache import SweepCache
 
@@ -72,162 +73,10 @@ def _supervise(args: argparse.Namespace):
     from .parallel.supervisor import SupervisorConfig
 
     return SupervisorConfig(
-        point_timeout_s=getattr(args, "point_timeout", None),
-        max_attempts=max(1, getattr(args, "retries", 2) + 1),
-        fail_fast=getattr(args, "fail_fast", False),
+        point_timeout_s=args.point_timeout,
+        max_attempts=args.retries + 1,
+        fail_fast=args.fail_fast,
     )
-
-
-def _health_note(tag: str) -> None:
-    """One stderr line of robustness telemetry, only when eventful.
-
-    Health is sidecar metadata (like cache stats): it never touches the
-    command's stdout artifact, and a clean run prints nothing.
-    """
-    from .parallel import last_run_health
-
-    health = last_run_health()
-    if health is not None and health.any:
-        print(f"[{tag}] health: {health.summary()}",
-              file=sys.stderr, flush=True)
-
-
-def _guard_backend(args: argparse.Namespace, target: str) -> None:
-    """Reject ``--backend analytic`` on targets without a fast path.
-
-    ``auto`` is always legal: the router keeps transient-shaped targets
-    on the DES (see :mod:`repro.analytic.select`), so the command runs
-    identically to ``des``.
-    """
-    if getattr(args, "backend", "des") == "analytic":
-        from .analytic.select import require_analytic
-
-        require_analytic(target)
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig3_loaded_latency
-
-    panels = fig3_loaded_latency(load_points=8 if args.quick else 24,
-                                 backend=args.backend,
-                                 workers=args.workers,
-                                 cache=_open_cache(args),
-                                 supervise=_supervise(args))
-    _health_note("fig3")
-    for panel, curves in panels.items():
-        rows = [
-            (mix, f"{c.idle_latency_ns:.1f}", f"{c.peak_bandwidth_gbps:.1f}")
-            for mix, c in curves.items()
-        ]
-        print(ascii_table(["mix", "idle ns", "peak GB/s"], rows, title=f"\nFig. 3 [{panel}]"))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig4_path_comparison
-
-    data = fig4_path_comparison(load_points=8 if args.quick else 24,
-                                backend=args.backend,
-                                workers=args.workers,
-                                cache=_open_cache(args),
-                                supervise=_supervise(args))
-    _health_note("fig4")
-    for pattern, per_mix in data.items():
-        rows = []
-        for mix, panels in per_mix.items():
-            for panel, curve in panels.items():
-                rows.append(
-                    (mix, panel, f"{curve.idle_latency_ns:.1f}",
-                     f"{curve.peak_bandwidth_gbps:.1f}")
-                )
-        print(ascii_table(
-            ["mix", "path", "idle ns", "peak GB/s"], rows,
-            title=f"\nFig. 4 [{pattern}]",
-        ))
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig5_keydb
-
-    scale = (16_384, 20_000) if args.quick else (65_536, 100_000)
-    result = fig5_keydb(record_count=scale[0], total_ops=scale[1],
-                        backend=args.backend,
-                        workers=args.workers, cache=_open_cache(args),
-                        supervise=_supervise(args))
-    _health_note("fig5")
-    rows = []
-    for config, per_wl in result.throughput_table():
-        rows.append([config] + [f"{per_wl[w]:.0f}" for w in ("A", "B", "C", "D")])
-    print(ascii_table(["config", "A kops", "B kops", "C kops", "D kops"], rows,
-                      title="Fig. 5(a): KeyDB YCSB throughput"))
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig7_spark
-
-    _guard_backend(args, "fig7")
-    results = fig7_spark(workers=args.workers, cache=_open_cache(args),
-                         supervise=_supervise(args))
-    _health_note("fig7")
-    base = {q: r.total_ns for q, r in results["mmem"].items()}
-    rows = []
-    for name, per_query in results.items():
-        rows.append(
-            [name]
-            + [f"{per_query[q].total_ns / base[q]:.2f}" for q in sorted(base)]
-            + [f"{per_query['Q9'].shuffle_fraction * 100:.0f}%"]
-        )
-    print(ascii_table(["config"] + sorted(base) + ["Q9 shuffle"], rows,
-                      title="Fig. 7: Spark TPC-H (normalized to mmem)"))
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig8_cxl_only
-
-    scale = (20_480, 20_000) if args.quick else (102_400, 150_000)
-    pair = fig8_cxl_only(record_count=scale[0], total_ops=scale[1],
-                         backend=args.backend,
-                         workers=args.workers, cache=_open_cache(args),
-                         supervise=_supervise(args))
-    _health_note("fig8")
-    print(
-        ascii_table(
-            ["quantity", "value"],
-            [
-                ("mmem throughput", f"{pair.mmem.throughput_ops_per_s / 1e3:.0f} kops/s"),
-                ("cxl throughput", f"{pair.cxl.throughput_ops_per_s / 1e3:.0f} kops/s"),
-                ("throughput drop", f"{pair.throughput_drop * 100:.1f}%"),
-                ("p50 latency penalty", f"{pair.latency_penalty(50) * 100:.1f}%"),
-                ("p99 latency penalty", f"{pair.latency_penalty(99) * 100:.1f}%"),
-            ],
-            title="Fig. 8: KeyDB bound to CXL vs MMEM (§4.3)",
-        )
-    )
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    from .analysis import ascii_table, fig10_llm
-
-    _guard_backend(args, "fig10")
-    result = fig10_llm(workers=args.workers, cache=_open_cache(args),
-                       supervise=_supervise(args))
-    _health_note("fig10")
-    configs = list(result.serving)
-    rows = []
-    for point in result.serving["mmem"]:
-        rows.append(
-            [point.threads]
-            + [f"{result.rate(c, point.threads):.0f}" for c in configs]
-        )
-    print(ascii_table(["threads"] + configs, rows,
-                      title="Fig. 10(a): LLM serving rate (tokens/s)"))
-    print("\nFig. 10(b) (threads, GB/s):", result.fig10b)
-    print("Fig. 10(c) (KV GiB, GB/s):", result.fig10c)
-    return 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -322,27 +171,29 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     import json
 
     from .analysis import ascii_table
-    from .errors import ConfigurationError
     from .faults import FAULT_APPS, SCENARIOS, fault_sweep_spec
     from .parallel import run_sweep
 
-    _guard_backend(args, "faults")
+    if args.backend == "analytic":
+        # The fault catalog has no fast path; ``auto`` keeps it on the DES.
+        from .analytic.select import require_analytic
 
+        require_analytic("faults")
     if args.scenario not in SCENARIOS:
         print(f"error: unknown fault scenario {args.scenario!r}; expected one "
               f"of {sorted(SCENARIOS)}", file=sys.stderr)
         return 2
     apps = sorted(FAULT_APPS) if args.app == "all" else [args.app]
-    try:
-        spec = fault_sweep_spec(
-            args.scenario, apps=apps, seed=args.seed, quick=args.quick
-        )
-        sweep = run_sweep(spec, workers=args.workers, cache=_open_cache(args),
-                          supervise=_supervise(args))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _health_note(f"faults {args.scenario}")
+    spec = fault_sweep_spec(
+        args.scenario, apps=apps, seed=args.seed, quick=args.quick
+    )
+    sweep = run_sweep(spec, workers=args.workers, cache=_open_cache(args),
+                      supervise=_supervise(args))
+    if sweep.runner_health.any:
+        # Robustness telemetry only when eventful: a clean run prints
+        # nothing beyond its tables.
+        print(f"[faults {args.scenario}] health: "
+              f"{sweep.runner_health.summary()}", file=sys.stderr, flush=True)
     for failure in sweep.failures():
         print(f"error: point {failure.key!r} failed: "
               f"{failure.error.type}: {failure.error.message}", file=sys.stderr)
@@ -367,93 +218,18 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overload_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .analysis import ascii_table
-    from .errors import ConfigurationError
-    from .overload import sweep_offered_load
-
-    _guard_backend(args, "overload")
-
-    try:
-        factors = [float(f) for f in args.factors.split(",") if f.strip()]
-    except ValueError:
-        print(f"error: --factors must be comma-separated numbers, got {args.factors!r}",
-              file=sys.stderr)
-        return 2
-    if not factors or not all(f > 0 and math.isfinite(f) for f in factors):
-        print("error: --factors needs positive, finite load factors",
-              file=sys.stderr)
-        return 2
-    record_count = 4096 if args.quick else 16_384
-    duration_ns = 20e6 if args.quick else 40e6
-    modes = [True, False] if args.mode == "both" else [args.mode == "controlled"]
-    payload = []
-    for controlled in modes:
-        try:
-            summaries = sweep_offered_load(
-                factors=factors,
-                controlled=controlled,
-                duration_ns=duration_ns,
-                record_count=record_count,
-                seed=args.seed,
-                workers=args.workers,
-                cache=_open_cache(args),
-                supervise=_supervise(args),
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _health_note("overload sweep")
-        if args.json:
-            payload.extend(s.as_dict() for s in summaries)
-            continue
-        mode = "controlled" if controlled else "uncontrolled"
-        rows = [
-            (
-                f"{s.load_factor:.2f}x",
-                f"{s.offered}",
-                f"{s.goodput_ops_per_s / 1e3:.0f}",
-                f"{s.throughput_ops_per_s / 1e3:.0f}",
-                f"{s.shed_rate * 100:.1f}%",
-                f"{s.deadline_miss_rate * 100:.1f}%",
-                "n/a" if s.p99_ns != s.p99_ns else f"{s.p99_ns / 1e3:.1f}",
-            )
-            for s in summaries
-        ]
-        print(ascii_table(
-            ["load", "offered", "goodput k/s", "tput k/s",
-             "shed", "miss", "p99 us"],
-            rows,
-            title=f"\nOffered load vs goodput ({mode}, open-loop KeyDB)",
-        ))
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    return 0
-
-
 def _cmd_overload_faults(args: argparse.Namespace) -> int:
     import json
 
     from .analysis import ascii_table
-    from .errors import ConfigurationError
     from .overload import run_fault_comparison
 
-    _guard_backend(args, "overload")
-
-    record_count = 4096 if args.quick else 16_384
-    duration_ns = 20e6 if args.quick else 40e6
-    try:
-        out = run_fault_comparison(
-            scenario=args.scenario,
-            duration_ns=duration_ns,
-            record_count=record_count,
-            seed=args.seed,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = run_fault_comparison(
+        scenario=args.scenario,
+        duration_ns=20e6 if args.quick else 40e6,
+        record_count=4096 if args.quick else 16_384,
+        seed=args.seed,
+    )
     if args.json:
         print(json.dumps({k: s.as_dict() for k, s in out.items()}, indent=2))
         return 0
@@ -481,13 +257,8 @@ def _observed_run(args: argparse.Namespace, tracing: bool):
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .analysis import ascii_table
-    from .errors import ConfigurationError
 
-    try:
-        observed = _observed_run(args, tracing=False)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    observed = _observed_run(args, tracing=False)
     registry = observed.registry
     if args.json:
         print(registry.to_json())
@@ -515,16 +286,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from .analysis import ascii_table
-    from .errors import ConfigurationError
 
     if args.limit < 0:
         print("error: --limit must be >= 0", file=sys.stderr)
         return 2
-    try:
-        observed = _observed_run(args, tracing=True)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    observed = _observed_run(args, tracing=True)
     tracer = observed.tracer
     if args.json:
         print(json.dumps(tracer.as_dict(limit=args.limit), indent=2))
@@ -637,65 +403,162 @@ def stock_sweep_spec(
     )
 
 
-def _sweep_spec(args: argparse.Namespace):
-    """The sweep spec for one CLI invocation's flags."""
-    return stock_sweep_spec(
-        args.target, quick=args.quick, seed=args.seed, mode=args.mode,
-        backend=getattr(args, "backend", "des"),
-    )
+# -- the paper's tables ------------------------------------------------------
+#
+# One printer per ``repro sweep`` target: the figure's assembler in
+# repro.analysis.figures (or repro.overload.runner) rebuilds the figure
+# from each point's ``value["result"]``, and the printer renders it the way
+# the paper reports it.
 
 
-def _backend_note(args: argparse.Namespace, spec) -> None:
-    """The ``--backend auto`` routing summary stderr line.
+def _print_fig3(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig3_from_sweep
 
-    Mirrors the cache summary line's shape: per-sweep point counts per
-    backend plus the estimated DES events the analytic routing skipped.
-    """
-    if getattr(args, "backend", "des") != "auto":
-        return
-    from .analytic.select import (
-        estimated_events_avoided,
-        routing_summary,
-        select_backend,
-    )
+    for panel, curves in fig3_from_sweep(spec, sweep).items():
+        rows = [
+            (mix, f"{c.idle_latency_ns:.1f}", f"{c.peak_bandwidth_gbps:.1f}")
+            for mix, c in curves.items()
+        ]
+        print(ascii_table(["mix", "idle ns", "peak GB/s"], rows,
+                          title=f"\nFig. 3 [{panel}]"))
 
-    decisions = [
-        (
-            select_backend(args.target, point.params),
-            estimated_events_avoided(args.target, point.params),
-        )
-        for point in spec.points
+
+def _print_fig4(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig4_from_sweep
+
+    for pattern, per_mix in fig4_from_sweep(spec, sweep).items():
+        rows = [
+            (mix, panel, f"{curve.idle_latency_ns:.1f}",
+             f"{curve.peak_bandwidth_gbps:.1f}")
+            for mix, panels in per_mix.items()
+            for panel, curve in panels.items()
+        ]
+        print(ascii_table(
+            ["mix", "path", "idle ns", "peak GB/s"], rows,
+            title=f"\nFig. 4 [{pattern}]",
+        ))
+
+
+def _print_fig5(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig5_from_sweep
+
+    rows = [
+        [config] + [f"{per_wl[w]:.0f}" for w in ("A", "B", "C", "D")]
+        for config, per_wl in fig5_from_sweep(spec, sweep).throughput_table()
     ]
-    print(f"[sweep {spec.name}] {routing_summary(decisions)}",
-          file=sys.stderr, flush=True)
+    print(ascii_table(["config", "A kops", "B kops", "C kops", "D kops"], rows,
+                      title="Fig. 5(a): KeyDB YCSB throughput"))
+
+
+def _print_fig7(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig7_from_sweep
+
+    results = fig7_from_sweep(spec, sweep)
+    base = {q: r.total_ns for q, r in results["mmem"].items()}
+    rows = [
+        [name]
+        + [f"{per_query[q].total_ns / base[q]:.2f}" for q in sorted(base)]
+        + [f"{per_query['Q9'].shuffle_fraction * 100:.0f}%"]
+        for name, per_query in results.items()
+    ]
+    print(ascii_table(["config"] + sorted(base) + ["Q9 shuffle"], rows,
+                      title="Fig. 7: Spark TPC-H (normalized to mmem)"))
+
+
+def _print_fig8(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig8_from_sweep
+
+    pair = fig8_from_sweep(spec, sweep)
+    print(
+        ascii_table(
+            ["quantity", "value"],
+            [
+                ("mmem throughput", f"{pair.mmem.throughput_ops_per_s / 1e3:.0f} kops/s"),
+                ("cxl throughput", f"{pair.cxl.throughput_ops_per_s / 1e3:.0f} kops/s"),
+                ("throughput drop", f"{pair.throughput_drop * 100:.1f}%"),
+                ("p50 latency penalty", f"{pair.latency_penalty(50) * 100:.1f}%"),
+                ("p99 latency penalty", f"{pair.latency_penalty(99) * 100:.1f}%"),
+            ],
+            title="Fig. 8: KeyDB bound to CXL vs MMEM (§4.3)",
+        )
+    )
+
+
+def _print_fig10(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .analysis.figures import fig10_from_sweep
+
+    result = fig10_from_sweep(spec, sweep)
+    configs = list(result.serving)
+    rows = [
+        [point.threads]
+        + [f"{result.rate(c, point.threads):.0f}" for c in configs]
+        for point in result.serving["mmem"]
+    ]
+    print(ascii_table(["threads"] + configs, rows,
+                      title="Fig. 10(a): LLM serving rate (tokens/s)"))
+    print("\nFig. 10(b) (threads, GB/s):", result.fig10b)
+    print("Fig. 10(c) (KV GiB, GB/s):", result.fig10c)
+
+
+def _print_overload(args: argparse.Namespace, spec, sweep) -> None:
+    from .analysis import ascii_table
+    from .overload.runner import offered_load_from_sweep
+
+    rows = [
+        (
+            f"{s.load_factor:.2f}x",
+            f"{s.offered}",
+            f"{s.goodput_ops_per_s / 1e3:.0f}",
+            f"{s.throughput_ops_per_s / 1e3:.0f}",
+            f"{s.shed_rate * 100:.1f}%",
+            f"{s.deadline_miss_rate * 100:.1f}%",
+            "n/a" if s.p99_ns != s.p99_ns else f"{s.p99_ns / 1e3:.1f}",
+        )
+        for s in offered_load_from_sweep(spec, sweep)
+    ]
+    print(ascii_table(
+        ["load", "offered", "goodput k/s", "tput k/s", "shed", "miss", "p99 us"],
+        rows,
+        title=f"\nOffered load vs goodput ({args.mode}, open-loop KeyDB)",
+    ))
+
+
+#: The table printer of each ``repro sweep`` target.
+_TABLES = {
+    "fig3": _print_fig3,
+    "fig4": _print_fig4,
+    "fig5": _print_fig5,
+    "fig7": _print_fig7,
+    "fig8": _print_fig8,
+    "fig10": _print_fig10,
+    "overload": _print_overload,
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import ascii_table
-    from .errors import ConfigurationError
     from .parallel import merge_metrics_documents, run_sweep
 
-    try:
-        spec = _sweep_spec(args)
-        progress = None if args.no_progress else _sweep_progress
-        sweep = run_sweep(spec, workers=args.workers, progress=progress,
-                          cache=_open_cache(args),
-                          supervise=_supervise(args))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = stock_sweep_spec(args.target, quick=args.quick, seed=args.seed,
+                            mode=args.mode, backend=args.backend)
+    sweep = run_sweep(spec, workers=args.workers,
+                      progress=None if args.no_progress else _sweep_progress,
+                      cache=_open_cache(args), supervise=_supervise(args))
     for failure in sweep.failures():
         print(f"error: point {failure.key!r} failed: "
               f"{failure.error.type}: {failure.error.message}", file=sys.stderr)
     print(f"[sweep {spec.name}] {len(sweep.results)} points, "
           f"{sweep.workers} worker(s), {sweep.elapsed_s:.1f}s",
           file=sys.stderr, flush=True)
-    health = sweep.runner_health
-    if health is not None:
-        print(f"[sweep {spec.name}] health: {health.summary()}",
-              file=sys.stderr, flush=True)
+    print(f"[sweep {spec.name}] health: {sweep.runner_health.summary()}",
+          file=sys.stderr, flush=True)
     if not sweep.ok:
         return 1
     cs = sweep.cache_stats
@@ -703,45 +566,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[sweep {spec.name}] cache: {cs.hits} hits, "
               f"{cs.misses} misses, {cs.evictions} evictions, "
               f"{cs.resumed} resumed", file=sys.stderr, flush=True)
-    _backend_note(args, spec)
-    merged = merge_metrics_documents(
-        [(pr.key, pr.value["metrics"]) for pr in sweep.results],
-        generated_by=f"repro sweep {args.target}",
-    )
+    if args.backend == "auto":
+        from .analytic.select import routing_summary, select_backend
+
+        line = routing_summary(select_backend(args.target, point.params)
+                               for point in spec.points)
+        print(f"[sweep {spec.name}] {line}", file=sys.stderr, flush=True)
     if args.json:
+        merged = merge_metrics_documents(
+            [(pr.key, pr.value["metrics"]) for pr in sweep.results],
+            generated_by=f"repro sweep {args.target}",
+        )
         print(json.dumps(merged, indent=2))
         return 0
-    if args.target == "fig5":
-        rows = [
-            (pr.key, f"{pr.value['throughput_ops_per_s'] / 1e3:.0f}")
-            for pr in sweep.results
-        ]
-        headers = ["workload/config", "kops/s"]
-        title = "Sweep fig5: KeyDB YCSB throughput"
-    elif args.target == "overload":
-        rows = [
-            (
-                pr.key,
-                f"{pr.value['result'].goodput_ops_per_s / 1e3:.0f}",
-                f"{pr.value['result'].shed_rate * 100:.1f}%",
-                f"{pr.value['result'].deadline_miss_rate * 100:.1f}%",
-            )
-            for pr in sweep.results
-        ]
-        headers = ["point", "goodput k/s", "shed", "miss"]
-        title = f"Sweep overload ({args.mode})"
-    else:
-        rows = [
-            (pr.key, quantity, value)
-            for pr in sweep.results
-            for quantity, value in pr.value["rows"]
-        ]
-        headers = ["point", "quantity", "value"]
-        title = f"Sweep {args.target}"
-    print(ascii_table(headers, rows, title=title))
-    print(f"\n{len(merged['metrics'])} merged samples across "
-          f"{len(sweep.results)} points (use --json for the "
-          f"repro.metrics/v1 document)")
+    _TABLES[args.target](args, spec, sweep)
     return 0
 
 
@@ -893,20 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, doc in (
-        ("fig3", _cmd_fig3, "loaded-latency curves (§3)"),
-        ("fig4", _cmd_fig4, "distance/mix/pattern comparison (§3.3)"),
-        ("fig5", _cmd_fig5, "KeyDB YCSB (§4.1)"),
-        ("fig7", _cmd_fig7, "Spark TPC-H (§4.2)"),
-        ("fig8", _cmd_fig8, "KeyDB on CXL only (§4.3)"),
-        ("fig10", _cmd_fig10, "LLM serving (§5)"),
-        ("tables", _cmd_tables, "Tables 1/2/3/4"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--quick", action="store_true", help="small, fast run")
-        if name != "tables":
-            _add_workers(p)
-        p.set_defaults(func=func)
+    p = sub.add_parser("tables", help="Tables 1/2/3/4")
+    p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("cost", help="Abstract Cost Model (§6)")
     p.add_argument("--r-d", type=float, default=10.0)
@@ -940,21 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overload", help="admission control & goodput (overload layer)")
     osub = p.add_subparsers(dest="overload_command", required=True)
-    op = osub.add_parser("sweep", help="offered load vs goodput curve")
-    op.add_argument(
-        "--factors", default="0.5,0.75,1.0,1.25,1.5",
-        help="comma-separated offered-load factors of calibrated capacity",
-    )
-    op.add_argument(
-        "--mode", choices=("controlled", "uncontrolled", "both"), default="both",
-        help="admission control on, off, or both (default: both)",
-    )
-    op.add_argument("--seed", type=_nonnegative_seed, default=0xC0FFEE)
-    op.add_argument("--quick", action="store_true", help="small, fast run")
-    op.add_argument("--json", action="store_true",
-                    help="emit machine-readable JSON instead of tables")
-    _add_workers(op)
-    op.set_defaults(func=_cmd_overload_sweep)
     op = osub.add_parser("faults", help="SLO-aware shedding vs uncontrolled under a fault")
     op.add_argument(
         "--scenario", default="link-degrade",
@@ -988,11 +799,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser(
-        "sweep", help="parallel sweep with a merged repro.metrics/v1 export"
+        "sweep", help="run a paper figure's sweep and print its table"
     )
     p.add_argument(
         "target", choices=SWEEP_TARGETS,
-        help="which stock sweep to run",
+        help="which stock sweep to run: fig3/fig4 loaded latency (§3), "
+             "fig5/fig8 KeyDB (§4.1/§4.3), fig7 Spark TPC-H (§4.2), "
+             "fig10 LLM serving (§5), overload offered load vs goodput",
     )
     p.add_argument(
         "--mode", choices=("controlled", "uncontrolled"), default="controlled",
@@ -1001,7 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_seed, default=0xC0FFEE)
     p.add_argument("--quick", action="store_true", help="small, fast run")
     p.add_argument("--json", action="store_true",
-                   help="print the merged repro.metrics/v1 document")
+                   help="print the merged repro.metrics/v1 document "
+                        "instead of the paper's table")
     p.add_argument("--no-progress", action="store_true",
                    help="suppress per-point progress lines on stderr")
     _add_workers(p)

@@ -1,15 +1,18 @@
 """Offered-load experiments: the goodput curve and the fault comparison.
 
-Two drivers, shared by the ``repro overload`` CLI and the benchmark:
+Two experiments, behind ``repro sweep overload``, ``repro overload
+faults`` and the benchmark:
 
 * :func:`sweep_offered_load` — open-loop KeyDB (Poisson arrivals on the
   DES) swept across offered-load factors of the calibrated closed-loop
-  capacity.  Uncontrolled, throughput past the knee turns into an
-  unbounded backlog: p99 diverges and goodput (in-deadline completions)
-  collapses.  With admission control the excess is refused at arrival
-  and goodput plateaus near the knee — the load-shedding analogue of
-  the paper's §3.2 observation that running a CXL device past its
-  bandwidth knee buys no throughput, only latency.
+  capacity; ``repro sweep overload`` runs the same
+  :func:`offered_load_sweep_spec` and tabulates it through
+  :func:`offered_load_from_sweep`.  Uncontrolled, throughput past the
+  knee turns into an unbounded backlog: p99 diverges and goodput
+  (in-deadline completions) collapses.  With admission control the
+  excess is refused at arrival and goodput plateaus near the knee — the
+  load-shedding analogue of the paper's §3.2 observation that running a
+  CXL device past its bandwidth knee buys no throughput, only latency.
 
 * :func:`run_fault_comparison` — the same server under the catalog's
   ``link-degrade`` scenario, controlled vs uncontrolled: SLO-aware
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..parallel.jobs import SweepSpec
+    from ..parallel.jobs import SweepResult, SweepSpec
 
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
@@ -41,6 +44,7 @@ __all__ = [
     "run_offered_load",
     "sweep_offered_load",
     "offered_load_sweep_spec",
+    "offered_load_from_sweep",
     "run_fault_comparison",
 ]
 
@@ -290,18 +294,13 @@ def sweep_offered_load(
     record_count: int = DEFAULT_RECORDS,
     seed: int = DEFAULT_SEED,
     threads: int = 7,
-    workers: Optional[int] = None,
-    cache=None,
-    supervise=None,
 ) -> List[OverloadRunSummary]:
     """Offered load vs goodput: sweep factors of the calibrated capacity.
 
     Capacity is calibrated once in the parent; the per-factor runs are
-    independent and fan out across ``workers`` processes (the policy is
-    pure declarative config, so it pickles into spawned workers).
-    ``cache`` (a :class:`~repro.cache.store.SweepCache`) memoizes
-    completed factors — the policy and calibrated rate are part of each
-    point's params, so a recalibration that changes them re-executes.
+    independent and fan out across ``$REPRO_WORKERS`` processes (the
+    policy is pure declarative config, so it pickles into spawned
+    workers).
     """
     spec = offered_load_sweep_spec(
         factors=factors,
@@ -314,9 +313,7 @@ def sweep_offered_load(
     )
     from ..parallel import run_sweep
 
-    sweep = run_sweep(spec, workers=workers, cache=cache,
-                      supervise=supervise).raise_failures()
-    return [value["result"] for value in sweep.values()]
+    return offered_load_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def offered_load_sweep_spec(
@@ -366,6 +363,13 @@ def offered_load_sweep_spec(
         ),
         base_seed=seed,
     )
+
+
+def offered_load_from_sweep(
+    spec: "SweepSpec", sweep: "SweepResult"
+) -> List[OverloadRunSummary]:
+    """One summary per offered-load factor, in spec order."""
+    return [pr.value["result"] for pr in sweep.results]
 
 
 def run_fault_comparison(

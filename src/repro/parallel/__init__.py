@@ -22,11 +22,10 @@ results **bit-identical** to a serial run:
   at-rest cache corruption, with a byte-identity guarantee against
   clean runs;
 * :mod:`repro.parallel.merge` — merging per-point ``repro.metrics/v1``
-  snapshots into the existing exporters, in spec order;
-* :mod:`repro.parallel.obs` — runner health as lazy sidecar collectors;
+  snapshots into one document, in spec order;
 * :mod:`repro.parallel.tasks` — the stock spawn-importable tasks behind
-  the figure benchmarks, ``repro overload sweep``, the fault catalog and
-  ``repro sweep``.
+  ``repro sweep``, the figure benchmarks, the fault catalog and
+  ``repro serve``.
 
 Importing the package loads none of these modules: its exports resolve
 on first use, so a spawned worker loads only the supervisor and the
@@ -52,10 +51,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "current_attempt": ".supervisor",
     "merge_metrics_documents": ".merge",
     "merged_metrics_json": ".merge",
-    "register_point_samples": ".merge",
-    "register_runner_health": ".obs",
     "WORKERS_ENV": ".runner",
-    "last_run_health": ".runner",
     "resolve_workers": ".runner",
     "run_sweep": ".runner",
     "supervisor": ".supervisor",

@@ -41,6 +41,7 @@ parent is not a valid blast radius.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import time
@@ -89,8 +90,10 @@ class ChaosPlan:
                 raise ConfigurationError(
                     f"chaos probabilities must be in [0, 1], got {prob}"
                 )
-        if self.hang_s < 0:
-            raise ConfigurationError("hang_s must be >= 0")
+        if not (self.hang_s >= 0 and math.isfinite(self.hang_s)):
+            # time.sleep raises on NaN and inf: the point would fail
+            # instead of hanging.
+            raise ConfigurationError("hang_s must be finite and >= 0")
         if self.max_faulty_attempts < 0:
             raise ConfigurationError("max_faulty_attempts must be >= 0")
 

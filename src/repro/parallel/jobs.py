@@ -244,11 +244,6 @@ class SweepResult:
             raise SweepExecutionError(failures)
         return self
 
-    def values(self) -> List[Any]:
-        """Point values in spec order (after :meth:`raise_failures`)."""
-        self.raise_failures()
-        return [pr.value for pr in self.results]
-
     def value(self, key: str) -> Any:
         """The value of one point by key."""
         for pr in self.results:

@@ -1,4 +1,4 @@
-"""Merging per-point observability outputs into the existing exporters.
+"""Merging per-point ``repro.metrics/v1`` documents into one.
 
 Each sweep point runs in its own process (or its own in-process scope)
 and produces its own ``repro.metrics/v1`` snapshot dictionary.  The
@@ -7,23 +7,16 @@ sample gains a ``point=<key>`` label — in **spec order**, never
 completion order, so the merged JSON is byte-identical whether the
 sweep ran with 1 worker or 16.
 
-Two consumption styles:
-
-* :func:`merge_metrics_documents` / :func:`merged_metrics_json` — pure
-  document merge, used by ``repro sweep --json`` and the bit-identity
-  acceptance tests;
-* :func:`register_point_samples` — replay one point's samples into a
-  live :class:`~repro.obs.registry.MetricsRegistry` as a lazy collector,
-  so merged sweeps flow through the registry's own ``to_json``/``to_csv``
-  exporters alongside locally-registered metrics
-  (``RecoveryTracker``/``OverloadMetrics`` outputs arrive here as the
-  snapshot their worker already exported through ``register_into``).
+:func:`merge_metrics_documents` is the document merge behind
+``repro sweep --json`` and ``repro serve`` results;
+:func:`merged_metrics_json` serializes it the way the registry exporter
+does.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -31,7 +24,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "merge_metrics_documents",
     "merged_metrics_json",
-    "register_point_samples",
 ]
 
 METRICS_SCHEMA = "repro.metrics/v1"
@@ -100,32 +92,3 @@ def merged_metrics_json(
         merge_metrics_documents(point_documents, generated_by=generated_by),
         indent=2,
     )
-
-
-def register_point_samples(
-    registry: Any, key: str, document: Mapping[str, Any]
-) -> None:
-    """Replay one point's snapshot into a live registry as a collector.
-
-    The samples re-emerge from ``registry.samples()`` (and therefore
-    ``to_json``/``to_csv``) with the ``point`` label added, after any
-    locally-owned families — the same path every other accounting
-    object's ``register_into`` uses.
-    """
-    from ..obs.registry import Sample
-
-    samples = _check_document(key, document)
-
-    def collect() -> Iterable[Any]:
-        for sample in samples:
-            labels = dict(sample.get("labels", {}))
-            labels["point"] = key
-            value = sample.get("value")
-            yield Sample(
-                sample["name"],
-                sample.get("kind", "untyped"),
-                labels,
-                float("nan") if value is None else float(value),
-            )
-
-    registry.register_collector(collect)

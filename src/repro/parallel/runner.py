@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = [
     "WORKERS_ENV",
-    "last_run_health",
     "resolve_workers",
     "run_sweep",
 ]
@@ -73,17 +72,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 #: ``progress(done, total, result)`` callback signature.
 ProgressFn = Callable[[int, int, PointResult], None]
-
-#: Health of the most recent :func:`run_sweep` in this process — a
-#: sidecar channel for callers (the figure runners, the CLI) that
-#: consume domain objects rather than the :class:`SweepResult` itself.
-_LAST_HEALTH: Optional[RunnerHealth] = None
-
-
-def last_run_health() -> Optional[RunnerHealth]:
-    """Robustness telemetry of this process's most recent sweep."""
-    return _LAST_HEALTH
-
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The effective worker count: argument, then $REPRO_WORKERS, then 1."""
@@ -142,7 +130,6 @@ def run_sweep(
     installed.  Both the serial and the supervised path honor it at
     point boundaries.
     """
-    global _LAST_HEALTH
     n_workers = resolve_workers(workers)
     config = supervise if supervise is not None else SupervisorConfig()
     points = spec.points
@@ -155,7 +142,6 @@ def run_sweep(
     stats_before = None
     tname = ""
     health = RunnerHealth()
-    _LAST_HEALTH = health
 
     if cache is not None:
         from ..cache.fingerprint import task_name
@@ -250,7 +236,6 @@ def run_sweep(
     done_from_cache = done
 
     def _drain_to_interrupt(reason: str) -> "KeyboardInterrupt":
-        health.drained = 1
         _write_manifest(reason)
         return KeyboardInterrupt(
             f"sweep {spec.name!r} drained on {reason}: "
@@ -304,7 +289,6 @@ def run_sweep(
                     if config.fail_fast:
                         break
         except KeyboardInterrupt:
-            health.drained = 1
             _write_manifest(signal_reason[0] if signal_reason else "interrupt")
             raise
         except SweepDrained as drained:

@@ -138,8 +138,10 @@ class RunnerHealth:
 
     Everything here is host-level metadata in the same class as
     ``cache_stats`` and ``elapsed_s``: surfaced on stderr summaries and
-    lazy ``repro.obs`` collectors, excluded from merged
-    ``repro.metrics/v1`` exports by construction.
+    excluded from merged ``repro.metrics/v1`` exports by construction.
+    A drained run counts nothing here: it raises ``KeyboardInterrupt``
+    before any :class:`~repro.parallel.jobs.SweepResult` exists, and its
+    resume manifest records the cut.
     """
 
     retries: int = 0          #: re-dispatches after retryable failures
@@ -149,15 +151,13 @@ class RunnerHealth:
     unresponsive: int = 0     #: workers killed for lapsed heartbeats
     worker_restarts: int = 0  #: replacement workers spawned
     quarantined: int = 0      #: points failed after exhausting retries
-    drained: int = 0          #: 1 when SIGINT/SIGTERM cut the run short
 
     @property
     def any(self) -> bool:
         """True when any incident happened (worth a summary line)."""
         return any(
             (self.retries, self.transient_errors, self.timeouts, self.crashes,
-             self.unresponsive, self.worker_restarts, self.quarantined,
-             self.drained)
+             self.unresponsive, self.worker_restarts, self.quarantined)
         )
 
     def as_dict(self) -> Dict[str, int]:
@@ -170,7 +170,6 @@ class RunnerHealth:
             "unresponsive": self.unresponsive,
             "worker_restarts": self.worker_restarts,
             "quarantined": self.quarantined,
-            "drained": self.drained,
         }
 
     def summary(self) -> str:

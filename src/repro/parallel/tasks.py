@@ -8,12 +8,12 @@ that cycle.
 
 Each stock sweep target has exactly one task.  It reads everything it
 needs from its point params and returns the point's ``repro.metrics/v1``
-document: ``"metrics"`` is what ``repro sweep`` merges into one export
-(see :mod:`repro.parallel.merge`), and ``"result"`` holds the plain value
-(``KeyDbResult``, ``OverloadRunSummary``, ...) the figure runners
-assemble.  The figure runners, ``repro sweep`` and ``repro serve`` thus
-run the same task on the same params, and share one cache entry per
-point.
+document: ``"metrics"`` is what ``repro sweep --json`` merges into one
+export (see :mod:`repro.parallel.merge`), and ``"result"`` holds the
+plain value (``KeyDbResult``, ``OverloadRunSummary``, ...) that the
+figure assemblers turn into the paper's tables.  The figure runners,
+``repro sweep`` and ``repro serve`` thus run the same task on the same
+params, and share one cache entry per point.
 
 fig5/fig8 points name the model they run on in ``params["backend"]``
 (``"des"`` or ``"analytic"``; the spec builders resolve ``--backend
@@ -84,11 +84,9 @@ def demo_point_observed(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     gauge = registry.gauge(
         "demo_draws", "summary statistics of one demo point", ("quantity",)
     )
-    rows = []
     for quantity in ("n", "mean", "min", "max"):
         gauge.set(float(stats[quantity]), quantity=quantity)
-        rows.append((quantity, f"{stats[quantity]:.6g}"))
-    return {"rows": rows, "metrics": registry.as_dict()}
+    return {"metrics": registry.as_dict()}
 
 
 # -- Fig. 3 / Fig. 4 (loaded latency) ---------------------------------------
@@ -116,15 +114,12 @@ def fig3_panel(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "mlc_curve", "loaded-latency curve endpoints",
         ("panel", "mix", "quantity"),
     )
-    rows = []
     for mix, curve in curves.items():
         gauge.set(curve.idle_latency_ns, panel=panel, mix=mix,
                   quantity="idle_latency_ns")
         gauge.set(curve.peak_bandwidth_gbps, panel=panel, mix=mix,
                   quantity="peak_bandwidth_gbps")
-        rows.append((f"{mix} idle ns", f"{curve.idle_latency_ns:.1f}"))
-        rows.append((f"{mix} peak GB/s", f"{curve.peak_bandwidth_gbps:.1f}"))
-    return {"rows": rows, "metrics": registry.as_dict(), "result": curves}
+    return {"metrics": registry.as_dict(), "result": curves}
 
 
 def fig4_pattern_mix(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
@@ -152,15 +147,12 @@ def fig4_pattern_mix(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "mlc_curve", "loaded-latency curve endpoints",
         ("pattern", "mix", "panel", "quantity"),
     )
-    rows = []
     for panel, curve in per_panel.items():
         gauge.set(curve.idle_latency_ns, pattern=pattern, mix=mix,
                   panel=panel, quantity="idle_latency_ns")
         gauge.set(curve.peak_bandwidth_gbps, pattern=pattern, mix=mix,
                   panel=panel, quantity="peak_bandwidth_gbps")
-        rows.append((f"{panel} idle ns", f"{curve.idle_latency_ns:.1f}"))
-        rows.append((f"{panel} peak GB/s", f"{curve.peak_bandwidth_gbps:.1f}"))
-    return {"rows": rows, "metrics": registry.as_dict(), "result": per_panel}
+    return {"metrics": registry.as_dict(), "result": per_panel}
 
 
 # -- Fig. 5 / Fig. 8 (KeyDB YCSB) -------------------------------------------
@@ -205,13 +197,7 @@ def fig5_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
             result.write_latency,
         )
     )
-    return {
-        "config": config,
-        "workload": workload,
-        "throughput_ops_per_s": result.throughput_ops_per_s,
-        "metrics": registry.as_dict(),
-        "result": result,
-    }
+    return {"metrics": registry.as_dict(), "result": result}
 
 
 def fig8_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
@@ -240,12 +226,7 @@ def fig8_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
               quantity="throughput_ops_per_s")
     gauge.set(p50, side=side, quantity="read_p50_ns")
     gauge.set(p99, side=side, quantity="read_p99_ns")
-    rows = [
-        ("throughput kops/s", f"{result.throughput_ops_per_s / 1e3:.0f}"),
-        ("read p50 us", f"{p50 / 1e3:.1f}"),
-        ("read p99 us", f"{p99 / 1e3:.1f}"),
-    ]
-    return {"rows": rows, "metrics": registry.as_dict(), "result": result}
+    return {"metrics": registry.as_dict(), "result": result}
 
 
 # -- Fig. 7 (Spark) ----------------------------------------------------------
@@ -264,15 +245,13 @@ def fig7_config(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "spark_query", "per-query TPC-H results",
         ("config", "query", "quantity"),
     )
-    rows = []
     for query in sorted(per_query):
         result = per_query[query]
         gauge.set(result.total_ns, config=config, query=query,
                   quantity="total_ns")
         gauge.set(result.shuffle_fraction, config=config, query=query,
                   quantity="shuffle_fraction")
-        rows.append((f"{query} total ms", f"{result.total_ns / 1e6:.2f}"))
-    return {"rows": rows, "metrics": registry.as_dict(), "result": per_query}
+    return {"metrics": registry.as_dict(), "result": per_query}
 
 
 # -- Fig. 10 (LLM serving) ---------------------------------------------------
@@ -291,7 +270,6 @@ def fig10_config(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "llm_serving", "serving-rate sweep samples",
         ("config", "backends", "quantity"),
     )
-    rows = []
     for point in points:
         gauge.set(point.tokens_per_second, config=config,
                   backends=point.backends, quantity="tokens_per_s")
@@ -299,11 +277,7 @@ def fig10_config(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
                   backends=point.backends, quantity="dram_utilization")
         gauge.set(point.cxl_utilization, config=config,
                   backends=point.backends, quantity="cxl_utilization")
-        rows.append(
-            (f"{point.backends} backends tokens/s",
-             f"{point.tokens_per_second:.0f}")
-        )
-    return {"rows": rows, "metrics": registry.as_dict(), "result": points}
+    return {"metrics": registry.as_dict(), "result": points}
 
 
 # -- overload sweeps ---------------------------------------------------------

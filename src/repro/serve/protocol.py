@@ -97,6 +97,45 @@ _TRANSITIONS = {
 }
 
 
+#: The JSON type of each typed :class:`JobSpec` field.
+_FIELD_KINDS = {
+    "quick": "boolean",
+    "seed": "integer",
+    "workers": "integer",
+    "retries": "integer",
+    "points": "integer",
+    "draws": "integer",
+    "deadline_s": "number",
+    "point_timeout_s": "number",
+    "sleep_s": "number",
+}
+
+#: Fields a client may send as ``null`` for the server's default.
+_NULLABLE_FIELDS = ("workers", "deadline_s", "point_timeout_s")
+
+
+def _typed_field(name: str, value: Any) -> Any:
+    """``value`` checked against field ``name``'s JSON type.
+
+    ``bool`` is a subclass of ``int``, so booleans are told apart: only
+    ``quick`` takes one, and it takes nothing else.  Numbers come back
+    as ``float``.
+    """
+    kind = _FIELD_KINDS[name]
+    if kind == "boolean":
+        ok = isinstance(value, bool)
+    else:
+        ok = not isinstance(value, bool) and isinstance(
+            value, (int, float) if kind == "number" else int
+        )
+    if not ok:
+        raise ConfigurationError(
+            f"malformed job spec field: {name} must be a JSON {kind}, "
+            f"got {value!r}"
+        )
+    return float(value) if kind == "number" else value
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One submitted what-if query, fully determined before execution.
@@ -161,18 +200,24 @@ class JobSpec:
             raise ConfigurationError("seed must be non-negative")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise ConfigurationError("deadline_s must be >= 0")
-        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
-            raise ConfigurationError("point_timeout_s must be positive")
+        # NaN passes every comparison, and a non-finite budget never
+        # expires: `now > nan` and `now > inf` are both always false.
+        if self.deadline_s is not None and not (
+            self.deadline_s >= 0 and math.isfinite(self.deadline_s)
+        ):
+            raise ConfigurationError("deadline_s must be finite and >= 0")
+        if self.point_timeout_s is not None and not (
+            self.point_timeout_s > 0 and math.isfinite(self.point_timeout_s)
+        ):
+            raise ConfigurationError("point_timeout_s must be finite and > 0")
         if self.retries < 0:
             raise ConfigurationError("retries must be >= 0")
         if not 1 <= self.points <= 4096:
             raise ConfigurationError("points must be in [1, 4096]")
         if self.draws < 1:
             raise ConfigurationError("draws must be >= 1")
-        if self.sleep_s < 0:
-            raise ConfigurationError("sleep_s must be >= 0")
+        if not (self.sleep_s >= 0 and math.isfinite(self.sleep_s)):
+            raise ConfigurationError("sleep_s must be finite and >= 0")
         if self.chaos is not None:
             # Reject a malformed chaos plan at submission (HTTP 400),
             # not minutes later when the job is promoted.
@@ -188,7 +233,10 @@ class JobSpec:
         """Validate a client JSON payload into a spec.
 
         Unknown keys are rejected (a typo'd ``deadine_s`` silently
-        accepted would run with the wrong robustness envelope).
+        accepted would run with the wrong robustness envelope), and so
+        are mistyped values: ``quick`` must be a JSON boolean (``bool``
+        reads ``"false"`` as true), and the count fields JSON integers
+        (``int`` truncates ``1.9`` and accepts ``true``).
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError("job spec must be a JSON object")
@@ -201,31 +249,14 @@ class JobSpec:
         if "target" not in payload:
             raise ConfigurationError("job spec needs a 'target'")
         kwargs: Dict[str, Any] = {"target": str(payload["target"])}
-        try:
-            if "quick" in payload:
-                kwargs["quick"] = bool(payload["quick"])
-            if "seed" in payload:
-                kwargs["seed"] = int(payload["seed"])
-            if "mode" in payload:
-                kwargs["mode"] = str(payload["mode"])
-            if "backend" in payload:
-                kwargs["backend"] = str(payload["backend"])
-            if payload.get("workers") is not None:
-                kwargs["workers"] = int(payload["workers"])
-            if payload.get("deadline_s") is not None:
-                kwargs["deadline_s"] = float(payload["deadline_s"])
-            if payload.get("point_timeout_s") is not None:
-                kwargs["point_timeout_s"] = float(payload["point_timeout_s"])
-            if "retries" in payload:
-                kwargs["retries"] = int(payload["retries"])
-            if "points" in payload:
-                kwargs["points"] = int(payload["points"])
-            if "draws" in payload:
-                kwargs["draws"] = int(payload["draws"])
-            if "sleep_s" in payload:
-                kwargs["sleep_s"] = float(payload["sleep_s"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed job spec field: {exc}") from exc
+        for name in ("mode", "backend"):
+            if name in payload:
+                kwargs[name] = str(payload[name])
+        for name in _FIELD_KINDS:
+            if name in payload and not (
+                payload[name] is None and name in _NULLABLE_FIELDS
+            ):
+                kwargs[name] = _typed_field(name, payload[name])
         chaos = payload.get("chaos")
         if chaos is not None:
             if not isinstance(chaos, Mapping):

@@ -28,7 +28,7 @@ class TestParsing:
         "command", ["fig3", "fig4", "fig5", "fig7", "fig8", "fig10"]
     )
     def test_every_figure_command_has_the_flag(self, command):
-        args = build_parser().parse_args([command, "--backend", "auto"])
+        args = build_parser().parse_args(["sweep", command, "--backend", "auto"])
         assert args.backend == "auto"
 
 
@@ -78,16 +78,16 @@ class TestEndToEnd:
                      "--no-progress"]) == 2
         assert "no analytical backend" in capsys.readouterr().err
 
-    def test_fig7_command_guard(self, capsys):
-        assert main(["fig7", "--quick", "--backend", "analytic"]) == 2
+    def test_faults_command_guard(self, capsys):
+        assert main(["faults", "run", "device-flap", "--app", "keydb",
+                     "--quick", "--backend", "analytic"]) == 2
         assert "no analytical backend" in capsys.readouterr().err
 
     def test_auto_sweep_prints_routing_summary(self, capsys):
         assert main(["sweep", "fig5", "--quick", "--backend", "auto",
                      "--no-progress", "--no-cache", "--json"]) == 0
         captured = capsys.readouterr()
-        assert "backend: 24 analytic, 4 des" in captured.err
-        assert "est. DES events avoided" in captured.err
+        assert "[sweep fig5] backend: 24 analytic, 4 des\n" in captured.err
         doc = json.loads(captured.out)
         assert doc["schema"] == "repro.metrics/v1"
 

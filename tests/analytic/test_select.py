@@ -5,7 +5,6 @@ import pytest
 from repro.analytic import (
     ANALYTIC_TARGETS,
     BACKENDS,
-    estimated_events_avoided,
     require_analytic,
     routing_summary,
     select_backend,
@@ -46,29 +45,10 @@ class TestRequireAnalytic:
             require_analytic(target)
 
 
-class TestEventsAvoided:
-    def test_keydb_points_count_operations(self):
-        assert estimated_events_avoided("fig5", {"total_ops": 20_000}) == 20_000
-        assert estimated_events_avoided("fig8", {"total_ops": 150_000}) == 150_000
-
-    def test_mlc_points_avoid_nothing(self):
-        # Every fig3/fig4 backend runs the same allocator-backed probe.
-        params = {"mixes": [[1, 0], [3, 1]], "fractions": [0.1, 0.5, 1.0]}
-        assert estimated_events_avoided("fig3", params) == 0
-        assert estimated_events_avoided("fig4", {"fractions": [0.1, 0.5]}) == 0
-
-    def test_unknown_targets_count_zero(self):
-        assert estimated_events_avoided("fig7", {"total_ops": 999}) == 0
-
-
 class TestRoutingSummary:
     def test_counts_and_sums(self):
-        line = routing_summary([
-            ("analytic", 20_000), ("analytic", 20_000), ("des", 20_000),
-        ])
-        assert line == "backend: 2 analytic, 1 des (~40000 est. DES events avoided)"
+        line = routing_summary(iter(["analytic", "analytic", "des"]))
+        assert line == "backend: 2 analytic, 1 des"
 
     def test_empty_sweep(self):
-        assert routing_summary([]) == (
-            "backend: 0 analytic, 0 des (~0 est. DES events avoided)"
-        )
+        assert routing_summary([]) == "backend: 0 analytic, 0 des"

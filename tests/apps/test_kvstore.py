@@ -20,6 +20,7 @@ from repro.apps.kvstore import (
     run_keydb_config,
     run_keydb_cxl_only,
 )
+from repro.apps.kvstore.flash import PAGE_CACHE_HIT_NS
 
 
 @pytest.fixture
@@ -226,7 +227,7 @@ class TestFlashTier:
         flash = self.make_flash(
             resident=10, os_cache_hit_rate=0.999, rng=np.random.default_rng(2)
         )
-        assert flash.read_time_ns(4096) == FlashTier.PAGE_CACHE_HIT_NS
+        assert flash.read_time_ns(4096) == PAGE_CACHE_HIT_NS
 
     @pytest.mark.parametrize("hit_rate", [0.0, 0.45])
     def test_batched_reads_match_per_op_reads(self, hit_rate):

@@ -1,11 +1,6 @@
-"""Cache counters surfaced through the repro.obs registry."""
+"""The cache store's shape surfaced through the repro.obs registry."""
 
-from repro.cache import (
-    SweepCache,
-    register_cache_stats,
-    register_store_snapshot,
-    register_sweep_result,
-)
+from repro.cache import SweepCache, register_store_snapshot
 from repro.obs import MetricsRegistry
 from repro.parallel import SweepPoint, SweepSpec, run_sweep, tasks
 
@@ -29,27 +24,6 @@ def _by_name(registry):
     return out
 
 
-def test_cache_stats_collector(tmp_path):
-    cache = SweepCache(root=str(tmp_path))
-    run_sweep(_spec(), workers=1, cache=cache)
-    run_sweep(_spec(), workers=1, cache=cache)
-
-    registry = MetricsRegistry()
-    register_cache_stats(registry, cache.stats, labels={"store": "test"})
-    named = _by_name(registry)
-    assert named["sweep_cache_hits"][0].value == 3.0
-    assert named["sweep_cache_misses"][0].value == 3.0
-    assert named["sweep_cache_stores"][0].value == 3.0
-    assert named["sweep_cache_evictions"][0].value == 0.0
-    assert named["sweep_points_resumed"][0].value == 0.0
-    assert named["sweep_cache_hits"][0].labels == {"store": "test"}
-    assert named["sweep_cache_hits"][0].kind == "counter"
-
-    # Lazy collector: later activity shows up without re-registering.
-    run_sweep(_spec(), workers=1, cache=cache)
-    assert _by_name(registry)["sweep_cache_hits"][0].value == 6.0
-
-
 def test_store_snapshot_collector(tmp_path):
     cache = SweepCache(root=str(tmp_path))
     run_sweep(_spec(), workers=1, cache=cache)
@@ -60,34 +34,3 @@ def test_store_snapshot_collector(tmp_path):
     assert named["sweep_cache_bytes"][0].value > 0
     assert named["sweep_cache_max_bytes"][0].value == float(cache.max_bytes)
     assert named["sweep_cache_entries"][0].kind == "gauge"
-
-
-def test_sweep_result_collector(tmp_path):
-    cache = SweepCache(root=str(tmp_path))
-    run_sweep(_spec(), workers=1, cache=cache)
-    warm = run_sweep(_spec(), workers=1, cache=cache)
-
-    registry = MetricsRegistry()
-    register_sweep_result(registry, warm)
-    named = _by_name(registry)
-    elapsed = named["sweep_point_elapsed_s"]
-    assert len(elapsed) == 3
-    assert {s.labels["point"] for s in elapsed} == {"p0", "p1", "p2"}
-    assert all(s.labels["sweep"] == "demo" for s in elapsed)
-    assert all(s.labels["cached"] == "1" for s in elapsed)
-    assert all(s.value == 0.0 for s in elapsed)
-    # The sweep ran with a cache, so its counters ride along labeled.
-    assert named["sweep_cache_hits"][0].value == 3.0
-    assert named["sweep_cache_hits"][0].labels == {"sweep": "demo"}
-
-
-def test_sweep_result_collector_without_cache():
-    sweep = run_sweep(_spec(), workers=1)
-    registry = MetricsRegistry()
-    register_sweep_result(registry, sweep)
-    named = _by_name(registry)
-    assert len(named["sweep_point_elapsed_s"]) == 3
-    assert all(
-        s.labels["cached"] == "0" for s in named["sweep_point_elapsed_s"]
-    )
-    assert "sweep_cache_hits" not in named

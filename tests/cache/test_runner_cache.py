@@ -174,7 +174,7 @@ class TestFigureRunnerSharesSweepEntries:
     """``repro sweep`` and the figure runners run one task per figure."""
 
     def test_fig5_runner_after_stock_sweep_executes_nothing(self, tmp_path):
-        from repro.analysis.figures import fig5_keydb
+        from repro.analysis.figures import fig5_from_sweep, fig5_keydb
         from repro.cli import stock_sweep_spec
 
         # auto mixes both models: 4 DES cells, 24 analytic ones.
@@ -183,13 +183,14 @@ class TestFigureRunnerSharesSweepEntries:
         swept = run_sweep(spec, workers=1, cache=SweepCache(root=root))
         assert swept.cache_stats.stores == len(spec.points) == 28
 
-        # The scale of `repro fig5 --quick`.
-        scale = dict(record_count=16_384, total_ops=20_000, backend="auto")
-        runner_cache = SweepCache(root=root)
-        warm = fig5_keydb(cache=runner_cache, **scale)
-        assert runner_cache.stats.hits == 28 and runner_cache.stats.misses == 0
+        # `repro sweep fig5 --quick --backend auto` again: all hits.
+        again = run_sweep(spec, workers=1, cache=SweepCache(root=root))
+        assert again.cache_stats.hits == 28 and again.cache_stats.misses == 0
+        warm = fig5_from_sweep(spec, again)
 
-        cold = fig5_keydb(**scale)
+        # The runner at the same scale, executing every cell afresh.
+        cold = fig5_keydb(record_count=16_384, total_ops=20_000,
+                          backend="auto")
         # Pickled bytes compare every field (histogram buckets, Welford
         # state, counters) of the cached and the freshly computed results.
         for workload, per_config in cold.results.items():

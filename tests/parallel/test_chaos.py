@@ -51,6 +51,13 @@ class TestChaosPlan:
         with pytest.raises(ConfigurationError):
             ChaosPlan(max_faulty_attempts=-1)
 
+    @pytest.mark.parametrize("hang_s", [float("nan"), float("inf")])
+    def test_non_finite_hang_rejected(self, hang_s):
+        # A serve job's chaos block reaches here; time.sleep raises on
+        # both, so the point would fail instead of hanging.
+        with pytest.raises(ConfigurationError, match="hang_s"):
+            ChaosPlan(hang_s=hang_s)
+
     def test_as_dict_roundtrips(self):
         plan = ChaosPlan(seed=3, transient_prob=0.4)
         assert ChaosPlan(**plan.as_dict()) == plan

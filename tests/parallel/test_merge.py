@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry
-from repro.parallel import (
-    merge_metrics_documents,
-    merged_metrics_json,
-    register_point_samples,
-)
+from repro.parallel import merge_metrics_documents, merged_metrics_json
 
 
 def _doc(name="m", value=1.0, labels=None):
@@ -55,20 +50,3 @@ class TestMerge:
         assert doc["generated_by"] == "repro.parallel.merge"
         # Same indent=2 serialization as MetricsRegistry.to_json.
         assert text == json.dumps(doc, indent=2)
-
-
-class TestRegisterPointSamples:
-    def test_samples_replay_through_registry(self):
-        registry = MetricsRegistry()
-        local = registry.counter("local_ops", "locally owned", ())
-        local.inc(3)
-        register_point_samples(registry, "a", _doc(name="remote", value=7.0))
-        samples = {(s.name, s.labels.get("point")): s.value
-                   for s in registry.samples()}
-        assert samples[("local_ops", None)] == 3.0
-        assert samples[("remote", "a")] == 7.0
-
-    def test_bad_document_rejected_up_front(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ConfigurationError):
-            register_point_samples(registry, "a", {"schema": "nope"})

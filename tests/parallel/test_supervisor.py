@@ -23,7 +23,6 @@ from repro.parallel import (
     SupervisorConfig,
     SweepPoint,
     SweepSpec,
-    last_run_health,
     run_sweep,
 )
 from repro.parallel.chaos import flaky_point, hanging_point, killer_point
@@ -123,7 +122,6 @@ class TestRetry:
         health = sweep.runner_health
         assert health.retries == 4 and health.transient_errors == 4
         assert health.quarantined == 0
-        assert last_run_health() is health
 
     def test_serial_retry_matches_parallel(self):
         spec = _spec(flaky_point, succeed_on=2)
@@ -453,7 +451,7 @@ class TestDrain:
         assert manifest is not None
         assert manifest.completed == ("p0", "p1")
         assert manifest.remaining == 2
-        assert last_run_health().drained == 1
+        assert manifest.reason == "interrupt"
 
         resumed = run_sweep(spec, workers=1, cache=cache)
         assert resumed.ok
@@ -462,21 +460,10 @@ class TestDrain:
 
 class TestHealthSidecar:
     def test_health_export_is_sidecar_only(self):
-        from repro.obs import MetricsRegistry
-        from repro.cache.obs import register_sweep_result
-
         sweep = run_sweep(_spec(flaky_point, n=2, succeed_on=2), workers=1,
                           supervise=FAST)
-        registry = MetricsRegistry()
-        register_sweep_result(registry, sweep)
-        names = {s.name for s in registry.samples()}
-        assert "sweep_runner_retries" in names
-        by_name = {
-            s.name: s.value for s in registry.samples()
-            if s.name.startswith("sweep_runner_")
-        }
-        assert by_name["sweep_runner_retries"] == 2.0
-        assert by_name["sweep_runner_quarantined"] == 0.0
+        assert sweep.runner_health.retries == 2
+        assert sweep.runner_health.quarantined == 0
         # ...but the merged per-point export never carries health.
         from repro.parallel import merge_metrics_documents
 

@@ -82,6 +82,40 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             JobSpec(target="demo", **bad)
 
+    @pytest.mark.parametrize("field, value", [
+        # A NaN budget never expires: `now > nan` is always false.
+        ("deadline_s", float("nan")),
+        ("deadline_s", float("inf")),
+        ("point_timeout_s", float("nan")),
+        ("point_timeout_s", float("inf")),
+        ("sleep_s", float("nan")),
+        ("sleep_s", float("inf")),
+        # bool("false") is True.
+        ("quick", "false"),
+        ("quick", 1),
+        # int() truncates floats and reads true as 1.
+        ("seed", 1.9),
+        ("seed", True),
+        ("workers", 2.5),
+        ("retries", 1.5),
+        ("retries", True),
+        ("points", 3.5),
+        ("draws", 64.5),
+        ("draws", True),
+    ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_non_finite_or_mistyped_payload_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            JobSpec.from_payload({"target": "demo", field: value})
+
+    def test_json_numbers_and_nulls_still_accepted(self):
+        spec = JobSpec.from_payload({
+            "target": "demo", "quick": False, "seed": 7, "deadline_s": 5,
+            "point_timeout_s": None, "workers": None, "sleep_s": 0,
+        })
+        assert (spec.quick, spec.seed, spec.deadline_s) == (False, 7, 5.0)
+        assert spec.point_timeout_s is None and spec.workers is None
+        assert isinstance(spec.sleep_s, float)
+
     def test_chaos_plan_validated_at_submission(self):
         JobSpec(target="demo", chaos={"transient_prob": 0.5})
         with pytest.raises(ConfigurationError, match="chaos"):

@@ -23,6 +23,16 @@ class TestParser:
         args = build_parser().parse_args(["cost"])
         assert (args.r_d, args.r_c, args.c, args.r_t) == (10.0, 8.0, 2.0, 1.1)
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3"], ["fig4"], ["fig5", "--quick"], ["fig7"], ["fig8"], ["fig10"],
+        ["overload", "sweep", "--quick"],
+    ], ids=" ".join)
+    def test_removed_figure_commands_exit_2(self, argv):
+        # `repro sweep <target>` is the one entry point to a stock sweep.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_cost_prints_paper_numbers(self, capsys):
@@ -54,24 +64,26 @@ class TestCommands:
             assert marker in out
 
     def test_fig3_quick(self, capsys):
-        assert main(["fig3", "--quick"]) == 0
+        assert main(["sweep", "fig3", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[mmem]" in out and "[cxl-r]" in out
 
     def test_fig4_quick(self, capsys):
-        assert main(["fig4", "--quick"]) == 0
+        assert main(["sweep", "fig4", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[sequential]" in out and "[random]" in out
 
     def test_fig8_quick(self, capsys):
-        assert main(["fig8", "--quick"]) == 0
+        assert main(["sweep", "fig8", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "throughput drop" in out
+        assert "p99 latency penalty" in out
 
     def test_fig10(self, capsys):
-        assert main(["fig10"]) == 0
+        assert main(["sweep", "fig10"]) == 0
         out = capsys.readouterr().out
-        assert "tokens/s" in out and "Fig. 10(b)" in out
+        assert "tokens/s" in out
+        assert "Fig. 10(b)" in out and "Fig. 10(c)" in out
 
     def test_advise(self, capsys):
         assert main(["advise", "--demand-gbps", "55", "--locality", "0.2"]) == 0
@@ -127,8 +139,7 @@ class TestCommands:
 
     def test_overload_sweep_quick(self, capsys):
         assert main(
-            ["overload", "sweep", "--quick", "--factors", "0.5,1.5",
-             "--mode", "controlled"]
+            ["sweep", "overload", "--quick", "--mode", "controlled"]
         ) == 0
         out = capsys.readouterr().out
         assert "controlled" in out
@@ -139,23 +150,19 @@ class TestCommands:
         import json
 
         assert main(
-            ["overload", "sweep", "--quick", "--factors", "1.5",
-             "--mode", "both", "--json"]
+            ["sweep", "overload", "--quick", "--mode", "uncontrolled",
+             "--json", "--no-progress"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        labels = {entry["label"] for entry in payload}
-        assert labels == {"controlled @ 1.50x", "uncontrolled @ 1.50x"}
-        for entry in payload:
-            assert entry["load_factor"] == 1.5
-            assert entry["offered"] > 0
-
-    @pytest.mark.parametrize("factor", ["inf", "nan"])
-    def test_overload_sweep_rejects_non_finite_factors(self, capsys, factor):
-        # An infinite rate never advances time; NaN has no deadline.
-        assert main(
-            ["overload", "sweep", "--quick", "--factors", f"0.5,{factor}"]
-        ) == 2
-        assert capsys.readouterr().err.startswith("error: --factors")
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "repro.metrics/v1"
+        offered = {
+            m["labels"]["point"]: m["value"] for m in doc["metrics"]
+            if m["name"] == "overload_offered_total"
+        }
+        assert set(offered) == {
+            f"uncontrolled@{f:.2f}x" for f in (0.5, 0.75, 1.0, 1.25, 1.5)
+        }
+        assert all(value > 0 for value in offered.values())
 
     def test_overload_faults_json(self, capsys):
         import json
@@ -173,22 +180,21 @@ class TestWorkersFlag:
     def test_workers_accepted_on_sweep_shaped_commands(self):
         parser = build_parser()
         for argv in (
-            ["fig3", "--workers", "2"],
-            ["fig5", "--quick", "--workers", "4"],
-            ["overload", "sweep", "--workers", "2"],
+            ["sweep", "fig3", "--workers", "2"],
+            ["sweep", "fig5", "--quick", "--workers", "4"],
+            ["sweep", "overload", "--workers", "2"],
             ["faults", "run", "device-flap", "--workers", "2"],
-            ["sweep", "fig5", "--workers", "2"],
         ):
             args = parser.parse_args(argv)
             assert args.workers in (2, 4)
 
     def test_workers_defaults_to_env_resolution(self):
-        args = build_parser().parse_args(["fig5"])
+        args = build_parser().parse_args(["sweep", "fig5"])
         assert args.workers is None  # runner falls back to $REPRO_WORKERS
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--workers", "0"])
+            build_parser().parse_args(["sweep", "fig5", "--workers", "0"])
 
     def test_tables_has_no_workers_flag(self):
         with pytest.raises(SystemExit):
@@ -227,9 +233,8 @@ class TestRobustnessFlags:
     def test_accepted_on_sweep_shaped_commands(self):
         parser = build_parser()
         for argv in (
-            ["fig3", "--point-timeout", "30", "--retries", "4"],
-            ["fig5", "--quick", "--fail-fast"],
-            ["overload", "sweep", "--point-timeout", "10.5"],
+            ["sweep", "fig3", "--point-timeout", "30", "--retries", "4"],
+            ["sweep", "overload", "--point-timeout", "10.5"],
             ["faults", "run", "device-flap", "--retries", "0"],
             ["sweep", "fig5", "--point-timeout", "5", "--retries", "1",
              "--fail-fast"],
@@ -240,7 +245,7 @@ class TestRobustnessFlags:
             assert hasattr(args, "fail_fast")
 
     def test_defaults(self):
-        args = build_parser().parse_args(["fig5"])
+        args = build_parser().parse_args(["sweep", "fig5"])
         assert args.point_timeout is None
         assert args.retries == 2
         assert not args.fail_fast
@@ -248,9 +253,9 @@ class TestRobustnessFlags:
     def test_bad_values_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["fig5", "--point-timeout", "0"])
+            parser.parse_args(["sweep", "fig5", "--point-timeout", "0"])
         with pytest.raises(SystemExit):
-            parser.parse_args(["fig5", "--retries", "-1"])
+            parser.parse_args(["sweep", "fig5", "--retries", "-1"])
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_point_timeout_rejected(self, value):
@@ -280,26 +285,28 @@ class TestRobustnessFlags:
         args = build_parser().parse_args(["sweep", "fig5", "--retries", "0"])
         assert _supervise(args).max_attempts == 1
 
-    def test_health_line_on_stderr_when_eventful(self, capsys):
-        from repro import cli
-        from repro.parallel.supervisor import RunnerHealth
-
-        import repro.parallel.runner as runner_mod
+    def test_health_line_on_stderr_when_eventful(self, capsys, monkeypatch):
+        # `repro faults run` prints its sweep's health only when eventful.
+        import repro.parallel
+        from repro.parallel import RunnerHealth, SweepResult
 
         health = RunnerHealth(retries=3, quarantined=1)
-        previous = runner_mod._LAST_HEALTH
-        runner_mod._LAST_HEALTH = health
-        try:
-            cli._health_note("fig5")
-            err = capsys.readouterr().err
-            assert "[fig5] health:" in err
-            assert "3 retries" in err and "1 quarantined" in err
+        monkeypatch.setattr(
+            repro.parallel, "run_sweep",
+            lambda spec, **kwargs: SweepResult(
+                name=spec.name, base_seed=spec.base_seed, workers=1,
+                results=[], runner_health=health,
+            ),
+        )
+        argv = ["faults", "run", "device-flap", "--app", "keydb", "--quick"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "[faults device-flap] health:" in err
+        assert "3 retries" in err and "1 quarantined" in err
 
-            runner_mod._LAST_HEALTH = RunnerHealth()  # uneventful
-            cli._health_note("fig5")
-            assert capsys.readouterr().err == ""
-        finally:
-            runner_mod._LAST_HEALTH = previous
+        health.retries = health.quarantined = 0  # uneventful
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sweep_emits_health_summary(self, capsys):
         assert main(["sweep", "fig8", "--quick", "--no-progress",
@@ -331,16 +338,15 @@ class TestCacheFlag:
     def test_no_cache_accepted_on_sweep_shaped_commands(self):
         parser = build_parser()
         for argv in (
-            ["fig3", "--no-cache"],
-            ["fig5", "--quick", "--no-cache"],
-            ["overload", "sweep", "--no-cache"],
+            ["sweep", "fig3", "--no-cache"],
+            ["sweep", "overload", "--no-cache"],
             ["faults", "run", "device-flap", "--no-cache"],
             ["sweep", "fig8", "--no-cache"],
         ):
             assert parser.parse_args(argv).no_cache
 
     def test_cache_defaults_on(self):
-        assert not build_parser().parse_args(["fig5"]).no_cache
+        assert not build_parser().parse_args(["sweep", "fig5"]).no_cache
 
     def test_tables_has_no_cache_flag(self):
         with pytest.raises(SystemExit):
