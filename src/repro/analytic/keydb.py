@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..apps.kvstore.experiment import default_warmup_ops
+from ..apps.kvstore.experiment import default_warmup_ops, fig8_warmup_ops
 from ..apps.kvstore.flash import (
     CACHE_INEFFICIENCY,
     OS_CACHE_HIT_RATE,
@@ -718,4 +718,4 @@ def analytic_keydb_cxl_only(
         platform, spec, profile, node_read_mass, dict(node_read_mass),
         None, 7, value_size,
     )
-    return _assemble_result(state, spec, 7, total_ops, total_ops // 10)
+    return _assemble_result(state, spec, 7, total_ops, fig8_warmup_ops(total_ops))

@@ -124,8 +124,9 @@ class DesKeyDbServer:
         self.socket = socket
         self.clients = clients
         self.refresh_ops = utilization_refresh_ops
-        #: Request-scoped span recorder (no-op unless a live Tracer is
-        #: passed; tracing must never perturb the simulation).
+        #: Request-scoped span recorder of the closed loop (no-op unless
+        #: a live Tracer is passed; tracing must never perturb the
+        #: simulation).  The open loop records no spans.
         self.tracer = tracer
         #: Optional :class:`repro.obs.profile.EngineProfile` installed
         #: on each closed-loop run's simulator (the open loop runs none).
@@ -191,7 +192,6 @@ class DesKeyDbServer:
         cpu_ns: float,
         struct_ns: float,
         value_ns: float,
-        degrade_ns: float = 0.0,
     ) -> None:
         """Record one op's per-layer spans; they sum to ``end - arrival``.
 
@@ -216,9 +216,6 @@ class DesKeyDbServer:
         # subtraction; only a residual visible at op scale is real IO.
         if flash_ns > 1e-9 * service_ns:
             op.span("device", "flash_io", t, flash_ns)
-            t += flash_ns
-        if degrade_ns > 0.0:
-            op.span("device", "fault_degrade", t, degrade_ns)
         op.finish(end_ns)
 
     def run(self, generator: YcsbGenerator, total_ops: int) -> KeyDbResult:
@@ -331,7 +328,6 @@ class DesKeyDbServer:
             raise ConfigurationError("arrival_rate_ops_per_s must be finite and positive")
         if not (math.isfinite(duration_ns) and duration_ns > 0):
             raise ConfigurationError("duration_ns must be finite and positive")
-        tracer = self.tracer
         result = KeyDbResult()
         counters = result.counters
         self._latency_tables()
@@ -344,7 +340,6 @@ class DesKeyDbServer:
         shed = controller.shed
         plan_op = self.store.plan_op
         price = self._price
-        profile = self.store.profile
         touched = self.store.op_bytes()
         refresh_ops = self.refresh_ops
         arrivals = _arrivals(
@@ -387,13 +382,7 @@ class DesKeyDbServer:
             ):
                 now, _, job = heappop(events)
                 if job is not None:
-                    page, op_write, arrival, deadline, trace = job
-                    if trace is not None:
-                        start, base, cpu, struct, value, degrade = trace
-                        self._emit_op_trace(
-                            page, op_write, arrival, start, now, base, cpu,
-                            struct, value, degrade_ns=degrade,
-                        )
+                    page, op_write, arrival, deadline = job
                     latency = now - arrival  # queueing + service
                     if not complete(deadline, now):
                         counters.add("deadline_misses", 1)
@@ -425,26 +414,15 @@ class DesKeyDbServer:
                         shed(REASON_EXPIRED)
                         continue
                     page, ssd_read, ssd_write = plan_op(op_key, op_write, now)
-                    service = base = price(page, op_write, ssd_read, ssd_write)
+                    service = price(page, op_write, ssd_read, ssd_write)
                     if injector is not None:
                         service *= injector.latency_multiplier(page.node_id, now)
                     if shed_late and now + service > deadline:
                         counters.add("ops_shed_doomed", 1)
                         shed(REASON_DOOMED)
                         continue
-                    trace = None
-                    if tracer.enabled:
-                        trace = (
-                            now,
-                            base,
-                            profile.cpu_ns,
-                            profile.struct_accesses * self._struct[op_write],
-                            profile.value_accesses
-                            * self._lat_cache[op_write][page.node_id],
-                            service - base,
-                        )
                     heappush(events, (now + service, seq,
-                                      (page, op_write, arrival, deadline, trace)))
+                                      (page, op_write, arrival, deadline)))
                     seq += 1
                     break
                 else:  # nothing to serve: idle, or stop once closed

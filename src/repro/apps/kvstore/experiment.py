@@ -42,6 +42,7 @@ __all__ = [
     "KeyDbExperiment",
     "build_keydb_experiment",
     "default_warmup_ops",
+    "fig8_warmup_ops",
     "run_keydb_config",
     "run_keydb_cxl_only",
 ]
@@ -79,6 +80,11 @@ def default_warmup_ops(config: str, total_ops: int) -> int:
     other configuration warms up for a tenth.
     """
     return total_ops // 2 if config == "hot-promote" else total_ops // 10
+
+
+def fig8_warmup_ops(total_ops: int) -> int:
+    """Operations a Fig. 8 run discards before measuring: a tenth."""
+    return total_ops // 10
 
 
 def _build_store(
@@ -222,4 +228,4 @@ def run_keydb_cxl_only(
     generator = YcsbGenerator(
         WORKLOADS["C"], record_count, rng_factory.stream("ycsb-vm")
     )
-    return server.run(generator, total_ops, warmup_ops=total_ops // 10)
+    return server.run(generator, total_ops, warmup_ops=fig8_warmup_ops(total_ops))

@@ -116,19 +116,15 @@ class KeyValueStore:
     ) -> None:
         if record_count <= 0:
             raise ConfigurationError("record_count must be positive")
-        if value_size <= 0:
-            raise ConfigurationError("value_size must be positive")
+        if not 0 < value_size <= space.page_size:
+            raise ConfigurationError(
+                f"value_size must be in (0, {space.page_size}] (one page)"
+            )
         self.space = space
         self.policy = policy
         self.value_size = value_size
-        if value_size <= space.page_size:
-            # Several values per page (the paper's 1 KB / 4 KiB case).
-            self.values_per_page = space.page_size // value_size
-            self._pages_per_value = 1
-        else:
-            # Large values span whole pages (e.g. 64 KB blobs).
-            self.values_per_page = 1
-            self._pages_per_value = -(-value_size // space.page_size)
+        # Several values per page (the paper's 1 KB / 4 KiB case).
+        self.values_per_page = space.page_size // value_size
         self.profile = profile or ServiceProfile.capacity()
         self.flash = flash
         self.record_count = 0
@@ -137,13 +133,8 @@ class KeyValueStore:
 
     # -- dataset management -----------------------------------------------
 
-    def _pages_needed(self, records: int) -> int:
-        if self._pages_per_value == 1:
-            return -(-records // self.values_per_page)
-        return records * self._pages_per_value
-
     def _grow_pages_to(self, record_count: int) -> None:
-        needed = self._pages_needed(record_count)
+        needed = -(-record_count // self.values_per_page)
         if needed > len(self.pages):
             new = self.space.allocate_pages(needed - len(self.pages), self.policy)
             self.pages.extend(new)
@@ -155,20 +146,10 @@ class KeyValueStore:
         self.record_count = max(self.record_count, record_count)
 
     def page_of(self, key: int) -> Page:
-        """The (first) page holding ``key``'s value."""
+        """The page holding ``key``'s value."""
         if not 0 <= key < self.record_count:
             raise KeyError(f"key {key} outside record space {self.record_count}")
-        if self._pages_per_value == 1:
-            return self.pages[key // self.values_per_page]
-        return self.pages[key * self._pages_per_value]
-
-    def pages_of(self, key: int) -> List[Page]:
-        """All pages a value spans (one unless value_size > page_size)."""
-        first = self.page_of(key)
-        if self._pages_per_value == 1:
-            return [first]
-        start = key * self._pages_per_value
-        return self.pages[start : start + self._pages_per_value]
+        return self.pages[key // self.values_per_page]
 
     def dataset_bytes(self) -> int:
         """Logical dataset size (records x value size)."""
@@ -243,10 +224,7 @@ class KeyValueStore:
                 )
             ])
             self.record_count = end
-        if self._pages_per_value == 1:
-            index = keys // self.values_per_page
-        else:
-            index = keys * self._pages_per_value
+        index = keys // self.values_per_page
         touches = np.bincount(index)
         writes = np.bincount(index[is_write], minlength=len(touches))
         distinct = np.flatnonzero(touches)

@@ -9,10 +9,12 @@ loop client streams :class:`~repro.workloads.llm_trace.ChatRequest`\\ s,
 the router assigns each to the least-loaded backend, and every backend
 decodes token by token — each step priced by the
 :class:`~repro.apps.llm.backend.CpuBackend` model with the sequence's
-actual KV-cache size, growing the cache as it goes.  It exists both as
-an end-to-end integration surface (the examples drive it) and as a
-cross-check that the analytic sweep in
-:mod:`repro.apps.llm.serving` agrees with an event-driven execution.
+actual KV-cache size, growing the cache as it goes.  The fault
+catalog's LLM case (:func:`repro.faults.runner.run_faulted_llm`) runs
+it to route around failing backends, and
+``examples/llm_bandwidth_tuning.py`` runs it as an event-driven
+cross-check of the analytic sweep in :mod:`repro.apps.llm.serving`,
+which is what Fig. 10 reports.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 from ...errors import ConfigurationError
 from ...faults.breaker import CircuitBreaker
 from ...faults.metrics import RecoveryTracker
-from ...obs.tracing import NULL_TRACER, Tracer
 from ...sim.engine import Simulator
 from ...sim.stats import LatencyHistogram
 from ...units import GIB
@@ -76,19 +77,11 @@ class LlmRouter:
         experiment: LlmServingExperiment,
         backends: int,
         kv_capacity_bytes: int = 64 * GIB,
-        tracer: Tracer = NULL_TRACER,
-        engine_profile=None,
     ) -> None:
         if backends <= 0:
             raise ConfigurationError("backends must be positive")
         self.experiment = experiment
         self.n_backends = backends
-        #: Request-scoped span recorder (no-op by default; tracing must
-        #: never perturb the simulation).
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.profile.EngineProfile` installed
-        #: on each serve()'s simulator.
-        self.engine_profile = engine_profile
         self.model = experiment.backend.model
         self.caches = [
             KvCache(self.model, kv_capacity_bytes) for _ in range(backends)
@@ -163,9 +156,6 @@ class LlmRouter:
         backend when it starts.
         """
         sim = Simulator()
-        if self.engine_profile is not None:
-            self.engine_profile.attach(sim)
-        tracer = self.tracer
         result = ServingResult()
         # The steady-state operating point prices every token step; the
         # DES adds queueing/assignment dynamics on top.
@@ -209,9 +199,6 @@ class LlmRouter:
             self.caches[idx].admit(seq_id, request.prompt_tokens)
             self.active_sequences[idx] += 1
             generated = 0
-            # Per-layer time buckets for tracing: decode steps on the
-            # backend, re-prefill after reroutes, blown-deadline stalls.
-            decode_ns = reprefill_ns = stall_ns = 0.0
 
             def leave(i: int) -> None:
                 self.caches[i].release(seq_id)
@@ -246,7 +233,6 @@ class LlmRouter:
                             * (request.prompt_tokens + generated)
                             * step_time(idx, seq_id)
                         )
-                        reprefill_ns += refill
                         yield sim.timeout(refill)
                         continue
                 step_ns = step_time(idx, seq_id)
@@ -255,7 +241,6 @@ class LlmRouter:
                     # Step deadline blown: count against the breaker and
                     # try a healthier backend after the timeout elapses.
                     self.breakers[idx].record_failure(sim.now)
-                    stall_ns += deadline_ns
                     yield sim.timeout(deadline_ns)
                     new = reroute(idx)
                     if new is None:
@@ -269,11 +254,9 @@ class LlmRouter:
                             * (request.prompt_tokens + generated)
                             * step_time(new, seq_id)
                         )
-                        reprefill_ns += refill
                         yield sim.timeout(refill)
                     idx = new
                     continue
-                decode_ns += step_ns
                 yield sim.timeout(step_ns)
                 if self.faults is not None:
                     self.breakers[idx].record_success(sim.now)
@@ -284,20 +267,7 @@ class LlmRouter:
                     self.recovery.record(sim.now, step_ns, ok=True)
             leave(idx)
             result.requests_completed += 1
-            latency = sim.now - start
-            if tracer.enabled:
-                op = tracer.op("llm.request", start)
-                t = start
-                op.span("device", "decode_steps", t, decode_ns,
-                        tokens=generated, backend=idx)
-                t += decode_ns
-                if reprefill_ns > 0.0:
-                    op.span("hw", "reprefill", t, reprefill_ns)
-                    t += reprefill_ns
-                if stall_ns > 0.0:
-                    op.span("device", "deadline_stall", t, stall_ns)
-                op.finish(sim.now)
-            result.request_latency.record(latency)
+            result.request_latency.record(sim.now - start)
 
         for seq_id, request in enumerate(requests):
             sim.process(sequence(seq_id, request))

@@ -30,30 +30,12 @@ def run_spark_config(
     name: str,
     queries: Dict[str, QueryProfile] = None,
     costs: PhaseCosts = PhaseCosts(),
-    registry=None,
 ) -> Dict[str, QueryResult]:
-    """One Fig. 7 column: all four TPC-H queries under one config.
-
-    With a :class:`~repro.obs.registry.MetricsRegistry`, each query's
-    wall-clock and shuffle share export as gauges labelled by config
-    and query.
-    """
+    """One Fig. 7 column: all four TPC-H queries under one config."""
     if queries is None:
         queries = paper_queries()
     runner = SparkQueryRunner(build_cluster_config(name), costs)
-    results = runner.run_queries(queries)
-    if registry is not None:
-        total = registry.gauge(
-            "spark_query_total_ns", "query wall-clock", ("config", "query")
-        )
-        shuffle = registry.gauge(
-            "spark_query_shuffle_fraction", "shuffle share of wall-clock",
-            ("config", "query"),
-        )
-        for query, result in results.items():
-            total.set(result.total_ns, config=name, query=query)
-            shuffle.set(result.shuffle_fraction, config=name, query=query)
-    return results
+    return runner.run_queries(queries)
 
 
 @dataclass(frozen=True)

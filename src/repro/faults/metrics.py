@@ -202,49 +202,6 @@ class RecoveryTracker:
         """The latency histogram of one phase (before/during/after)."""
         return self._latency[phase]
 
-    def register_into(
-        self,
-        registry,
-        prefix: str = "ras",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Export availability, phase counts and phase latencies lazily.
-
-        Emits ``<prefix>_offered/completed/failed_total`` counters, an
-        ``<prefix>_availability`` gauge, per-phase outcome counters
-        labelled ``phase=``/``outcome=``, and one flattened latency
-        histogram per phase.
-        """
-        # Imported here: repro.obs.registry imports repro.sim.stats,
-        # which this module also builds on; runtime import avoids a cycle.
-        from ..obs.registry import Sample, histogram_samples
-
-        base = dict(labels or {})
-
-        def collect():
-            yield Sample(f"{prefix}_offered_total", "counter", dict(base),
-                         float(self.offered))
-            yield Sample(f"{prefix}_completed_total", "counter", dict(base),
-                         float(self.completed))
-            yield Sample(f"{prefix}_failed_total", "counter", dict(base),
-                         float(self.failed))
-            availability = self.completed / self.offered if self.offered else 0.0
-            yield Sample(f"{prefix}_availability", "gauge", dict(base),
-                         availability)
-            for phase, counts in sorted(self.phase_counts.items()):
-                for outcome, count in sorted(counts.items()):
-                    yield Sample(
-                        f"{prefix}_phase_ops_total", "counter",
-                        {**base, "phase": phase, "outcome": outcome},
-                        float(count),
-                    )
-            for phase, hist in sorted(self._latency.items()):
-                yield from histogram_samples(
-                    f"{prefix}_latency_ns", {**base, "phase": phase}, hist
-                )
-
-        registry.register_collector(collect)
-
     # -- derived metrics ---------------------------------------------------
 
     def _window_throughput(self, index: int) -> float:

@@ -113,31 +113,10 @@ def _tracker_for(plan: FaultPlan, healthy_elapsed_ns: float) -> RecoveryTracker:
     return RecoveryTracker(start, end, window_ns=healthy_elapsed_ns / 25.0)
 
 
-def _register_summary(registry, summary: "FaultedRunSummary") -> None:
-    """Export one faulted-run summary through a metrics registry."""
-    from ..obs.registry import Sample
-
-    labels = {"app": summary.app, "scenario": summary.scenario}
-
-    def collect():
-        yield Sample("faulted_healthy_throughput", "gauge", dict(labels),
-                     summary.healthy_throughput)
-        yield Sample("faulted_throughput", "gauge", dict(labels),
-                     summary.faulted_throughput)
-        yield Sample("faulted_availability", "gauge", dict(labels),
-                     summary.availability)
-        for name, value in sorted(summary.counters.items()):
-            yield Sample("faulted_counter_total", "counter",
-                         {**labels, "counter": name}, float(value))
-
-    registry.register_collector(collect)
-
-
 def run_faulted_keydb(
     scenario: str,
     seed: int = DEFAULT_SEED,
     quick: bool = False,
-    registry=None,
 ) -> FaultedRunSummary:
     """KeyDB (1:1 interleave) through one fault scenario."""
     from ..apps.kvstore.experiment import build_keydb_experiment
@@ -158,7 +137,7 @@ def run_faulted_keydb(
     run = faulted.server.run(faulted.generator, total_ops=total_ops)
 
     report = tracker.report()
-    summary = FaultedRunSummary(
+    return FaultedRunSummary(
         app="keydb",
         scenario=scenario,
         seed=seed,
@@ -169,19 +148,12 @@ def run_faulted_keydb(
         counters=run.counters.as_dict(),
         report=report,
     )
-    if registry is not None:
-        tracker.register_into(
-            registry, labels={"app": "keydb", "scenario": scenario}
-        )
-        _register_summary(registry, summary)
-    return summary
 
 
 def run_faulted_llm(
     scenario: str,
     seed: int = DEFAULT_SEED,
     quick: bool = False,
-    registry=None,
 ) -> FaultedRunSummary:
     """The LLM serving stack (3:1 placement) through one scenario."""
     from ..apps.llm.router import LlmRouter
@@ -209,7 +181,7 @@ def run_faulted_llm(
 
     offered = run.requests_completed + run.requests_failed
     report = tracker.report()
-    summary = FaultedRunSummary(
+    return FaultedRunSummary(
         app="llm",
         scenario=scenario,
         seed=seed,
@@ -225,19 +197,12 @@ def run_faulted_llm(
         },
         report=report,
     )
-    if registry is not None:
-        tracker.register_into(
-            registry, labels={"app": "llm", "scenario": scenario}
-        )
-        _register_summary(registry, summary)
-    return summary
 
 
 def run_faulted_spark(
     scenario: str,
     seed: int = DEFAULT_SEED,
     quick: bool = False,
-    registry=None,
 ) -> FaultedRunSummary:
     """The Spark cluster (1:1 interleave) through one scenario.
 
@@ -271,7 +236,7 @@ def run_faulted_spark(
     reexec = sum(s.reexec_ns for r in results.values() for s in r.stages)
     poisoned = sum(s.poisoned_bytes for r in results.values() for s in r.stages)
     per_hour = 3600e9 * len(queries)
-    summary = FaultedRunSummary(
+    return FaultedRunSummary(
         app="spark",
         scenario=scenario,
         seed=seed,
@@ -285,9 +250,6 @@ def run_faulted_spark(
             "slowdown": total / base_total if base_total > 0 else math.inf,
         },
     )
-    if registry is not None:
-        _register_summary(registry, summary)
-    return summary
 
 
 FAULT_APPS = {
@@ -302,13 +264,8 @@ def run_faulted_app(
     scenario: str,
     seed: int = DEFAULT_SEED,
     quick: bool = False,
-    registry=None,
 ) -> FaultedRunSummary:
-    """Dispatch one (app, scenario) faulted run.
-
-    ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`) gets
-    the run's RAS tracker and summary bound into it for export.
-    """
+    """Dispatch one (app, scenario) faulted run."""
     if app not in FAULT_APPS:
         raise ConfigurationError(
             f"unknown app {app!r}; expected one of {sorted(FAULT_APPS)}"
@@ -317,7 +274,7 @@ def run_faulted_app(
         raise ConfigurationError(
             f"unknown fault scenario {scenario!r}; expected one of {sorted(SCENARIOS)}"
         )
-    return FAULT_APPS[app](scenario, seed=seed, quick=quick, registry=registry)
+    return FAULT_APPS[app](scenario, seed=seed, quick=quick)
 
 
 def fault_sweep_spec(

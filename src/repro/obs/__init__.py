@@ -3,9 +3,9 @@
 Three pieces, all deterministic and all off the hot path by default:
 
 * :mod:`~repro.obs.registry` — a Prometheus-style metrics registry the
-  stack's accounting objects (``Counter``, ``BandwidthMonitor``,
-  ``RecoveryTracker``, ``OverloadMetrics``) register into, with one
-  JSON/CSV snapshot exporter.
+  stack's accounting objects (``Counter``, ``OverloadMetrics``,
+  ``EngineProfile``, the cache and serve snapshots) register into, with
+  one JSON/CSV snapshot exporter.
 * :mod:`~repro.obs.tracing` — request-scoped per-layer spans in sim
   time.  Pass :data:`NULL_TRACER` (the default everywhere) for zero-cost
   no-ops; a live :class:`Tracer` decomposes each op's latency without
@@ -20,10 +20,8 @@ YCSB-on-CXL run via :func:`~repro.obs.run.run_observed_keydb`.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "CounterFamily": ".registry",
     "EngineProfile": ".profile",
     "GaugeFamily": ".registry",
-    "HistogramFamily": ".registry",
     "MetricsRegistry": ".registry",
     "NULL_TRACER": ".tracing",
     "NullTracer": ".tracing",

@@ -1,26 +1,25 @@
 """A Prometheus-style metrics registry with one snapshot exporter.
 
-The stack grew four unrelated accounting schemes — ``sim.stats.Counter``
-bags, ``BandwidthMonitor`` time series, ``RecoveryTracker`` phase
-histograms, ``OverloadMetrics`` funnels.  The registry gives them one
-namespace and one export path: named **counters**, **gauges** and
-**histograms**, each with a fixed label schema, flattened into a list of
-``(name, labels, value)`` samples that serializes to JSON or CSV.
+The registry gives the stack's accounting objects one namespace and one
+export path: named samples, each with a fixed label schema, flattened
+into a list of ``(name, kind, labels, value)`` that serializes to JSON
+or CSV.
 
 Two registration styles:
 
-* *owned metrics* — ``registry.counter(...)``/``gauge``/``histogram``
-  return a family; ``family.labels(node="cxl0")`` returns the child to
-  increment/set/observe.
+* *owned gauges* — ``registry.gauge(...)`` returns a
+  :class:`GaugeFamily`; ``family.labels(node="cxl0")`` returns the
+  child to set.
 * *collectors* — existing accounting objects register a callback that
-  emits samples lazily at snapshot time (see the ``register_into``
-  methods on :class:`~repro.sim.stats.Counter`,
-  :class:`~repro.sim.monitor.BandwidthMonitor`,
-  :class:`~repro.faults.metrics.RecoveryTracker` and
-  :class:`~repro.overload.metrics.OverloadMetrics`), so wiring them up
-  costs nothing on the hot path.
+  emits samples lazily at snapshot time (the ``register_into`` methods
+  on :class:`~repro.sim.stats.Counter`,
+  :class:`~repro.overload.metrics.OverloadMetrics` and
+  :class:`~repro.obs.profile.EngineProfile`, and the cache and serve
+  snapshots in :mod:`repro.cache.obs` and :mod:`repro.serve.obs`), so
+  wiring them up costs nothing on the hot path.
 
-Histograms flatten into ``<name>_count`` / ``_mean`` / ``_min`` /
+A :class:`~repro.sim.stats.LatencyHistogram` flattens through
+:func:`histogram_samples` into ``<name>_count`` / ``_mean`` / ``_min`` /
 ``_max`` / ``_p50`` / ``_p95`` / ``_p99`` samples so every exported
 value is a plain number (CSV stays rectangular, schemas stay simple).
 """
@@ -40,14 +39,12 @@ from ..sim.stats import LatencyHistogram
 __all__ = [
     "Sample",
     "MetricsRegistry",
-    "CounterFamily",
     "GaugeFamily",
-    "HistogramFamily",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
-#: Quantiles a histogram family exports.
+#: Quantiles a flattened histogram exports.
 _HIST_QUANTILES = (50.0, 95.0, 99.0)
 
 
@@ -84,72 +81,6 @@ def _check_name(name: str) -> str:
     return name
 
 
-class _Family:
-    """Shared machinery: a named metric with a fixed label schema."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: Tuple[str, ...]) -> None:
-        self.name = _check_name(name)
-        self.help = help
-        self.labelnames = labelnames
-        self._children: Dict[Tuple[str, ...], Any] = {}
-
-    def _child_key(self, labels: Dict[str, Any]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ConfigurationError(
-                f"metric {self.name} expects labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[n]) for n in self.labelnames)
-
-    def labels(self, **labels: Any):
-        """The child tracking one label combination (created on demand)."""
-        key = self._child_key(labels)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def _make_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _label_dicts(self) -> Iterable[Tuple[Dict[str, str], Any]]:
-        for key, child in sorted(self._children.items()):
-            yield dict(zip(self.labelnames, key)), child
-
-
-class _CounterChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment (counters are monotonic)."""
-        if amount < 0:
-            raise ConfigurationError("counters are monotonic; amount must be >= 0")
-        self.value += amount
-
-
-class CounterFamily(_Family):
-    """A monotonically increasing count, per label set."""
-
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Shorthand: ``family.inc(3, node="cxl0")``."""
-        self.labels(**labels).inc(amount)
-
-    def samples(self) -> Iterable[Sample]:
-        for labels, child in self._label_dicts():
-            yield Sample(self.name, self.kind, labels, child.value)
-
-
 class _GaugeChild:
     __slots__ = ("value",)
 
@@ -161,50 +92,38 @@ class _GaugeChild:
         self.value = float(value)
 
 
-class GaugeFamily(_Family):
-    """A value that can go up or down, per label set."""
+class GaugeFamily:
+    """A named value with a fixed label schema that can go up or down."""
 
     kind = "gauge"
 
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
+    def __init__(self, name: str, help: str, labelnames: Tuple[str, ...]) -> None:
+        self.name = _check_name(name)
+        self.help = help
+        self.labelnames = labelnames
+        self._children: Dict[Tuple[str, ...], _GaugeChild] = {}
+
+    def labels(self, **labels: Any) -> _GaugeChild:
+        """The child tracking one label combination (created on demand)."""
+        if set(labels) != set(self.labelnames):
+            raise ConfigurationError(
+                f"metric {self.name} expects labels {self.labelnames}, "
+                f"got {tuple(sorted(labels))}"
+            )
+        key = tuple(str(labels[n]) for n in self.labelnames)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = _GaugeChild()
+        return child
 
     def set(self, value: float, **labels: Any) -> None:
         """Shorthand: ``family.set(0.87, node="cxl0")``."""
         self.labels(**labels).set(value)
 
     def samples(self) -> Iterable[Sample]:
-        for labels, child in self._label_dicts():
-            yield Sample(self.name, self.kind, labels, child.value)
-
-
-class HistogramFamily(_Family):
-    """A log-bucketed latency histogram, per label set."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Tuple[str, ...],
-        min_value: float = 1.0,
-        growth: float = 1.02,
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self._min_value = min_value
-        self._growth = growth
-
-    def _make_child(self) -> LatencyHistogram:
-        return LatencyHistogram(min_value=self._min_value, growth=self._growth)
-
-    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
-        """Shorthand: ``family.observe(latency_ns, op="get")``."""
-        self.labels(**labels).record(value, count)
-
-    def samples(self) -> Iterable[Sample]:
-        for labels, hist in self._label_dicts():
-            yield from histogram_samples(self.name, labels, hist)
+        for key, child in sorted(self._children.items()):
+            yield Sample(self.name, self.kind, dict(zip(self.labelnames, key)),
+                         child.value)
 
 
 def histogram_samples(
@@ -225,49 +144,25 @@ class MetricsRegistry:
     """The one namespace every accounting object exports through."""
 
     def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
+        self._families: Dict[str, GaugeFamily] = {}
         self._collectors: List[Callable[[], Iterable[Sample]]] = []
 
     # -- owned metrics -----------------------------------------------------
 
-    def _family(self, cls, name: str, help: str, labelnames, **kwargs):
-        existing = self._families.get(name)
-        if existing is not None:
-            if type(existing) is not cls or existing.labelnames != tuple(labelnames):
-                raise ConfigurationError(
-                    f"metric {name!r} already registered with a different "
-                    f"type or label schema"
-                )
-            return existing
-        family = cls(name, help, tuple(labelnames), **kwargs)
-        self._families[name] = family
-        return family
-
-    def counter(
-        self, name: str, help: str = "", labelnames: Iterable[str] = ()
-    ) -> CounterFamily:
-        """Get-or-create a counter family (idempotent per schema)."""
-        return self._family(CounterFamily, name, help, labelnames)
-
     def gauge(
         self, name: str, help: str = "", labelnames: Iterable[str] = ()
     ) -> GaugeFamily:
-        """Get-or-create a gauge family."""
-        return self._family(GaugeFamily, name, help, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Iterable[str] = (),
-        min_value: float = 1.0,
-        growth: float = 1.02,
-    ) -> HistogramFamily:
-        """Get-or-create a histogram family."""
-        return self._family(
-            HistogramFamily, name, help, labelnames,
-            min_value=min_value, growth=growth,
-        )
+        """Get-or-create a gauge family (idempotent per label schema)."""
+        labelnames = tuple(labelnames)
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = GaugeFamily(name, help, labelnames)
+        elif family.labelnames != labelnames:
+            raise ConfigurationError(
+                f"metric {name!r} already registered with a different "
+                f"label schema"
+            )
+        return family
 
     # -- collectors --------------------------------------------------------
 

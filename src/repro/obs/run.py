@@ -15,8 +15,6 @@ bit-identical headline numbers with tracing on or off (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..sim.seed import DEFAULT_SEED
 from .profile import EngineProfile
 from .registry import MetricsRegistry, histogram_samples
@@ -47,7 +45,6 @@ def run_observed_keydb(
     seed: int = DEFAULT_SEED,
     workload: str = "A",
     tracing: bool = False,
-    trace_capacity: Optional[int] = None,
 ) -> ObservedRun:
     """One YCSB-on-CXL run with the observability layer wired in."""
     # Imported here, not at module top: the apps import repro.obs.
@@ -58,7 +55,7 @@ def run_observed_keydb(
         config, record_count=record_count, seed=seed, workload=workload
     )
     registry = MetricsRegistry()
-    tracer = Tracer(capacity=trace_capacity) if tracing else NULL_TRACER
+    tracer = Tracer() if tracing else NULL_TRACER
     profile = EngineProfile()
     server = DesKeyDbServer(
         experiment.platform,

@@ -136,21 +136,16 @@ def _fresh_server(
     record_count: int,
     seed: int,
     threads: int,
-    tracer=None,
 ):
     """A brand-new DES server + generator (state is never reused)."""
     from ..apps.kvstore.des_server import DesKeyDbServer
     from ..apps.kvstore.experiment import build_keydb_experiment
-    from ..obs.tracing import NULL_TRACER
 
     experiment = build_keydb_experiment(
         config, record_count=record_count, seed=seed, threads=threads
     )
     server = DesKeyDbServer(
-        experiment.platform,
-        experiment.server.store,
-        threads=threads,
-        tracer=tracer if tracer is not None else NULL_TRACER,
+        experiment.platform, experiment.server.store, threads=threads
     )
     return server, experiment.generator, experiment.platform
 
@@ -226,7 +221,6 @@ def run_offered_load(
     load_factor: float = float("nan"),
     scenario: Optional[str] = None,
     registry=None,
-    tracer=None,
 ) -> OverloadRunSummary:
     """One open-loop run at a fixed offered rate, summarized.
 
@@ -234,13 +228,12 @@ def run_offered_load(
     of the run; its injector is built on this run's fresh platform and
     bound to the controller as its capacity signal.
 
-    ``registry``/``tracer`` hook the run into the observability layer:
-    the overload funnel and per-op counters bind into the registry, and
-    per-op spans flow into the tracer.
+    ``registry`` binds the run's overload funnel and per-op counters
+    into the observability layer's metrics registry.
     """
     controller = OverloadController(policy)
     server, generator, platform = _fresh_server(
-        config, record_count, seed, threads, tracer=tracer
+        config, record_count, seed, threads
     )
     injector = None
     if scenario is not None:

@@ -160,18 +160,6 @@ class RunnerHealth:
              self.unresponsive, self.worker_restarts, self.quarantined)
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-ready form."""
-        return {
-            "retries": self.retries,
-            "transient_errors": self.transient_errors,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "unresponsive": self.unresponsive,
-            "worker_restarts": self.worker_restarts,
-            "quarantined": self.quarantined,
-        }
-
     def summary(self) -> str:
         """The one-line stderr form printed next to the cache summary."""
         return (

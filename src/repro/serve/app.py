@@ -143,6 +143,11 @@ class ServeApp:
             await self._respond(method, path, body, writer)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to salvage
+        except asyncio.CancelledError:
+            # Only the loop teardown cancels a handler and nothing awaits
+            # it, so it ends normally: on Python 3.11 start_server's
+            # done-callback logs a cancelled handler task as an error.
+            pass
         finally:
             try:
                 await writer.drain()
@@ -382,6 +387,17 @@ class BackgroundServer:
         self.port = self.app.port
         self._ready.set()
         loop.run_forever()
+        # Tear down as ``asyncio.run`` does: a handler still waiting on a
+        # half-sent request is cancelled and finishes on the running
+        # loop, so its ``finally`` never runs on a closed one.
+        pending = asyncio.all_tasks(loop)
+        for task in pending:
+            task.cancel()
+        if pending:
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+        loop.run_until_complete(loop.shutdown_asyncgens())
         loop.close()
 
     def stop(self, budget_s: Optional[float] = None) -> bool:

@@ -71,32 +71,3 @@ class BandwidthMonitor:
     def resources(self):
         """Resources with at least one observation."""
         return self.utilization.keys()
-
-    def register_into(self, registry, prefix: str = "bandwidth") -> None:
-        """Export peak/mean utilization and per-source bytes lazily.
-
-        Emits ``<prefix>_utilization_peak`` / ``_mean`` gauges labelled
-        by resource and a ``<prefix>_source_bytes_total`` counter
-        labelled by source, drawn at snapshot time.
-        """
-        # Imported here: repro.obs.registry sits above the sim layer.
-        from ..obs.registry import Sample
-
-        def collect():
-            for resource in sorted(self.utilization, key=str):
-                labels = {"resource": str(resource)}
-                yield Sample(
-                    f"{prefix}_utilization_peak", "gauge", labels,
-                    self.peak_utilization(resource),
-                )
-                yield Sample(
-                    f"{prefix}_utilization_mean", "gauge", labels,
-                    self.mean_utilization(resource),
-                )
-            for source in sorted(self._source_bytes, key=str):
-                yield Sample(
-                    f"{prefix}_source_bytes_total", "counter",
-                    {"source": str(source)}, self._source_bytes[source],
-                )
-
-        registry.register_collector(collect)

@@ -67,3 +67,18 @@ class TestGoldenGrid:
         assert any(":" in c for c in configs)
         workloads = {w for _, w in DEFAULT_FIG5_CELLS}
         assert {"A", "C", "D"} <= workloads
+
+
+class TestFig8Warmup:
+    def test_both_backends_discard_the_same_warmup(self):
+        """Fig. 8's two backends measure the same ops at quick scale.
+
+        A warmup changed on one backend only would split the DES and
+        analytic Fig. 8 cells without moving their steady-state ratios.
+        """
+        from repro.analytic import analytic_keydb_cxl_only
+        from repro.apps.kvstore import run_keydb_cxl_only
+
+        des = run_keydb_cxl_only(True, 20_480, TOTAL_OPS, SEED)
+        analytic = analytic_keydb_cxl_only(True, 20_480, TOTAL_OPS, SEED)
+        assert des.ops == analytic.ops == 18_000

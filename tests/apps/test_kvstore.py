@@ -68,18 +68,15 @@ class TestKeyValueStore:
         with pytest.raises(KeyError):
             store.page_of(999_999)
 
-    def test_large_values_span_pages(self, space, platform):
+    def test_value_size_must_fit_one_page(self, space, platform):
         policy = BindPolicy([0])
-        store = KeyValueStore(space, policy, record_count=10, value_size=8192)
-        assert len(store.pages) == 20  # 2 pages per 8 KB value
-        assert len(store.pages_of(4)) == 2
-        assert store.page_of(4) is store.pages_of(4)[0]
+        with pytest.raises(ConfigurationError):
+            # 8 KiB would span two 4 KiB pages.
+            KeyValueStore(space, policy, record_count=10, value_size=8192)
         with pytest.raises(ConfigurationError):
             KeyValueStore(space, policy, record_count=10, value_size=0)
-
-    def test_small_values_pages_of_single(self, space, platform):
-        store = make_store(space, platform)
-        assert store.pages_of(3) == [store.page_of(3)]
+        store = KeyValueStore(space, policy, record_count=10, value_size=4096)
+        assert len(store.pages) == 10  # one value per page
 
     def test_plan_get_touches_page(self, space, platform):
         store = make_store(space, platform)

@@ -13,70 +13,44 @@ from repro.sim.stats import Counter, LatencyHistogram
 
 
 class TestFamilies:
-    def test_counter_increments_per_label_set(self):
-        reg = MetricsRegistry()
-        ops = reg.counter("ops_total", "ops", ("node",))
-        ops.inc(node="mmem")
-        ops.inc(2, node="cxl0")
-        ops.labels(node="cxl0").inc()
-        values = {s.labels["node"]: s.value for s in reg.samples()}
-        assert values == {"mmem": 1.0, "cxl0": 3.0}
-
-    def test_counter_is_monotonic(self):
-        reg = MetricsRegistry()
-        ops = reg.counter("ops_total")
-        with pytest.raises(ConfigurationError):
-            ops.inc(-1)
-
     def test_gauge_sets(self):
         reg = MetricsRegistry()
         util = reg.gauge("util", "utilization", ("link",))
         util.set(0.7, link="cxl")
         util.set(0.4, link="cxl")  # gauges move both ways
-        (sample,) = reg.samples()
-        assert sample.value == 0.4
-        assert sample.kind == "gauge"
-
-    def test_histogram_flattens_to_scalars(self):
-        reg = MetricsRegistry()
-        lat = reg.histogram("lat_ns", "latency", ("op",))
-        for v in (100.0, 200.0, 300.0):
-            lat.observe(v, op="get")
-        names = {s.name for s in reg.samples()}
-        assert names == {
-            "lat_ns_count", "lat_ns_mean", "lat_ns_min", "lat_ns_max",
-            "lat_ns_p50", "lat_ns_p95", "lat_ns_p99",
+        util.labels(link="ddr").set(0.9)
+        samples = reg.samples()
+        assert {s.labels["link"]: s.value for s in samples} == {
+            "cxl": 0.4, "ddr": 0.9,
         }
-        by_name = {s.name: s for s in reg.samples()}
-        assert by_name["lat_ns_count"].value == 3.0
-        assert by_name["lat_ns_mean"].value == pytest.approx(200.0)
+        assert {s.kind for s in samples} == {"gauge"}
 
     def test_label_schema_enforced(self):
         reg = MetricsRegistry()
-        ops = reg.counter("ops_total", "ops", ("node",))
+        util = reg.gauge("util", "utilization", ("node",))
         with pytest.raises(ConfigurationError):
-            ops.inc(socket=0)
+            util.set(0.5, socket=0)
         with pytest.raises(ConfigurationError):
-            ops.inc(node="x", extra="y")
+            util.set(0.5, node="x", extra="y")
 
     def test_registration_idempotent_same_schema(self):
         reg = MetricsRegistry()
-        a = reg.counter("ops_total", "ops", ("node",))
-        b = reg.counter("ops_total", "ops", ("node",))
+        a = reg.gauge("util", "utilization", ("node",))
+        b = reg.gauge("util", "utilization", ("node",))
         assert a is b
 
     def test_conflicting_reregistration_raises(self):
         reg = MetricsRegistry()
-        reg.counter("ops_total", "ops", ("node",))
+        reg.gauge("util", "utilization", ("node",))
         with pytest.raises(ConfigurationError):
-            reg.gauge("ops_total", "ops", ("node",))
+            reg.gauge("util", "utilization", ("socket",))
         with pytest.raises(ConfigurationError):
-            reg.counter("ops_total", "ops", ("socket",))
+            reg.gauge("util", "utilization")
 
     def test_invalid_metric_name_rejected(self):
         reg = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            reg.counter("9bad-name")
+            reg.gauge("9bad-name")
 
 
 class TestCollectors:
@@ -97,6 +71,10 @@ class TestCollectors:
         hist.record(500.0, count=4)
         out = list(histogram_samples("lat", {"op": "get"}, hist))
         by_name = {s.name: s.value for s in out}
+        assert set(by_name) == {
+            "lat_count", "lat_mean", "lat_min", "lat_max",
+            "lat_p50", "lat_p95", "lat_p99",
+        }
         assert by_name["lat_count"] == 4.0
         assert by_name["lat_mean"] == pytest.approx(500.0)
 
@@ -104,7 +82,7 @@ class TestCollectors:
 class TestExport:
     def _registry(self):
         reg = MetricsRegistry()
-        reg.counter("ops_total", "ops", ("node",)).inc(5, node="cxl0")
+        reg.gauge("ops", "ops", ("node",)).set(5, node="cxl0")
         reg.gauge("util").set(0.5)
         return reg
 
@@ -131,7 +109,7 @@ class TestExport:
         rows = list(csv.reader(io.StringIO(self._registry().to_csv())))
         assert rows[0] == ["name", "kind", "labels", "value"]
         assert all(len(r) == 4 for r in rows)
-        assert ["ops_total", "counter", "node=cxl0", "5.0"] in rows
+        assert ["ops", "gauge", "node=cxl0", "5.0"] in rows
 
     def test_sample_as_dict_stringifies_labels(self):
         sample = Sample("n", "gauge", {"id": 3}, 1.0)

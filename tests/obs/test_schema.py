@@ -100,11 +100,14 @@ class TestCheckedInSchemas:
             return json.load(f)
 
     def test_metrics_schema_matches_registry_output(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, histogram_samples
+        from repro.sim.stats import LatencyHistogram
 
         reg = MetricsRegistry()
-        reg.counter("ops_total", "ops", ("node",)).inc(3, node="cxl0")
-        reg.histogram("lat_ns", "latency").observe(100.0)
+        reg.gauge("util", "utilization", ("node",)).set(0.5, node="cxl0")
+        hist = LatencyHistogram()
+        hist.record(100.0)
+        reg.register_collector(lambda: histogram_samples("lat_ns", {}, hist))
         doc = json.loads(reg.to_json())
         assert validate(self._load("metrics.schema.json"), doc) == []
 

@@ -276,3 +276,43 @@ class TestRequestHygiene:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+
+class TestTeardown:
+    def test_stop_with_a_half_sent_request_leaves_nothing_pending(
+        self, tmp_path, caplog
+    ):
+        """A handler still reading its request finishes before the loop
+        closes: no task is destroyed pending, and its ``finally`` never
+        runs on a closed loop."""
+        import gc
+        import logging
+        import socket
+        import sys
+
+        unraisable = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = lambda args: unraisable.append(repr(args.exc_value))
+        try:
+            cache = SweepCache(root=str(tmp_path / "cache"))
+            server = BackgroundServer(
+                _config(request_timeout_s=30.0), cache=cache
+            ).start()
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")  # never finishes
+                # Connections are handled in accept order, so once a later
+                # request is answered the first handler is waiting for the
+                # rest of its request.
+                client = ServeClient("127.0.0.1", server.port)
+                assert client.healthz().status == 200
+                assert server.stop()
+            del server
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert unraisable == []
+        assert [
+            r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ] == []
