@@ -9,9 +9,8 @@ two invariants the cache promises:
 * the warm run executes **zero** points (100% hits), and
 * the merged ``repro.metrics/v1`` export is byte-identical either way.
 
-Unlike ``bench_engine.py`` this needs no calibration loop — the guarded
-quantity is a ratio of two runs on the same machine, so it is hardware
-independent by construction.
+The guarded quantity is a ratio of two runs on the same machine, so it
+needs no calibration loop and is hardware independent by construction.
 
 Usage::
 

@@ -3,8 +3,8 @@ with ASIC-Based CXL Memory" (EuroSys '24).
 
 The package provides, from the bottom up:
 
-* :mod:`repro.sim` — deterministic discrete-event core, bandwidth
-  arbitration, statistics;
+* :mod:`repro.sim` — seeded random streams, bandwidth arbitration,
+  statistics;
 * :mod:`repro.hw` — a hardware model calibrated to the paper's ASIC CXL
   measurements (Sapphire Rapids + AsteraLabs A1000);
 * :mod:`repro.mem` — page-granular memory management: NUMA mempolicies
@@ -48,6 +48,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "paper_cxl_platform": ".hw",
     "paper_testbed": ".hw",
     "RngFactory": ".sim",
-    "Simulator": ".sim",
 })
 __all__.append("__version__")

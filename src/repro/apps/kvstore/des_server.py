@@ -15,18 +15,19 @@ Running both and comparing (see ``tests/apps/test_des_server.py``)
 validates the epoch scheme's shortcut: aggregate throughput agrees to
 within a few percent while the DES path additionally exposes the
 thread-contention component of the tails.  The closed loop
-(:meth:`DesKeyDbServer.run`) runs on the discrete-event engine, with a
-:class:`~repro.sim.resources.Resource` for the threads.  It has no
-admission control: it self-clocks at the service rate and cannot
-overload the server.
+(:meth:`DesKeyDbServer.run`) has no admission control: it self-clocks
+at the service rate and cannot overload the server.
 
 :meth:`DesKeyDbServer.run_open_loop` is the overload experiments'
 server: Poisson arrivals at a fixed offered rate, gated by the
-:class:`~repro.overload.policy.OverloadController` it is given.  It is
-a direct loop over arrival and completion times that keeps the
-engine's event order, so it needs no engine processes and no object
-per arrival; ``tests/apps/test_open_loop.py`` pins it to the
-engine-process loop it replaced.
+:class:`~repro.overload.policy.OverloadController` it is given.
+
+Neither loop needs an event engine.  Each walks a ``(time, seq)`` heap
+of the few events it has in flight and fires them as an engine would:
+by time, then in the order they were scheduled.  Operations are drawn
+in blocks, and a request is a plain tuple.
+``tests/apps/test_closed_loop.py`` and ``tests/apps/test_open_loop.py``
+pin each loop to the engine-process loop it replaced.
 
 Both loops serve an op the same way: :meth:`KeyValueStore.plan_op
 <repro.apps.kvstore.store.KeyValueStore.plan_op>` touches its page and
@@ -41,6 +42,7 @@ refresh (:meth:`~repro.sim.stats.LatencyHistogram.record_all`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from heapq import heappop, heappush
@@ -55,17 +57,25 @@ from ...hw.topology import Platform
 from ...mem.page import Page
 from ...obs.tracing import NULL_TRACER, Tracer
 from ...overload.policy import REASON_DOOMED, REASON_EXPIRED, OverloadController
-from ...sim.engine import Simulator
-from ...sim.resources import Resource
 from ...workloads.ycsb import YcsbGenerator
 from .result import KeyDbResult
 from .store import KeyValueStore
 
 __all__ = ["DesKeyDbServer"]
 
-#: Arrivals drawn per block by the open loop: gaps, times and operations
-#: stream in blocks of this size, so memory does not grow with the run.
-_ARRIVAL_BLOCK = 2048
+#: Operations drawn per block by both loops (with their arrival gaps in
+#: the open loop), so memory does not grow with the run.
+_BLOCK = 2048
+
+
+def _operations(
+    generator: YcsbGenerator, count: int
+) -> Iterator[Tuple[int, bool]]:
+    """The next ``count`` operations as ``(key, is_write)``, drawn in blocks."""
+    while count > 0:
+        keys, writes = generator.next_batch(min(count, _BLOCK))
+        yield from zip(keys.tolist(), writes.tolist())
+        count -= len(keys)
 
 
 def _arrivals(
@@ -87,7 +97,7 @@ def _arrivals(
     mean_gap_ns = 1e9 / rate_ops_per_s
     t = 0.0
     while True:
-        gaps = rng.exponential(mean_gap_ns, size=_ARRIVAL_BLOCK)
+        gaps = rng.exponential(mean_gap_ns, size=_BLOCK)
         times = np.cumsum(np.concatenate(([t], gaps)))[1:]
         t = times[-1]
         before = int(np.searchsorted(times, duration_ns))
@@ -95,7 +105,7 @@ def _arrivals(
             keys, writes = generator.next_batch(before)
             yield from zip(times[:before].tolist(), keys.tolist(),
                            writes.tolist())
-        if before < _ARRIVAL_BLOCK:
+        if before < _BLOCK:
             yield float(times[before]), None, False
             return
 
@@ -112,7 +122,6 @@ class DesKeyDbServer:
         clients: int = 16,
         utilization_refresh_ops: int = 2000,
         tracer: Tracer = NULL_TRACER,
-        engine_profile=None,
     ) -> None:
         if threads <= 0 or clients <= 0:
             raise ConfigurationError("threads and clients must be positive")
@@ -128,9 +137,6 @@ class DesKeyDbServer:
         #: a live Tracer is passed; tracing must never perturb the
         #: simulation).  The open loop records no spans.
         self.tracer = tracer
-        #: Optional :class:`repro.obs.profile.EngineProfile` installed
-        #: on each closed-loop run's simulator (the open loop runs none).
-        self.engine_profile = engine_profile
         self._paths: Dict[int, MemoryPath] = {}
         self._utilization: Dict[str, float] = {}
         self._lat_cache: Dict[int, Dict[int, float]] = {}
@@ -186,8 +192,8 @@ class DesKeyDbServer:
         page: Page,
         is_write: bool,
         arrival_ns: float,
-        service_start_ns: float,
         end_ns: float,
+        service_start_ns: float,
         service_ns: float,
         cpu_ns: float,
         struct_ns: float,
@@ -219,76 +225,111 @@ class DesKeyDbServer:
         op.finish(end_ns)
 
     def run(self, generator: YcsbGenerator, total_ops: int) -> KeyDbResult:
-        """Run the closed loop until ``total_ops`` complete."""
+        """Run the closed loop until ``total_ops`` complete.
+
+        Every client issues its first request at time 0 and its next as
+        soon as the last completes; requests take the threads first come
+        first served.  The run is a direct loop over a heap of grants
+        and completions that orders events as the engine did: by time,
+        then by the order they were scheduled.  At a completion the
+        client's next request joins the queue, and the freed thread
+        takes the oldest request.  That grant serves its op (plans the
+        page, prices the service) at once when no other event shares its
+        time.  Otherwise it waits in the heap behind the events scheduled
+        at that time before it, since a refresh that one of them
+        triggers changes the price.  A thread with nothing left to take
+        stays idle: no later request needs it.
+        """
         if total_ops <= 0:
             raise ConfigurationError("total_ops must be positive")
-        sim = Simulator()
-        if self.engine_profile is not None:
-            self.engine_profile.attach(sim)
-        tracer = self.tracer
-        server_threads = Resource(sim, self.threads)
         result = KeyDbResult()
         self._latency_tables()
+        tracing = self.tracer.enabled
         profile = self.store.profile
+        plan_op = self.store.plan_op
+        price = self._price
         touched = self.store.op_bytes()
-        state = {"issued": 0, "done": 0, "since_refresh": 0}
+        refresh_ops = self.refresh_ops
+        ops = _operations(generator, total_ops)
+        # Requests waiting for a thread, oldest first:
+        # (arrival_ns, key, is_write).
+        waiting: Deque[Tuple[float, int, bool]] = deque()
+        # (time, seq, granted, job): a granted request whose op starts at
+        # that time (job as in ``waiting``), or a completion (job:
+        # arrival, page, is_write and the priced spans when tracing).
+        events: List[Tuple[float, int, bool, tuple]] = []
+        seq = itertools.count()
+        done = since_refresh = 0
         node_bytes: Dict[int, float] = {}
         node_write_bytes: Dict[int, float] = {}
-        refresh_anchor = {"t": 0.0}
+        refresh_anchor = 0.0
+        # Latencies since the last flush, in completion order.
+        read_latencies: List[float] = []
+        write_latencies: List[float] = []
 
-        def client():
-            while state["issued"] < total_ops:
-                state["issued"] += 1
-                op = generator.next_operation()
-                is_write = op.is_write
-                arrival = sim.now
-                grant = server_threads.request()
-                yield grant
-                page, ssd_read, ssd_write = self.store.plan_op(
-                    op.key, is_write, sim.now
+        def serve(now: float, arrival: float, key: int, is_write: bool) -> None:
+            page, ssd_read, ssd_write = plan_op(key, is_write, now)
+            service = price(page, is_write, ssd_read, ssd_write)
+            spans = None
+            if tracing:
+                # Captured now: a refresh may retune the tables mid-service.
+                spans = (
+                    now, service, profile.cpu_ns,
+                    profile.struct_accesses * self._struct[is_write],
+                    profile.value_accesses * self._lat_cache[is_write][page.node_id],
                 )
-                service = self._price(page, is_write, ssd_read, ssd_write)
-                if tracer.enabled:
-                    trace_start = sim.now
-                    trace_cpu = profile.cpu_ns
-                    trace_struct = profile.struct_accesses * self._struct[is_write]
-                    trace_value = (
-                        profile.value_accesses
-                        * self._lat_cache[is_write][page.node_id]
-                    )
-                yield sim.timeout(service)
-                if tracer.enabled:
-                    self._emit_op_trace(
-                        page, is_write, arrival, trace_start, sim.now, service,
-                        trace_cpu, trace_struct, trace_value,
-                    )
-                server_threads.release()
-                total_latency = sim.now - arrival  # queueing + service
-                if is_write:
-                    result.write_latency.record(total_latency)
-                else:
-                    result.read_latency.record(total_latency)
-                node = page.node_id
-                node_bytes[node] = node_bytes.get(node, 0.0) + touched
-                if is_write:
-                    node_write_bytes[node] = (
-                        node_write_bytes.get(node, 0.0) + touched
-                    )
-                state["done"] += 1
-                state["since_refresh"] += 1
-                if state["since_refresh"] >= self.refresh_ops:
-                    state["since_refresh"] = 0
-                    self._refresh(node_bytes, node_write_bytes,
-                                  sim.now - refresh_anchor["t"])
-                    refresh_anchor["t"] = sim.now
-                    node_bytes.clear()
-                    node_write_bytes.clear()
+            heappush(events, (now + service, next(seq), False,
+                              (arrival, page, is_write, spans)))
 
-        for _ in range(self.clients):
-            sim.process(client())
-        sim.run()
-        result.ops = state["done"]
-        result.elapsed_ns = sim.now
+        def flush() -> None:
+            result.read_latency.record_all(read_latencies)
+            result.write_latency.record_all(write_latencies)
+            read_latencies.clear()
+            write_latencies.clear()
+
+        issued = min(self.clients, total_ops)
+        waiting.extend((0.0, key, is_write)
+                       for key, is_write in itertools.islice(ops, issued))
+        for _ in range(min(self.threads, issued)):
+            heappush(events, (0.0, next(seq), True, waiting.popleft()))
+        now = 0.0
+        while events:
+            now, _, granted, job = heappop(events)
+            if granted:
+                serve(now, *job)
+                continue
+            arrival, page, is_write, spans = job
+            if spans is not None:
+                self._emit_op_trace(page, is_write, arrival, now, *spans)
+            latency = now - arrival  # queueing + service
+            node = page.node_id
+            node_bytes[node] = node_bytes.get(node, 0.0) + touched
+            if is_write:
+                write_latencies.append(latency)
+                node_write_bytes[node] = node_write_bytes.get(node, 0.0) + touched
+            else:
+                read_latencies.append(latency)
+            done += 1
+            since_refresh += 1
+            if since_refresh >= refresh_ops:
+                since_refresh = 0
+                self._refresh(node_bytes, node_write_bytes, now - refresh_anchor)
+                refresh_anchor = now
+                node_bytes.clear()
+                node_write_bytes.clear()
+                flush()
+            if issued < total_ops:  # the client's next request
+                issued += 1
+                key, op_write = next(ops)
+                waiting.append((now, key, op_write))
+            if waiting:  # the freed thread takes the oldest request
+                if events and events[0][0] == now:
+                    heappush(events, (now, next(seq), True, waiting.popleft()))
+                else:
+                    serve(now, *waiting.popleft())
+        flush()
+        result.ops = done
+        result.elapsed_ns = now
         return result
 
     def run_open_loop(

@@ -4,12 +4,12 @@
 the tokenized requests to a router.  The router is responsible for
 distributing these requests to different CPU backend instances."
 
-This module runs that pipeline on the discrete-event engine: a closed-
-loop client streams :class:`~repro.workloads.llm_trace.ChatRequest`\\ s,
-the router assigns each to the least-loaded backend, and every backend
-decodes token by token — each step priced by the
-:class:`~repro.apps.llm.backend.CpuBackend` model with the sequence's
-actual KV-cache size, growing the cache as it goes.  The fault
+This module runs that pipeline event by event: every
+:class:`~repro.workloads.llm_trace.ChatRequest` enters at time 0, the
+router assigns each to the least-loaded backend when its sequence
+starts, and every backend decodes token by token — each step priced by
+the :class:`~repro.apps.llm.backend.CpuBackend` model with the
+sequence's actual KV-cache size, growing the cache as it goes.  The fault
 catalog's LLM case (:func:`repro.faults.runner.run_faulted_llm`) runs
 it to route around failing backends, and
 ``examples/llm_bandwidth_tuning.py`` runs it as an event-driven
@@ -20,12 +20,12 @@ which is what Fig. 10 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 from ...errors import ConfigurationError
 from ...faults.breaker import CircuitBreaker
 from ...faults.metrics import RecoveryTracker
-from ...sim.engine import Simulator
 from ...sim.stats import LatencyHistogram
 from ...units import GIB
 from .backend import CpuBackend
@@ -150,12 +150,16 @@ class LlmRouter:
         return None
 
     def serve(self, requests: Iterable[ChatRequest]) -> ServingResult:
-        """Run all requests to completion on the event engine.
+        """Run all requests to completion.
 
         Every sequence enters at t=0; the router assigns each to a
-        backend when it starts.
+        backend when it starts.  Each sequence is a generator that
+        yields how long it waits before its next step.  The run resumes
+        them from a ``(time, seq)`` heap, in the order an event engine
+        would: by time, then in the order the waits were scheduled,
+        creation order first at t=0.
         """
-        sim = Simulator()
+        now = 0.0
         result = ServingResult()
         # The steady-state operating point prices every token step; the
         # DES adds queueing/assignment dynamics on top.
@@ -177,22 +181,22 @@ class LlmRouter:
             step_ns = healthy_step_time(idx, seq_id)
             if self.faults is not None:
                 step_ns *= self.faults.latency_multiplier(
-                    self.backend_nodes[idx], sim.now
+                    self.backend_nodes[idx], now
                 )
             return step_ns
 
-        def sequence(seq_id: int, request: ChatRequest):
-            start = sim.now
+        def sequence(seq_id: int, request: ChatRequest) -> Iterator[float]:
+            start = now
             # Pick the backend when the sequence actually starts, so the
             # least-loaded choice sees the real active counts (and, under
             # faults, the current health picture).
             if self.faults is not None:
-                self.faults.advance(sim.now)
-                idx = self._pick_healthy_backend(sim.now)
+                self.faults.advance(now)
+                idx = self._pick_healthy_backend(now)
                 if idx is None:
                     result.requests_failed += 1
                     if self.recovery is not None:
-                        self.recovery.record(sim.now, 0.0, ok=False)
+                        self.recovery.record(now, 0.0, ok=False)
                     return
             else:
                 idx = self._pick_backend()
@@ -207,7 +211,7 @@ class LlmRouter:
             def reroute(from_idx: int):
                 """Move the sequence to a healthy backend (or give up)."""
                 leave(from_idx)
-                new = self._pick_healthy_backend(sim.now)
+                new = self._pick_healthy_backend(now)
                 if new is None:
                     return None
                 self.caches[new].admit(seq_id, request.prompt_tokens + generated)
@@ -217,15 +221,15 @@ class LlmRouter:
 
             while generated < request.max_new_tokens:
                 if self.faults is not None:
-                    self.faults.advance(sim.now)
+                    self.faults.advance(now)
                     node = self.backend_nodes[idx]
-                    if not self.faults.node_online(node, sim.now):
-                        self.breakers[idx].record_failure(sim.now)
+                    if not self.faults.node_online(node, now):
+                        self.breakers[idx].record_failure(now)
                         new = reroute(idx)
                         if new is None:
                             result.requests_failed += 1
                             if self.recovery is not None:
-                                self.recovery.record(sim.now, 0.0, ok=False)
+                                self.recovery.record(now, 0.0, ok=False)
                             return
                         idx = new
                         refill = (
@@ -233,20 +237,20 @@ class LlmRouter:
                             * (request.prompt_tokens + generated)
                             * step_time(idx, seq_id)
                         )
-                        yield sim.timeout(refill)
+                        yield refill
                         continue
                 step_ns = step_time(idx, seq_id)
                 deadline_ns = healthy_step_time(idx, seq_id) * self.step_timeout_factor
                 if self.faults is not None and step_ns > deadline_ns:
                     # Step deadline blown: count against the breaker and
                     # try a healthier backend after the timeout elapses.
-                    self.breakers[idx].record_failure(sim.now)
-                    yield sim.timeout(deadline_ns)
+                    self.breakers[idx].record_failure(now)
+                    yield deadline_ns
                     new = reroute(idx)
                     if new is None:
                         result.requests_failed += 1
                         if self.recovery is not None:
-                            self.recovery.record(sim.now, 0.0, ok=False)
+                            self.recovery.record(now, 0.0, ok=False)
                         return
                     if new != idx:
                         refill = (
@@ -254,23 +258,31 @@ class LlmRouter:
                             * (request.prompt_tokens + generated)
                             * step_time(new, seq_id)
                         )
-                        yield sim.timeout(refill)
+                        yield refill
                     idx = new
                     continue
-                yield sim.timeout(step_ns)
+                yield step_ns
                 if self.faults is not None:
-                    self.breakers[idx].record_success(sim.now)
+                    self.breakers[idx].record_success(now)
                 self.caches[idx].append_token(seq_id)
                 generated += 1
                 result.tokens_generated += 1
                 if self.recovery is not None:
-                    self.recovery.record(sim.now, step_ns, ok=True)
+                    self.recovery.record(now, step_ns, ok=True)
             leave(idx)
             result.requests_completed += 1
-            result.request_latency.record(sim.now - start)
+            result.request_latency.record(now - start)
 
-        for seq_id, request in enumerate(requests):
-            sim.process(sequence(seq_id, request))
-        sim.run()
-        result.elapsed_ns = sim.now
+        waits: List[Tuple[float, int, Iterator[float]]] = [
+            (0.0, seq_id, sequence(seq_id, request))
+            for seq_id, request in enumerate(requests)
+        ]
+        order = len(waits)
+        while waits:
+            now, _, steps = heappop(waits)
+            delay = next(steps, None)
+            if delay is not None:  # None: the sequence finished
+                heappush(waits, (now + delay, order, steps))
+                order += 1
+        result.elapsed_ns = now
         return result

@@ -311,8 +311,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"\n[{mark}] span sums vs end-to-end latency: "
           f"max relative error {check['max_rel_error']:.2e} "
           f"over {check['ops_checked']} ops")
-    print(f"engine: {observed.profile.steps} events dispatched; "
-          f"dominant process: {observed.profile.dominant_process()}")
     return 1 if not check["within_tolerance"] else 0
 
 

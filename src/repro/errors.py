@@ -10,7 +10,14 @@ message text.
 
 from __future__ import annotations
 
-from concurrent.futures import TimeoutError as _FuturesTimeoutError
+import sys
+
+if sys.version_info >= (3, 11):
+    # The builtin, which concurrent.futures aliases from 3.11 on; the
+    # import would load logging and threading into every interpreter.
+    _FuturesTimeoutError = TimeoutError
+else:
+    from concurrent.futures import TimeoutError as _FuturesTimeoutError
 
 __all__ = [
     "ReproError",
@@ -122,7 +129,8 @@ class TransientError(ReproError):
 #: ``concurrent.futures.TimeoutError`` is listed separately because on
 #: Python < 3.11 it (and its alias ``asyncio.TimeoutError``) does *not*
 #: derive from ``OSError`` — a served request that times out against a
-#: wedged backend must still classify as transient there.
+#: wedged backend must still classify as transient there.  From 3.11 on
+#: it is the builtin ``TimeoutError``.
 _TRANSIENT_OS_ERRORS: "tuple" = (
     BrokenPipeError,
     ConnectionResetError,

@@ -12,10 +12,9 @@ Two registration styles:
   child to set.
 * *collectors* — existing accounting objects register a callback that
   emits samples lazily at snapshot time (the ``register_into`` methods
-  on :class:`~repro.sim.stats.Counter`,
-  :class:`~repro.overload.metrics.OverloadMetrics` and
-  :class:`~repro.obs.profile.EngineProfile`, and the cache and serve
-  snapshots in :mod:`repro.cache.obs` and :mod:`repro.serve.obs`), so
+  on :class:`~repro.sim.stats.Counter` and
+  :class:`~repro.overload.metrics.OverloadMetrics`, and the cache and
+  serve snapshots in :mod:`repro.cache.obs` and :mod:`repro.serve.obs`), so
   wiring them up costs nothing on the hot path.
 
 A :class:`~repro.sim.stats.LatencyHistogram` flattens through

@@ -3,8 +3,8 @@
 Runs a small YCSB-on-CXL experiment (the closed-loop DES KeyDB server
 on the paper platform's 1:1 MMEM:CXL interleave) with the full
 observability stack attached: a metrics registry collecting op
-counters, latency histograms and engine profile; and, when requested, a
-tracer decomposing every completed op into per-layer spans.
+counters, headline numbers and latency histograms; and, when requested,
+a tracer decomposing every completed op into per-layer spans.
 
 Tracing is deterministic by construction — it only records sim-time
 numbers the simulation already computed — so the same seed produces
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ..sim.seed import DEFAULT_SEED
-from .profile import EngineProfile
 from .registry import MetricsRegistry, histogram_samples
 from .tracing import NULL_TRACER, Tracer
 
@@ -30,7 +29,6 @@ class ObservedRun:
     result: object  # KeyDbResult
     registry: MetricsRegistry
     tracer: Tracer
-    profile: EngineProfile
 
     @property
     def traced(self) -> bool:
@@ -56,12 +54,8 @@ def run_observed_keydb(
     )
     registry = MetricsRegistry()
     tracer = Tracer() if tracing else NULL_TRACER
-    profile = EngineProfile()
     server = DesKeyDbServer(
-        experiment.platform,
-        experiment.server.store,
-        tracer=tracer,
-        engine_profile=profile,
+        experiment.platform, experiment.server.store, tracer=tracer
     )
     result = server.run(experiment.generator, total_ops)
 
@@ -69,7 +63,6 @@ def run_observed_keydb(
     result.counters.register_into(
         registry, "keydb_ops", labels={"config": config, "workload": workload}
     )
-    profile.register_into(registry)
     run_info = registry.gauge(
         "keydb_run", "headline run numbers", ("config", "workload", "quantity")
     )
@@ -92,5 +85,4 @@ def run_observed_keydb(
             result.write_latency,
         )
     )
-    return ObservedRun(result=result, registry=registry, tracer=tracer,
-                       profile=profile)
+    return ObservedRun(result=result, registry=registry, tracer=tracer)

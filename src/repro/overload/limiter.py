@@ -1,9 +1,8 @@
 """The token bucket that caps the *rate* of admitted work.
 
-:class:`TokenBucketLimiter` is not bound to a
-:class:`~repro.sim.engine.Simulator`; callers pass their own clock, so
-the same bucket gates the open-loop DES KeyDB (simulated nanoseconds)
-and ``repro serve`` (the host clock).
+:class:`TokenBucketLimiter` owns no clock; callers pass their own
+time, so the same bucket gates the open-loop DES KeyDB (simulated
+nanoseconds) and ``repro serve`` (the host clock).
 """
 
 from __future__ import annotations

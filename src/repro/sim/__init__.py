@@ -1,4 +1,4 @@
-"""Deterministic simulation core: engine, resources, traffic, statistics.
+"""Deterministic simulation core: seeds, traffic, bandwidth, statistics.
 
 This subpackage is application-agnostic.  The hardware model
 (:mod:`repro.hw`) supplies capacities and latency surfaces; applications
@@ -8,12 +8,7 @@ This subpackage is application-agnostic.  The hardware model
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "Event": ".engine",
-    "Process": ".engine",
-    "Simulator": ".engine",
-    "Timeout": ".engine",
     "BandwidthMonitor": ".monitor",
-    "Resource": ".resources",
     "DEFAULT_SEED": ".seed",
     "RngFactory": ".rng",
     "CdfPoint": ".stats",

@@ -41,7 +41,7 @@ from repro.overload.runner import (
     control_policy,
     default_budget_ns,
 )
-from repro.sim.engine import Simulator
+from tests.sim.engine import Simulator
 
 RECORDS = 2048
 DURATION_NS = 5e6

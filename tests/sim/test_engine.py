@@ -1,9 +1,9 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine the simulator's loops are checked against."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from tests.sim.engine import Simulator
 
 
 class TestClockAndEvents:

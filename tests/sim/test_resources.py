@@ -1,9 +1,10 @@
-"""Tests for Resource and RngFactory."""
+"""Tests for the oracle engine's Resource, and for RngFactory."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator
+from tests.sim.engine import Simulator
+from tests.sim.resources import Resource
 
 
 class TestResource:

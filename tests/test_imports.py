@@ -52,6 +52,20 @@ def test_cli_import_loads_no_application_stack():
         assert not [m for m in loaded if m == package or m.startswith(package + ".")]
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="concurrent.futures.TimeoutError is the builtin from 3.11 on")
+def test_cli_import_loads_no_thread_or_logging_stack():
+    """``repro.errors`` names the futures timeout without importing it,
+    which would load logging and threading into every interpreter."""
+    loaded = _run("""
+        import json, sys
+        import repro.cli
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert "concurrent.futures" not in loaded
+    assert "logging" not in loaded
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_package_import_loads_none_of_its_submodules(package):
     loaded = _run(f"""
@@ -88,6 +102,17 @@ def test_unknown_name_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'Nope'"):
         sim.Nope  # noqa: B018
+
+
+@pytest.mark.parametrize("package, name", [
+    ("repro", "Simulator"), ("repro.sim", "Simulator"),
+    ("repro.sim", "Resource"), ("repro.obs", "EngineProfile"),
+])
+def test_the_event_engine_is_not_exported(package, name):
+    import importlib
+
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(package), name)
 
 
 def test_warm_fig5_sweep_loads_no_numpy(tmp_path):
@@ -199,7 +224,7 @@ def test_racing_threads_resolve_identical_objects():
         import importlib, json, sys, threading
 
         NAMES = [
-            ("repro", "paper_cxl_platform"), ("repro", "Simulator"),
+            ("repro", "paper_cxl_platform"), ("repro", "RngFactory"),
             ("repro.sim", "DEFAULT_SEED"), ("repro.sim", "LatencyHistogram"),
             ("repro.hw", "Platform"), ("repro.parallel", "tasks"),
             ("repro.parallel", "run_sweep"), ("repro.apps", "kvstore"),
