@@ -5,24 +5,33 @@ scaling to 48 threads, 3:1 ~95 % over MMEM-only at 60 threads, MMEM-only
 losing to 1:3 beyond 64 threads, the 24.2 GB/s single-backend plateau,
 and the ~12 → ~21 GB/s KV-cache bandwidth ramp.
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig10`` builds it: the stock spec,
+``run_sweep``, ``fig10_from_sweep``.  Its independent cells fan out across
+processes when $REPRO_WORKERS is set (parallel results are bit-identical
+to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_series, ascii_table
-from repro.analysis.figures import fig10_llm
+from repro.analysis.figures import fig10_from_sweep, fig10_sweep_spec
 from repro.apps.llm import LLM_CONFIGS
+from repro.cli import stock_sweep_spec
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
 def fig10():
-    return fig10_llm()
+    spec = stock_sweep_spec("fig10")
+    return fig10_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def test_fig10a_serving_rate(benchmark, fig10, report):
-    benchmark.pedantic(lambda: fig10_llm(backend_counts=(1, 5)), rounds=1)
+    spec = fig10_sweep_spec(backend_counts=(1, 5))
+    benchmark.pedantic(
+        lambda: fig10_from_sweep(spec, run_sweep(spec).raise_failures()),
+        rounds=1,
+    )
     thread_counts = [p.threads for p in fig10.serving["mmem"]]
     rows = []
     for threads in thread_counts:

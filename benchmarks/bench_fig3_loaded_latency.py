@@ -5,19 +5,24 @@ Regenerates the four panels of Fig. 3 with the calibrated MLC probe
 (97 / 130 / 250.42 / 485 ns), peak bandwidths (67 / 54.6 / 56.7 /
 20.4 GB/s) and the latency blow-up near saturation.
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig3`` builds it: the stock spec,
+``run_sweep``, ``fig3_from_sweep``.  Its independent cells fan out across
+processes when $REPRO_WORKERS is set (parallel results are bit-identical
+to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_table
-from repro.analysis.figures import fig3_loaded_latency
+from repro.analysis.figures import fig3_from_sweep, fig3_sweep_spec
+from repro.cli import stock_sweep_spec
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
 def panels():
-    return fig3_loaded_latency(load_points=24)
+    spec = stock_sweep_spec("fig3")
+    return fig3_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def _render(panel_curves):
@@ -29,8 +34,9 @@ def _render(panel_curves):
 
 
 def test_fig3a_mmem(benchmark, panels, report):
+    spec = fig3_sweep_spec(panels=("mmem",), load_points=24)
     curves = benchmark.pedantic(
-        lambda: fig3_loaded_latency(panels=("mmem",), load_points=24)["mmem"],
+        lambda: fig3_from_sweep(spec, run_sweep(spec).raise_failures())["mmem"],
         rounds=1,
     )
     report("fig3a_mmem", _render(curves))
@@ -42,8 +48,9 @@ def test_fig3a_mmem(benchmark, panels, report):
 
 
 def test_fig3b_mmem_remote(benchmark, panels, report):
+    spec = fig3_sweep_spec(panels=("mmem-r",), load_points=24)
     curves = benchmark.pedantic(
-        lambda: fig3_loaded_latency(panels=("mmem-r",), load_points=24)["mmem-r"],
+        lambda: fig3_from_sweep(spec, run_sweep(spec).raise_failures())["mmem-r"],
         rounds=1,
     )
     report("fig3b_mmem_remote", _render(curves))
@@ -55,8 +62,9 @@ def test_fig3b_mmem_remote(benchmark, panels, report):
 
 
 def test_fig3c_cxl(benchmark, panels, report):
+    spec = fig3_sweep_spec(panels=("cxl",), load_points=24)
     curves = benchmark.pedantic(
-        lambda: fig3_loaded_latency(panels=("cxl",), load_points=24)["cxl"],
+        lambda: fig3_from_sweep(spec, run_sweep(spec).raise_failures())["cxl"],
         rounds=1,
     )
     report("fig3c_cxl", _render(curves))
@@ -67,8 +75,9 @@ def test_fig3c_cxl(benchmark, panels, report):
 
 
 def test_fig3d_cxl_remote(benchmark, panels, report):
+    spec = fig3_sweep_spec(panels=("cxl-r",), load_points=24)
     curves = benchmark.pedantic(
-        lambda: fig3_loaded_latency(panels=("cxl-r",), load_points=24)["cxl-r"],
+        lambda: fig3_from_sweep(spec, run_sweep(spec).raise_failures())["cxl-r"],
         rounds=1,
     )
     report("fig3d_cxl_remote", _render(curves))

@@ -5,24 +5,30 @@ sequential order; (g)/(h) repeat read-only and write-only with random
 access.  Checks the §3.3 claims: the CXL:DDR latency ratios, the
 knee-point's leftward shift with write share, and pattern insensitivity.
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig4`` builds it: the stock spec,
+``run_sweep``, ``fig4_from_sweep``.  Its independent cells fan out across
+processes when $REPRO_WORKERS is set (parallel results are bit-identical
+to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_table
-from repro.analysis.figures import fig4_path_comparison
+from repro.analysis.figures import fig4_from_sweep, fig4_sweep_spec
+from repro.cli import stock_sweep_spec
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
 def data():
-    return fig4_path_comparison(load_points=24)
+    spec = stock_sweep_spec("fig4")
+    return fig4_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def test_fig4_sequential_mix_sweep(benchmark, data, report):
+    spec = fig4_sweep_spec(patterns=("sequential",), load_points=24)
     sequential = benchmark.pedantic(
-        lambda: fig4_path_comparison(patterns=("sequential",), load_points=24)[
+        lambda: fig4_from_sweep(spec, run_sweep(spec).raise_failures())[
             "sequential"
         ],
         rounds=1,

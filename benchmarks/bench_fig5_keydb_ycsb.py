@@ -5,27 +5,31 @@ working set, same placement ratios) and checks §4.1.2: MMEM fastest,
 Hot-Promote ~MMEM, interleave 1.2-1.5x slower, SSD spill slowest with
 the heavy tail of Fig. 5(b)/(c).
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig5`` builds it (65,536 records x
+100k ops): the stock spec, ``run_sweep``, ``fig5_from_sweep``.  Its
+independent cells fan out across processes when $REPRO_WORKERS is set
+(parallel results are bit-identical to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_table
-from repro.analysis.figures import fig5_keydb
-
-RECORDS = 65_536
-OPS = 100_000
+from repro.analysis.figures import fig5_from_sweep, fig5_sweep_spec
+from repro.cli import stock_sweep_spec
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return fig5_keydb(record_count=RECORDS, total_ops=OPS)
+    spec = stock_sweep_spec("fig5")
+    return fig5_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def test_fig5a_throughput(benchmark, fig5, report):
-    result = benchmark.pedantic(
-        lambda: fig5_keydb(workloads=("A",), record_count=RECORDS, total_ops=OPS),
+    benchmark.pedantic(
+        lambda: run_sweep(fig5_sweep_spec(
+            workloads=("A",), record_count=65_536, total_ops=100_000,
+        )).raise_failures(),
         rounds=1,
     )
     rows = []
@@ -54,7 +58,6 @@ def test_fig5a_throughput(benchmark, fig5, report):
         assert fig5.slowdown(wl, "mmem-ssd-0.4") > fig5.slowdown(wl, "1:3")
         if wl != "D":
             assert fig5.slowdown(wl, "mmem-ssd-0.2") > fig5.slowdown(wl, "1:3")
-    _ = result
 
 
 def test_fig5b_ycsb_a_tail_latency(benchmark, fig5, report):

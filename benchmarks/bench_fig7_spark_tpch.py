@@ -6,21 +6,26 @@ query's wall-clock.  Checks §4.2.2's bands: interleave 1.4-9.8x,
 Hot-Promote >34 %, deep spill slower than any interleave and >90 %
 shuffle-dominated.
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig7`` builds it: the stock spec,
+``run_sweep``, ``fig7_from_sweep``.  Its independent cells fan out across
+processes when $REPRO_WORKERS is set (parallel results are bit-identical
+to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_table
-from repro.analysis.figures import fig7_spark
+from repro.analysis.figures import fig7_from_sweep
 from repro.apps.spark import SPARK_CONFIGS
+from repro.cli import stock_sweep_spec
+from repro.parallel import run_sweep
 from repro.workloads import PAPER_QUERY_NAMES
 
 
 @pytest.fixture(scope="module")
 def results():
-    return fig7_spark()
+    spec = stock_sweep_spec("fig7")
+    return fig7_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +38,11 @@ def slowdowns(results):
 
 
 def test_fig7a_normalized_execution_time(benchmark, results, slowdowns, report):
-    benchmark.pedantic(fig7_spark, rounds=1)
+    spec = stock_sweep_spec("fig7")
+    benchmark.pedantic(
+        lambda: fig7_from_sweep(spec, run_sweep(spec).raise_failures()),
+        rounds=1,
+    )
     rows = [
         [name] + [f"{slowdowns[name][q]:.2f}" for q in PAPER_QUERY_NAMES]
         for name in SPARK_CONFIGS

@@ -4,25 +4,33 @@ Checks the spare-core anchors: ~12.5 % throughput drop and a 9-27 %
 read-latency penalty (well below the raw 2.5x path-latency ratio,
 because Redis processing dominates), plus the §4.3.2 revenue arithmetic.
 
-The figure's independent cells fan out across processes when $REPRO_WORKERS
-is set (parallel results are bit-identical to serial; see docs/architecture.md).
+The figure is built as ``repro sweep fig8`` builds it (102,400 records x
+150k ops): the stock spec, ``run_sweep``, ``fig8_from_sweep``.  Its
+independent cells fan out across processes when $REPRO_WORKERS is set
+(parallel results are bit-identical to serial; see docs/architecture.md).
 """
 
 import pytest
 
 from repro.analysis import ascii_table
-from repro.analysis.figures import fig8_cxl_only
+from repro.analysis.figures import fig8_from_sweep, fig8_sweep_spec
+from repro.cli import stock_sweep_spec
 from repro.core import SpareCoreModel
+from repro.parallel import run_sweep
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return fig8_cxl_only(record_count=102_400, total_ops=150_000)
+    spec = stock_sweep_spec("fig8")
+    return fig8_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def test_fig8a_read_latency_cdf(benchmark, fig8, report):
     benchmark.pedantic(
-        lambda: fig8_cxl_only(record_count=20_480, total_ops=20_000), rounds=1
+        lambda: run_sweep(
+            fig8_sweep_spec(record_count=20_480, total_ops=20_000)
+        ).raise_failures(),
+        rounds=1,
     )
     lines = []
     for name, result in (("mmem", fig8.mmem), ("cxl", fig8.cxl)):

@@ -9,6 +9,9 @@ The acceptance contract of the overload subsystem:
 * **SLO-aware fault shedding** — under the catalog's ``link-degrade``
   scenario, capacity-loss shedding keeps the deadline-miss rate
   strictly below the uncontrolled baseline's.
+
+The curves are built as ``repro sweep overload --quick --mode MODE``
+builds them: the stock spec, ``run_sweep``, ``offered_load_from_sweep``.
 """
 
 import math
@@ -16,7 +19,10 @@ import math
 import pytest
 
 from repro.analysis import ascii_table
-from repro.overload import run_fault_comparison, sweep_offered_load
+from repro.cli import stock_sweep_spec
+from repro.overload import run_fault_comparison
+from repro.overload.runner import offered_load_from_sweep, offered_load_sweep_spec
+from repro.parallel import run_sweep
 
 SEED = 0xC0FFEE
 FACTORS = [0.5, 0.75, 1.0, 1.25, 1.5]
@@ -26,16 +32,17 @@ DURATION_NS = 20e6
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {
-        controlled: sweep_offered_load(
-            factors=FACTORS,
-            controlled=controlled,
-            duration_ns=DURATION_NS,
-            record_count=RECORDS,
-            seed=SEED,
+    out = {}
+    for controlled in (True, False):
+        spec = stock_sweep_spec(
+            "overload", quick=True, seed=SEED,
+            mode="controlled" if controlled else "uncontrolled",
         )
-        for controlled in (True, False)
-    }
+        assert [p.params["load_factor"] for p in spec.points] == FACTORS
+        out[controlled] = offered_load_from_sweep(
+            spec, run_sweep(spec).raise_failures()
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -64,13 +71,13 @@ def _sweep_rows(summaries):
 
 def test_goodput_plateau_with_admission_control(benchmark, sweeps, report):
     benchmark.pedantic(
-        lambda: sweep_offered_load(
+        lambda: run_sweep(offered_load_sweep_spec(
             factors=[1.5],
             controlled=True,
             duration_ns=DURATION_NS,
             record_count=RECORDS,
             seed=SEED,
-        ),
+        )).raise_failures(),
         rounds=1,
     )
     headers = ["load", "goodput k/s", "tput k/s", "shed", "miss", "p99 us"]

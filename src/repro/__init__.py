@@ -16,7 +16,7 @@ The package provides, from the bottom up:
   KV store, Spark-like shuffle engine, CPU LLM inference);
 * :mod:`repro.core` — the paper's contributions: the Abstract Cost Model
   and the bandwidth-aware placement optimizer;
-* :mod:`repro.analysis` — per-figure experiment runners and rendering.
+* :mod:`repro.analysis` — per-figure sweep specs, assemblers and rendering.
 
 Every package resolves its exports on first access (:mod:`repro._lazy`),
 so ``import repro`` loads no submodule and no numpy, and each command

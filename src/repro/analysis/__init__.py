@@ -1,4 +1,5 @@
-"""Figure/table runners, calibration anchors, and terminal rendering."""
+"""Figure sweep specs and assemblers, tables, calibration anchors, and
+terminal rendering."""
 
 from .._lazy import lazy_exports
 
@@ -9,22 +10,16 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Fig8Result": ".figures",
     "Fig10Result": ".figures",
     "fig3_from_sweep": ".figures",
-    "fig3_loaded_latency": ".figures",
     "fig3_sweep_spec": ".figures",
     "fig4_from_sweep": ".figures",
-    "fig4_path_comparison": ".figures",
     "fig4_sweep_spec": ".figures",
     "fig5_from_sweep": ".figures",
-    "fig5_keydb": ".figures",
     "fig5_sweep_spec": ".figures",
     "fig7_from_sweep": ".figures",
-    "fig7_spark": ".figures",
     "fig7_sweep_spec": ".figures",
     "fig8_from_sweep": ".figures",
-    "fig8_cxl_only": ".figures",
     "fig8_sweep_spec": ".figures",
     "fig10_from_sweep": ".figures",
-    "fig10_llm": ".figures",
     "fig10_sweep_spec": ".figures",
     "ascii_bars": ".report",
     "ascii_series": ".report",

@@ -1,25 +1,19 @@
-"""Per-figure experiment runners.
+"""Per-figure sweep specs and assemblers.
 
-One runner per paper artifact; each returns plain data structures the
-benchmarks print and the tests assert on.  All runners accept scale
-parameters so the same code serves quick CI checks and the full
-benchmark harness.
-
-Each figure has three pieces:
+Each paper figure has two pieces, and ``repro sweep <target>`` chains
+them through :func:`repro.parallel.run_sweep`:
 
 * ``*_sweep_spec``: the figure's grid, one point per independent
-  cell, behind both the runner and ``repro sweep``;
+  cell; :func:`repro.cli.stock_sweep_spec` picks its stock scale, and
+  tests and benchmarks pass a sub-grid;
 * a ``*_from_sweep(spec, sweep)`` assembler: the figure's data structure
-  from each point's ``value["result"]``, which is what ``repro sweep``
-  renders as the paper's table;
-* the runner: spec, :func:`repro.parallel.run_sweep`, assembler.
+  from each point's ``value["result"]``, which ``repro sweep`` renders
+  as the paper's table and the benchmarks assert the paper's shapes on.
 
-Every point runs the figure's one task (:mod:`repro.parallel.tasks`), and
-cells keep the paper protocol of sharing the root seed.  Runners execute
-through :func:`~repro.parallel.run_sweep` with its defaults: points fan
-out over ``$REPRO_WORKERS`` processes (serial in-process when unset) and
-come back in spec order, so a parallel figure is bit-identical to a
-serial one.
+Every point runs the figure's one task (:mod:`repro.parallel.tasks`),
+and cells keep the paper protocol of sharing the root seed.  Points come
+back in spec order at any worker count, so a parallel figure is
+bit-identical to a serial one.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..parallel import SweepPoint, SweepResult, SweepSpec, run_sweep, tasks
+from ..parallel import SweepPoint, SweepResult, SweepSpec, tasks
 from ..sim.seed import DEFAULT_SEED
 from ..units import GIB
 
@@ -42,25 +36,19 @@ if TYPE_CHECKING:
 __all__ = [
     "fig3_sweep_spec",
     "fig3_from_sweep",
-    "fig3_loaded_latency",
     "fig4_sweep_spec",
     "fig4_from_sweep",
-    "fig4_path_comparison",
     "Fig5Result",
     "fig5_sweep_spec",
     "fig5_from_sweep",
-    "fig5_keydb",
     "fig7_sweep_spec",
     "fig7_from_sweep",
-    "fig7_spark",
     "Fig8Result",
     "fig8_sweep_spec",
     "fig8_from_sweep",
-    "fig8_cxl_only",
     "Fig10Result",
     "fig10_sweep_spec",
     "fig10_from_sweep",
-    "fig10_llm",
 ]
 
 #: Fig. 3's read:write mix legend.
@@ -147,22 +135,6 @@ def fig3_from_sweep(
     return {pr.key: pr.value["result"] for pr in sweep.results}
 
 
-def fig3_loaded_latency(
-    panels: Sequence[str] = FIG3_PANELS,
-    mixes: Sequence[Tuple[int, int]] = FIG3_MIXES,
-    load_points: int = 24,
-    backend: str = "des",
-) -> Dict[str, Dict[str, MlcCurve]]:
-    """Fig. 3: loaded-latency curves for the four distances.
-
-    Returns ``{panel: {"r:w": MlcCurve}}`` on the SNC-enabled platform,
-    as in §3.1.
-    """
-    spec = fig3_sweep_spec(panels=panels, mixes=mixes, load_points=load_points,
-                           backend=backend)
-    return fig3_from_sweep(spec, run_sweep(spec).raise_failures())
-
-
 def fig4_sweep_spec(
     write_fractions_mixes: Sequence[Tuple[int, int]] = (
         (1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (0, 1),
@@ -208,28 +180,6 @@ def fig4_from_sweep(
         r, w = point.params["mix"]
         out.setdefault(pattern, {})[f"{r}:{w}"] = pr.value["result"]
     return out
-
-
-def fig4_path_comparison(
-    write_fractions_mixes: Sequence[Tuple[int, int]] = (
-        (1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (0, 1),
-    ),
-    patterns: Sequence[str] = ("sequential", "random"),
-    load_points: int = 24,
-    backend: str = "des",
-) -> Dict[str, Dict[str, Dict[str, MlcCurve]]]:
-    """Fig. 4: per-mix comparison of all distances, both patterns.
-
-    Returns ``{pattern: {"r:w": {panel: MlcCurve}}}`` — panels (a)-(f)
-    are the sequential mixes; (g)/(h) are the random read/write-only.
-    """
-    spec = fig4_sweep_spec(
-        write_fractions_mixes=write_fractions_mixes,
-        patterns=patterns,
-        load_points=load_points,
-        backend=backend,
-    )
-    return fig4_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -306,28 +256,6 @@ def fig5_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig5Result:
     return result
 
 
-def fig5_keydb(
-    workloads: Sequence[str] = ("A", "B", "C", "D"),
-    configs: Sequence[str] = (
-        "mmem", "mmem-ssd-0.2", "mmem-ssd-0.4", "3:1", "1:1", "1:3", "hot-promote",
-    ),
-    record_count: int = 65_536,
-    total_ops: int = 100_000,
-    seed: int = 0xC0FFEE,
-    backend: str = "des",
-) -> Fig5Result:
-    """Fig. 5: run every (workload, configuration) cell."""
-    spec = fig5_sweep_spec(
-        workloads=workloads,
-        configs=configs,
-        record_count=record_count,
-        total_ops=total_ops,
-        seed=seed,
-        backend=backend,
-    )
-    return fig5_from_sweep(spec, run_sweep(spec).raise_failures())
-
-
 def fig7_sweep_spec(
     configs: Optional[Sequence[str]] = None,
     seed: int = DEFAULT_SEED,
@@ -354,12 +282,6 @@ def fig7_from_sweep(
 ) -> Dict[str, Dict[str, QueryResult]]:
     """Fig. 7's ``{config: {query: QueryResult}}`` from its sweep."""
     return {pr.key: pr.value["result"] for pr in sweep.results}
-
-
-def fig7_spark() -> Dict[str, Dict[str, QueryResult]]:
-    """Fig. 7: every Spark configuration x every TPC-H query."""
-    spec = fig7_sweep_spec()
-    return fig7_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -407,20 +329,6 @@ def fig8_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig8Result:
     """Fig. 8's MMEM/CXL pair from its sweep."""
     return Fig8Result(mmem=sweep.value("mmem")["result"],
                       cxl=sweep.value("cxl")["result"])
-
-
-def fig8_cxl_only(
-    record_count: int = 102_400,
-    total_ops: int = 150_000,
-    seed: int = 0xC0FFEE,
-    backend: str = "des",
-) -> Fig8Result:
-    """Fig. 8: the §4.3 numactl-bound YCSB-C pair."""
-    spec = fig8_sweep_spec(
-        record_count=record_count, total_ops=total_ops, seed=seed,
-        backend=backend,
-    )
-    return fig8_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 @dataclass
@@ -483,9 +391,3 @@ def fig10_from_sweep(spec: SweepSpec, sweep: SweepResult) -> Fig10Result:
         (kv, probe.fig10c_bandwidth_gbps(kv * GIB)) for kv in FIG10C_KV_GIB
     ]
     return Fig10Result(serving=serving, fig10b=fig10b, fig10c=fig10c)
-
-
-def fig10_llm(backend_counts: Sequence[int] = (1, 2, 3, 4, 5, 6)) -> Fig10Result:
-    """Fig. 10(a)-(c): serving-rate sweep plus both bandwidth probes."""
-    spec = fig10_sweep_spec(backend_counts=backend_counts)
-    return fig10_from_sweep(spec, run_sweep(spec).raise_failures())

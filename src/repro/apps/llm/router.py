@@ -239,28 +239,34 @@ class LlmRouter:
                         )
                         yield refill
                         continue
-                step_ns = step_time(idx, seq_id)
-                deadline_ns = healthy_step_time(idx, seq_id) * self.step_timeout_factor
-                if self.faults is not None and step_ns > deadline_ns:
-                    # Step deadline blown: count against the breaker and
-                    # try a healthier backend after the timeout elapses.
-                    self.breakers[idx].record_failure(now)
-                    yield deadline_ns
-                    new = reroute(idx)
-                    if new is None:
-                        result.requests_failed += 1
-                        if self.recovery is not None:
-                            self.recovery.record(now, 0.0, ok=False)
-                        return
-                    if new != idx:
-                        refill = (
-                            REPREFILL_STEP_FRACTION
-                            * (request.prompt_tokens + generated)
-                            * step_time(new, seq_id)
-                        )
-                        yield refill
-                    idx = new
-                    continue
+                # Each step is priced once; the deadline is the healthy
+                # time scaled, read only under faults.
+                step_ns = healthy_step_time(idx, seq_id)
+                if self.faults is not None:
+                    deadline_ns = step_ns * self.step_timeout_factor
+                    step_ns *= self.faults.latency_multiplier(
+                        self.backend_nodes[idx], now
+                    )
+                    if step_ns > deadline_ns:
+                        # Step deadline blown: count against the breaker
+                        # and try a healthier backend after the timeout.
+                        self.breakers[idx].record_failure(now)
+                        yield deadline_ns
+                        new = reroute(idx)
+                        if new is None:
+                            result.requests_failed += 1
+                            if self.recovery is not None:
+                                self.recovery.record(now, 0.0, ok=False)
+                            return
+                        if new != idx:
+                            refill = (
+                                REPREFILL_STEP_FRACTION
+                                * (request.prompt_tokens + generated)
+                                * step_time(new, seq_id)
+                            )
+                            yield refill
+                        idx = new
+                        continue
                 yield step_ns
                 if self.faults is not None:
                     self.breakers[idx].record_success(now)

@@ -74,11 +74,6 @@ class ClusterConfig:
         """Fraction of executor memory on the CXL tier."""
         return 1.0 - self.dram_fraction
 
-    @property
-    def executors_per_server(self) -> int:
-        """Executors placed on each server (even split)."""
-        return self.app.executors // self.servers
-
 
 def build_cluster_config(
     name: str, app: SparkAppSpec = SparkAppSpec()

@@ -8,9 +8,9 @@ fingerprint of exactly its inputs plus a *code fingerprint* of the
 
 * a warm re-run of the same sweep executes **zero** points and its
   merged ``repro.metrics/v1`` export is byte-identical to the cold run;
-* an interrupted sweep resumes from the last persisted point, and a
-  drained (SIGINT/SIGTERM) run leaves a :mod:`~repro.cache.manifest`
-  documenting what completed and why it stopped;
+* an interrupted or drained (SIGINT/SIGTERM) sweep resumes from the
+  last persisted point: rerunning it serves every completed point as a
+  hit;
 * editing any simulator source, any param, or the seed changes the
   fingerprint and the stale entry is simply never addressed again.
 
@@ -31,14 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "CACHE_MAX_BYTES_ENV": ".store",
     "DEFAULT_MAX_BYTES": ".store",
     "FINGERPRINT_VERSION": ".fingerprint",
-    "MANIFEST_SCHEMA": ".manifest",
-    "ResumeManifest": ".manifest",
-    "clear_resume_manifest": ".manifest",
-    "list_resume_manifests": ".manifest",
-    "load_resume_manifest": ".manifest",
-    "manifest_path": ".manifest",
-    "verify_resume_manifests": ".manifest",
-    "write_resume_manifest": ".manifest",
     "CacheEntry": ".store",
     "CacheStats": ".store",
     "EntryInfo": ".store",

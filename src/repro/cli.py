@@ -31,8 +31,9 @@ to serial ones.  The same commands take ``--point-timeout S`` (kill and
 retry a point past its deadline), ``--retries N`` (bounded retry of
 crashes, deadline kills and transient errors, with exponential backoff)
 and ``--fail-fast``; a one-line health summary lands on stderr.  Ctrl-C
-drains gracefully: completed points persist to the cache, a resume
-manifest records the cut, and exit is 130.
+or SIGTERM drains gracefully: completed points persist to the cache,
+one stderr line (``interrupted: sweep 'fig5' drained on SIGINT: k/n
+points completed and persisted``) records the cut, and exit is 130.
 
 The same commands memoize completed points in a content-addressed
 on-disk cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro/sweeps``):
@@ -41,9 +42,10 @@ the last persisted point, and editing any ``repro`` source invalidates
 every stale entry via the code fingerprint.  ``--no-cache`` opts a run
 out; ``repro cache {stats,clear,verify}`` maintains the store.
 
-``pytest benchmarks/`` runs the figure runners of
-:mod:`repro.analysis.figures` on the same sweep specs; the CLI is the
-no-test-harness path for interactive exploration.
+``pytest benchmarks/`` builds each figure the way ``repro sweep`` does
+(:func:`stock_sweep_spec`, :func:`~repro.parallel.run_sweep`, the
+figure's ``*_from_sweep`` assembler) and asserts the paper's shapes on
+it.
 """
 
 from __future__ import annotations
@@ -619,19 +621,18 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
-    from .cache import SweepCache, verify_resume_manifests
+    from .cache import SweepCache
 
     cache = SweepCache()
     report = cache.verify(purge=args.purge)
-    bad = list(report.bad) + verify_resume_manifests(cache, purge=args.purge)
-    for fingerprint, reason in bad:
+    for fingerprint, reason in report.bad:
         print(f"BAD {fingerprint}: {reason}"
               + (" (removed)" if args.purge else ""), file=sys.stderr)
     print(f"{report.checked - len(report.bad)}/{report.checked} entries ok "
           f"in {cache.root}")
-    # Nonzero exit on *any* corruption — entries or resume manifests —
-    # so CI can gate on an integrity scan.
-    return 1 if bad else 0
+    # Nonzero exit on any corrupt entry, so CI can gate on an integrity
+    # scan.
+    return 1 if report.bad else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -876,7 +877,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: the command's exit code.
+
+    2 for bad user input (one ``error: ...`` line), 130 for a drained
+    sweep, whose ``interrupted: ...`` line is the drain line.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -886,8 +891,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt as exc:
-        # A drained sweep: completed points are already persisted and a
-        # resume manifest written; rerunning the command picks up there.
+        # A drained sweep: completed points are already persisted and
+        # the exception carries the drain line; rerunning the command
+        # picks up there.
         note = f": {exc}" if str(exc) else ""
         print(f"interrupted{note}", file=sys.stderr)
         return 130

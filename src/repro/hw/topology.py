@@ -166,13 +166,6 @@ class Platform:
         else:
             self._derating[resource] = multiplier
 
-    def clear_derating(self, resource: Optional[str] = None) -> None:
-        """Remove one resource's derating (or all, when None)."""
-        if resource is None:
-            self._derating.clear()
-        else:
-            self._derating.pop(resource, None)
-
     def derating(self, resource: str) -> float:
         """Current capacity multiplier of a resource (1.0 = healthy)."""
         return self._derating.get(resource, 1.0)

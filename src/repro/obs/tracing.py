@@ -15,9 +15,6 @@ Design constraints, in order:
 * **Zero cost when off** — the default tracer is :data:`NULL_TRACER`
   whose ``enabled`` flag is ``False``; instrumented hot paths guard with
   ``if tracer.enabled:`` and pay one attribute load.
-* **Bounded memory** — an optional span-capacity cap drops whole ops
-  (counted in :attr:`Tracer.dropped_ops`) instead of truncating spans
-  mid-op, so every exported op still sums to its end-to-end latency.
 """
 
 from __future__ import annotations
@@ -119,32 +116,21 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive (or None for unbounded)")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.ops: List[OpTrace] = []
-        self.dropped_ops = 0
         self._next_id = 0
 
     def op(self, kind: str, start_ns: float) -> OpTrace:
-        """Open a new operation trace starting at ``start_ns``.
-
-        Past capacity, returns a throwaway :class:`OpTrace` that is not
-        retained (whole-op drop keeps every kept op self-consistent).
-        """
+        """Open and keep a new operation trace starting at ``start_ns``."""
         trace = OpTrace(self._next_id, kind, start_ns)
         self._next_id += 1
-        if self.capacity is not None and len(self.ops) >= self.capacity:
-            self.dropped_ops += 1
-        else:
-            self.ops.append(trace)
+        self.ops.append(trace)
         return trace
 
     # -- aggregation -------------------------------------------------------
 
     def layer_totals(self) -> Dict[str, Tuple[int, float]]:
-        """``{layer: (span count, total ns)}`` across all kept ops."""
+        """``{layer: (span count, total ns)}`` across all ops."""
         totals: Dict[str, Tuple[int, float]] = {}
         for op in self.ops:
             for span in op.spans:
@@ -193,7 +179,6 @@ class Tracer:
         return {
             "schema": "repro.trace/v1",
             "op_count": len(self.ops),
-            "dropped_ops": self.dropped_ops,
             "layers": layers,
             "validation": self.validate(tolerance),
             "ops": [op.as_dict() for op in ops],

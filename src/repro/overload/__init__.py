@@ -20,6 +20,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "OverloadRunSummary": ".runner",
     "calibrate_capacity_ops_per_s": ".runner",
     "run_offered_load": ".runner",
-    "sweep_offered_load": ".runner",
     "run_fault_comparison": ".runner",
 })

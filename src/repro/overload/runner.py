@@ -3,16 +3,16 @@
 Two experiments, behind ``repro sweep overload``, ``repro overload
 faults`` and the benchmark:
 
-* :func:`sweep_offered_load` — open-loop KeyDB (Poisson arrivals on the
-  DES) swept across offered-load factors of the calibrated closed-loop
-  capacity; ``repro sweep overload`` runs the same
-  :func:`offered_load_sweep_spec` and tabulates it through
-  :func:`offered_load_from_sweep`.  Uncontrolled, throughput past the
-  knee turns into an unbounded backlog: p99 diverges and goodput
-  (in-deadline completions) collapses.  With admission control the
-  excess is refused at arrival and goodput plateaus near the knee — the
-  load-shedding analogue of the paper's §3.2 observation that running a
-  CXL device past its bandwidth knee buys no throughput, only latency.
+* :func:`offered_load_sweep_spec` — open-loop KeyDB (Poisson arrivals
+  on the DES) swept across offered-load factors of the calibrated
+  closed-loop capacity; ``repro sweep overload`` runs it and tabulates
+  it through :func:`offered_load_from_sweep`.  Uncontrolled, throughput
+  past the knee turns into an unbounded backlog: p99 diverges and
+  goodput (in-deadline completions) collapses.  With admission control
+  the excess is refused at arrival and goodput plateaus near the knee —
+  the load-shedding analogue of the paper's §3.2 observation that
+  running a CXL device past its bandwidth knee buys no throughput, only
+  latency.
 
 * :func:`run_fault_comparison` — the same server under the catalog's
   ``link-degrade`` scenario, controlled vs uncontrolled: SLO-aware
@@ -42,7 +42,6 @@ __all__ = [
     "control_policy",
     "baseline_policy",
     "run_offered_load",
-    "sweep_offered_load",
     "offered_load_sweep_spec",
     "offered_load_from_sweep",
     "run_fault_comparison",
@@ -277,36 +276,6 @@ def run_offered_load(
         p99_ns=result.read_latency.percentile(99),
         counters=result.counters.as_dict(),
     )
-
-
-def sweep_offered_load(
-    factors: Optional[List[float]] = None,
-    controlled: bool = True,
-    duration_ns: float = DEFAULT_DURATION_NS,
-    config: str = DEFAULT_CONFIG,
-    record_count: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    threads: int = 7,
-) -> List[OverloadRunSummary]:
-    """Offered load vs goodput: sweep factors of the calibrated capacity.
-
-    Capacity is calibrated once in the parent; the per-factor runs are
-    independent and fan out across ``$REPRO_WORKERS`` processes (the
-    policy is pure declarative config, so it pickles into spawned
-    workers).
-    """
-    spec = offered_load_sweep_spec(
-        factors=factors,
-        controlled=controlled,
-        duration_ns=duration_ns,
-        config=config,
-        record_count=record_count,
-        seed=seed,
-        threads=threads,
-    )
-    from ..parallel import run_sweep
-
-    return offered_load_from_sweep(spec, run_sweep(spec).raise_failures())
 
 
 def offered_load_sweep_spec(

@@ -16,7 +16,7 @@ Seed derivation
 and Python invocations (no dependence on ``PYTHONHASHSEED`` or
 enumeration order), and independent points get independent seeds without
 coordinating.  Sweeps that replicate the paper's protocol of running
-every cell from one root seed (the figure runners) instead pin
+every cell from one root seed (the figure specs) instead pin
 ``seed=base_seed`` on every point — both modes satisfy the determinism
 contract because either way the seed is part of the spec.
 """

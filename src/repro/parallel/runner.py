@@ -32,11 +32,13 @@ and every point is first looked up by its content fingerprint — hits are
 served without executing (``PointResult.cached``), misses execute and
 are persisted **immediately on completion**, before the progress
 callback fires, so a sweep killed mid-run resumes from the last
-completed point on the next invocation.  An interrupted run (SIGINT or
-SIGTERM) additionally drains gracefully: workers are torn down, every
-completed point is already in the cache, and a resume manifest is
-written next to the store (see :mod:`repro.cache.manifest`) before the
-``KeyboardInterrupt`` propagates.
+completed point on the next invocation.  An interrupted run (SIGINT,
+SIGTERM or the ``cancel`` event) drains gracefully: workers are torn
+down, every completed point is already in the cache, and one
+``KeyboardInterrupt`` propagates whose message is the drain line,
+``sweep 'NAME' drained on REASON: k/n points completed and persisted``
+— the run's only record of the cut (k counts successful points; "and
+persisted" appears only with a cache attached).
 """
 
 from __future__ import annotations
@@ -114,17 +116,16 @@ def run_sweep(
     served without executing (in spec order, before any execution
     starts) and every successfully executed point is persisted the
     moment its result lands in the parent — *before* ``progress`` fires
-    — so interrupting the sweep never loses completed work; a SIGINT/
-    SIGTERM drain also writes a resume manifest beside the store.
-    Failed points are never cached.  The returned
+    — so interrupting the sweep never loses completed work.  Failed
+    points are never cached.  The returned
     :attr:`SweepResult.cache_stats` carries this run's hit/miss/store
     deltas and :attr:`SweepResult.runner_health` the retry/timeout/
     restart counts — both sidecar metadata, absent from merged exports.
 
     ``cancel`` is the programmatic drain hook: a ``threading.Event``
     that, once set, drains the sweep exactly like SIGTERM would —
-    completed points stay persisted, a resume manifest (reason
-    ``cancelled``) is written, and ``KeyboardInterrupt`` propagates.
+    completed points stay persisted and ``KeyboardInterrupt`` propagates
+    with the drain line (reason ``cancelled``).
     It exists for callers that run sweeps off the main thread (the
     ``repro serve`` job manager), where signal handlers cannot be
     installed.  Both the serial and the supervised path honor it at
@@ -192,28 +193,7 @@ def run_sweep(
         if progress is not None:
             progress(done, total, result)
 
-    def _write_manifest(reason: str) -> None:
-        if cache is None:
-            return
-        from ..cache.manifest import ResumeManifest, write_resume_manifest
-
-        completed = tuple(
-            pr.key for pr in slots if pr is not None and pr.ok
-        )
-        write_resume_manifest(cache, ResumeManifest(
-            name=spec.name,
-            base_seed=spec.base_seed,
-            total=total,
-            completed=completed,
-            reason=reason,
-            workers=n_workers,
-        ))
-
     def _finish(pool_size: int) -> SweepResult:
-        if cache is not None:
-            from ..cache.manifest import clear_resume_manifest
-
-            clear_resume_manifest(cache, spec.name)
         cache_stats = None
         if cache is not None and stats_before is not None:
             cache_stats = cache.stats.delta(stats_before)
@@ -236,28 +216,38 @@ def run_sweep(
     done_from_cache = done
 
     def _drain_to_interrupt(reason: str) -> "KeyboardInterrupt":
-        _write_manifest(reason)
+        landed = sum(1 for pr in slots if pr is not None and pr.ok)
+        persisted = " and persisted" if cache is not None else ""
         return KeyboardInterrupt(
             f"sweep {spec.name!r} drained on {reason}: "
-            f"{done}/{total} points completed and persisted"
+            f"{landed}/{total} points completed{persisted}"
         )
 
-    if n_workers == 1 or len(pending) <= 1:
-        # The supervised path owns SIGINT/SIGTERM through
-        # run_supervised; the serial path must install its own SIGTERM
-        # hook (SIGINT already raises KeyboardInterrupt) or a drained
-        # `--workers 1` run dies without a resume manifest.
-        signal_reason: List[str] = []
+    serial = n_workers == 1 or len(pending) <= 1
+    # run_supervised owns SIGINT/SIGTERM on the pool path; the serial
+    # path installs its own so its drain line names the signal, and
+    # holds a signal back while a point lands so the line's count is
+    # exactly what the cache holds.
+    signal_reason: List[str] = []
+    landing = False
 
-        def _on_signal(signum: int, frame: Any) -> None:
-            signal_reason.append(signal.Signals(signum).name)
+    def _on_signal(signum: int, frame: Any) -> None:
+        signal_reason.append(signal.Signals(signum).name)
+        if not landing:
             raise KeyboardInterrupt()
 
-        in_main_thread = threading.current_thread() is threading.main_thread()
-        previous_handler = None
-        if in_main_thread:
-            previous_handler = signal.signal(signal.SIGTERM, _on_signal)
-        try:
+    previous_handlers = []
+    if serial and threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous_handlers.append((signum, signal.signal(signum, _on_signal)))
+    try:
+        if not serial:
+            pool_size = run_supervised(
+                spec.task, points, pending, n_workers, config, _land, health,
+                cancel=cancel,
+            )
+        else:
+            pool_size = 1
             for index in pending:
                 if cancel is not None and cancel.is_set():
                     raise SweepDrained("cancelled")
@@ -282,27 +272,23 @@ def run_sweep(
                     health.retries += 1
                     time.sleep(config.backoff_s(attempt, point.key))
                 assert result is not None
+                landing = True
                 _land(result)
+                landing = False
+                if signal_reason:
+                    raise KeyboardInterrupt()
                 if not result.ok:
                     if result.error is not None and result.error.retryable:
                         health.quarantined += 1
                     if config.fail_fast:
                         break
-        except KeyboardInterrupt:
-            _write_manifest(signal_reason[0] if signal_reason else "interrupt")
-            raise
-        except SweepDrained as drained:
-            raise _drain_to_interrupt(drained.reason) from None
-        finally:
-            if in_main_thread and previous_handler is not None:
-                signal.signal(signal.SIGTERM, previous_handler)
-        return _finish(1)
-
-    try:
-        pool_size = run_supervised(
-            spec.task, points, pending, n_workers, config, _land, health,
-            cancel=cancel,
-        )
+    except KeyboardInterrupt:
+        reason = signal_reason[0] if signal_reason else "interrupt"
+        raise _drain_to_interrupt(reason) from None
     except SweepDrained as drained:
         raise _drain_to_interrupt(drained.reason) from None
+    finally:
+        for signum, previous in previous_handlers:
+            if previous is not None:
+                signal.signal(signum, previous)
     return _finish(pool_size)

@@ -23,8 +23,8 @@ owns each worker process individually:
   ``attempts``/``retryable`` and the sweep continues;
 * **drain** — SIGINT/SIGTERM stops dispatch, kills in-flight attempts,
   and hands control back to the runner, which has already persisted
-  every completed point to the sweep cache and now writes a resume
-  manifest.
+  every completed point to the sweep cache and now raises the drain
+  line.
 
 The determinism contract survives every recovery path: a retried point
 re-runs with its identical ``(task, params, seed)``, so the value that
@@ -140,8 +140,8 @@ class RunnerHealth:
     ``cache_stats`` and ``elapsed_s``: surfaced on stderr summaries and
     excluded from merged ``repro.metrics/v1`` exports by construction.
     A drained run counts nothing here: it raises ``KeyboardInterrupt``
-    before any :class:`~repro.parallel.jobs.SweepResult` exists, and its
-    resume manifest records the cut.
+    before any :class:`~repro.parallel.jobs.SweepResult` exists, and the
+    exception's drain line records the cut.
     """
 
     retries: int = 0          #: re-dispatches after retryable failures
@@ -173,8 +173,8 @@ class SweepDrained(Exception):
     """Internal: a signal asked the supervised run to stop.
 
     Raised out of :func:`run_supervised` after workers are torn down;
-    the runner writes the resume manifest and converts it into the
-    ``KeyboardInterrupt`` callers of interrupted sweeps already expect.
+    the runner converts it into the ``KeyboardInterrupt`` callers of
+    interrupted sweeps already expect, carrying the drain line.
     """
 
     def __init__(self, reason: str) -> None:

@@ -11,8 +11,8 @@ needs from its point params and returns the point's ``repro.metrics/v1``
 document: ``"metrics"`` is what ``repro sweep --json`` merges into one
 export (see :mod:`repro.parallel.merge`), and ``"result"`` holds the
 plain value (``KeyDbResult``, ``OverloadRunSummary``, ...) that the
-figure assemblers turn into the paper's tables.  The figure runners,
-``repro sweep`` and ``repro serve`` thus run the same task on the same
+figure assemblers turn into the paper's tables.  ``repro sweep``,
+``repro serve`` and the benchmarks thus run the same task on the same
 params, and share one cache entry per point.
 
 fig5/fig8 points name the model they run on in ``params["backend"]``

@@ -29,9 +29,10 @@ Protocol choices, all in service of robustness:
   event loop responsive while journals hit disk.
 
 SIGTERM/SIGINT trigger the drain sequence: stop accepting, checkpoint
-in-flight jobs (cache + resume manifests + journals), exit 0 inside the
-drain budget.  A SIGKILL instead is the crash path the journal recovery
-in :meth:`JobManager._recover` exists for.
+in-flight jobs (completed points in the cache, journals left
+``running``), exit 0 inside the drain budget.  A SIGKILL instead is the
+crash path the journal recovery in :meth:`JobManager._recover` exists
+for.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def serve_forever(config: ServeConfig, cache: Any = None) -> int:
     """Run the server until SIGTERM/SIGINT, then drain; the CLI's core.
 
     Returns 0 when the drain checkpointed every in-flight job inside
-    the budget (manifests flushed, journals consistent), 1 otherwise.
+    the budget (points persisted, journals consistent), 1 otherwise.
     """
 
     async def _main() -> int:

@@ -4,15 +4,15 @@
 the *server*.  It boots a real ``repro serve`` subprocess, submits a
 demo job paced slowly enough to interrupt, then
 
-1. **SIGKILL** — no drain, no manifests beyond the pre-written one, no
-   goodbye.  Restart on the same port and cache, and require the
-   recovered job to finish with a merged export **byte-identical** to a
-   clean in-process run of the same spec (the journal + the
-   content-addressed cache are the whole durability story; if either
-   leaks state into the bytes, this fails);
+1. **SIGKILL** — no drain, no goodbye: only the journal and the points
+   already in the cache survive.  Restart on the same port and cache,
+   and require the recovered job to finish with a merged export
+   **byte-identical** to a clean in-process run of the same spec (the
+   journal + the content-addressed cache are the whole durability
+   story; if either leaks state into the bytes, this fails);
 2. **SIGTERM** — the graceful path.  The server must exit 0 inside its
-   drain budget with a resume manifest flushed, and the restarted
-   server must again finish the checkpointed job to identical bytes.
+   drain budget with the job checkpointed, and the restarted server
+   must again finish the checkpointed job to identical bytes.
 
 Run standalone (CI's serve-smoke job does)::
 

@@ -15,14 +15,12 @@ robustness layers instead of reinventing them:
 * **execution** is :func:`repro.parallel.run_sweep` with the job's
   ``cancel`` event wired through, so deadlines, client cancellation and
   SIGTERM drain all checkpoint through the same path an interactive
-  Ctrl-C does (completed points persisted, resume manifest written);
-* **durability** is the content-addressed sweep cache plus two small
-  journals: a ``repro.job/v1`` document per job (rewritten atomically on
-  every transition) and a pre-written ``repro.manifest/v1`` resume
-  manifest per *running* job.  A SIGKILL'd server therefore restarts,
-  requeues whatever the journal says was in flight, and re-merges the
-  exact same export from cache hits — byte-identical to the never-killed
-  run.
+  Ctrl-C does (completed points persisted, one drain line raised);
+* **durability** is the content-addressed sweep cache plus one
+  ``repro.job/v1`` journal document per job, rewritten atomically on
+  every transition.  A SIGKILL'd server therefore restarts, requeues
+  whatever the journal says was in flight, and re-merges the exact same
+  export from cache hits — byte-identical to the never-killed run.
 
 Threading model: one scheduler thread promotes queued jobs into runner
 threads (at most ``max_running``) and polices wall-clock deadlines; all
@@ -42,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cache import SweepCache
-from ..cache.manifest import ResumeManifest, write_resume_manifest
 from ..errors import ConfigurationError
 from ..overload.limiter import TokenBucketLimiter
 from ..parallel import SweepSpec, merge_metrics_documents, run_sweep
@@ -122,8 +119,8 @@ def demo_sweep_spec(points: int = 8, draws: int = 2048,
 
     Sized by the job spec so admission/chaos tests get sweeps that
     finish in milliseconds where a figure target would dominate the
-    wall clock; the scale is baked into the name so two demo jobs of
-    different shapes never share a resume manifest.  ``sleep_s`` pads
+    wall clock; the scale is baked into the sweep name, so two demo jobs
+    of different shapes are told apart in drain lines.  ``sleep_s`` pads
     each point's wall-clock (never its value) for interrupt-timing
     tests.
     """
@@ -260,8 +257,8 @@ class JobManager:
 
         Running jobs get their ``cancel`` event with *drain* intent:
         :func:`~repro.parallel.run_sweep` finishes the point in flight,
-        persists it, writes a resume manifest, and the job is left
-        ``running`` in the journal so the next boot requeues it.
+        persists it, and the job is left ``running`` in the journal so
+        the next boot requeues it.
         Queued jobs simply stay ``queued`` on disk.  Returns ``True``
         when every runner thread finished inside the budget.
         """
@@ -438,7 +435,6 @@ class JobManager:
         started = self.clock.now_s()
         try:
             sweep_spec = build_sweep_spec(job.spec)
-            self._checkpoint_manifest(job, sweep_spec)
             supervise = SupervisorConfig(
                 point_timeout_s=job.spec.point_timeout_s,
                 max_attempts=max(1, job.spec.retries + 1),
@@ -477,22 +473,6 @@ class JobManager:
                     service_s - self.mean_service_s
                 )
             self._wake.set()
-
-    def _checkpoint_manifest(self, job: Job, sweep_spec: SweepSpec) -> None:
-        # Pre-write the resume manifest the moment the job starts, so a
-        # SIGKILL (which never reaches run_sweep's graceful drain path)
-        # still leaves a repro.manifest/v1 record of the in-flight
-        # sweep.  A graceful drain overwrites it with real progress; a
-        # completed run clears it.
-        write_resume_manifest(self.cache, ResumeManifest(
-            name=sweep_spec.name,
-            base_seed=sweep_spec.base_seed,
-            total=len(sweep_spec.points),
-            completed=(),
-            reason="serving",
-            workers=(job.spec.workers if job.spec.workers is not None
-                     else self.config.workers),
-        ))
 
     def _land_interrupted(self, job: Job) -> None:
         with self._lock:

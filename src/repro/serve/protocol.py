@@ -1,8 +1,7 @@
 """The wire and journal protocol of the capacity-planning service.
 
 Everything the server and its clients exchange is plain JSON with an
-explicit schema tag, in the same spirit as ``repro.metrics/v1`` and
-``repro.manifest/v1``:
+explicit schema tag, in the same spirit as ``repro.metrics/v1``:
 
 * a **job spec** (``JobSpec``) describes one sweep-shaped what-if query
   — a stock figure target or the tiny ``demo`` grid — plus its
@@ -16,8 +15,8 @@ explicit schema tag, in the same spirit as ``repro.metrics/v1`` and
   SIGKILL'd server can rebuild its job table on restart and resume
   in-flight work from the sweep cache.
 
-Like the resume manifests, a truncated or foreign journal document
-demotes to "no job" rather than crashing recovery.
+Like a corrupt cache entry (demoted to a miss), a truncated or foreign
+journal document demotes to "no job" rather than crashing recovery.
 """
 
 from __future__ import annotations
@@ -382,9 +381,9 @@ class Job:
 def write_journal(directory: str, job: Job) -> str:
     """Atomically journal ``job``'s current record; returns the path.
 
-    Same mkstemp + ``os.replace`` discipline as the cache store and the
-    resume manifests: a crash mid-write can only leave either the old
-    or the new complete document.
+    Same mkstemp + ``os.replace`` discipline as the cache store: a
+    crash mid-write can only leave either the old or the new complete
+    document.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{job.id}.json")
@@ -409,7 +408,7 @@ def load_journal(directory: str) -> List[Job]:
 
     Malformed documents (truncated write on a dying host, foreign
     schema) are skipped — recovery proceeds with what is readable, the
-    same demote-don't-crash contract the resume manifests follow.
+    same demote-don't-crash contract the cache store follows.
     Records come back sorted by submission sequence.
     """
     try:

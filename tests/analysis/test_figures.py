@@ -1,4 +1,5 @@
-"""Tests for the figure runners (small scales; full runs in benchmarks/)."""
+"""Tests for the figure specs and assemblers, run as ``repro sweep``
+runs them (small scales; stock runs in benchmarks/)."""
 
 import pytest
 
@@ -9,12 +10,22 @@ from repro.analysis import (
     ascii_bars,
     ascii_series,
     ascii_table,
-    fig3_loaded_latency,
-    fig8_cxl_only,
-    fig10_llm,
     table2_rows,
 )
-from repro.analysis.figures import FIG3_PANELS, fig5_keydb
+from repro.analysis.figures import (
+    FIG3_PANELS,
+    fig3_from_sweep,
+    fig3_sweep_spec,
+    fig4_from_sweep,
+    fig4_sweep_spec,
+    fig5_from_sweep,
+    fig5_sweep_spec,
+    fig8_from_sweep,
+    fig8_sweep_spec,
+    fig10_from_sweep,
+    fig10_sweep_spec,
+)
+from repro.parallel import run_sweep
 
 
 class TestTables:
@@ -66,7 +77,8 @@ class TestReportRendering:
 class TestFig3Runner:
     @pytest.fixture(scope="class")
     def panels(self):
-        return fig3_loaded_latency(load_points=6)
+        spec = fig3_sweep_spec(load_points=6)
+        return fig3_from_sweep(spec, run_sweep(spec).raise_failures())
 
     def test_all_panels_present(self, panels):
         assert set(panels) == set(FIG3_PANELS)
@@ -86,12 +98,13 @@ class TestFig3Runner:
 
 class TestFig5Runner:
     def test_small_run_structure(self):
-        result = fig5_keydb(
+        spec = fig5_sweep_spec(
             workloads=("C",),
             configs=("mmem", "1:1"),
             record_count=8192,
             total_ops=8000,
         )
+        result = fig5_from_sweep(spec, run_sweep(spec).raise_failures())
         table = result.throughput_table()
         assert [row[0] for row in table] == ["mmem", "1:1"]
         assert result.slowdown("C", "1:1") > 1.0
@@ -99,14 +112,16 @@ class TestFig5Runner:
 
 class TestFig8Runner:
     def test_shape(self):
-        result = fig8_cxl_only(record_count=8192, total_ops=10_000)
+        spec = fig8_sweep_spec(record_count=8192, total_ops=10_000)
+        result = fig8_from_sweep(spec, run_sweep(spec).raise_failures())
         assert 0.05 <= result.throughput_drop <= 0.20
         assert result.latency_penalty(50.0) > 0.0
 
 
 class TestFig10Runner:
     def test_structure(self):
-        result = fig10_llm(backend_counts=(1, 5))
+        spec = fig10_sweep_spec(backend_counts=(1, 5))
+        result = fig10_from_sweep(spec, run_sweep(spec).raise_failures())
         assert set(result.serving) == {"mmem", "3:1", "1:1", "1:3"}
         assert result.rate("3:1", 60) > result.rate("mmem", 60)
         with pytest.raises(KeyError):
@@ -117,17 +132,16 @@ class TestFig10Runner:
 
 class TestFig4Runner:
     def test_structure_and_patterns(self):
-        from repro.analysis import fig4_path_comparison
-
-        data = fig4_path_comparison(
+        spec = fig4_sweep_spec(
             write_fractions_mixes=((1, 0), (0, 1)),
             load_points=4,
         )
+        data = fig4_from_sweep(spec, run_sweep(spec).raise_failures())
         assert set(data) == {"sequential", "random"}
         assert set(data["sequential"]) == {"1:0", "0:1"}
         panels = data["sequential"]["1:0"]
         assert set(panels) == {"mmem", "mmem-r", "cxl", "cxl-r"}
-        # Pattern insensitivity holds through the runner too.
+        # Pattern insensitivity holds through the sweep too.
         assert data["random"]["1:0"]["mmem"].peak_bandwidth_gbps == pytest.approx(
             data["sequential"]["1:0"]["mmem"].peak_bandwidth_gbps
         )

@@ -99,19 +99,23 @@ def reference_serve(router, requests):
                     idx = new
                     yield sim.timeout(refill(idx))
                     continue
-            step_ns = step_time(idx, seq_id)
-            deadline_ns = healthy_step_time(idx, seq_id) * router.step_timeout_factor
-            if router.faults is not None and step_ns > deadline_ns:
-                router.breakers[idx].record_failure(sim.now)
-                yield sim.timeout(deadline_ns)
-                new = reroute(idx)
-                if new is None:
-                    fail()
-                    return
-                if new != idx:
-                    yield sim.timeout(refill(new))
-                idx = new
-                continue
+            step_ns = healthy_step_time(idx, seq_id)
+            if router.faults is not None:
+                deadline_ns = step_ns * router.step_timeout_factor
+                step_ns *= router.faults.latency_multiplier(
+                    router.backend_nodes[idx], sim.now
+                )
+                if step_ns > deadline_ns:
+                    router.breakers[idx].record_failure(sim.now)
+                    yield sim.timeout(deadline_ns)
+                    new = reroute(idx)
+                    if new is None:
+                        fail()
+                        return
+                    if new != idx:
+                        yield sim.timeout(refill(new))
+                    idx = new
+                    continue
             yield sim.timeout(step_ns)
             if router.faults is not None:
                 router.breakers[idx].record_success(sim.now)
@@ -240,6 +244,15 @@ def test_healthy_run_matches_engine_reference(quantum_ns):
     reference, direct = _both(_requests(), quantum_ns=quantum_ns)
     assert reference["result"][0] == 16
     assert direct == reference
+
+
+def test_each_step_is_priced_once():
+    """One ``token_time_ns`` call per generated token, plus the serving
+    point's: with no faults attached no step deadline is priced."""
+    state = _run(LlmRouter.serve, _requests())
+    prices = [entry for entry in state["log"] if entry[0] == "price"]
+    assert state["result"][1] == 254
+    assert len(prices) == 255
 
 
 @QUANTA

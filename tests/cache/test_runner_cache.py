@@ -171,10 +171,11 @@ class TestParallelWithCache:
 
 
 class TestFigureRunnerSharesSweepEntries:
-    """``repro sweep`` and the figure runners run one task per figure."""
+    """A stock sweep served from the cache and a fresh run of the same
+    grid assemble the same figure."""
 
     def test_fig5_runner_after_stock_sweep_executes_nothing(self, tmp_path):
-        from repro.analysis.figures import fig5_from_sweep, fig5_keydb
+        from repro.analysis.figures import fig5_from_sweep, fig5_sweep_spec
         from repro.cli import stock_sweep_spec
 
         # auto mixes both models: 4 DES cells, 24 analytic ones.
@@ -188,9 +189,11 @@ class TestFigureRunnerSharesSweepEntries:
         assert again.cache_stats.hits == 28 and again.cache_stats.misses == 0
         warm = fig5_from_sweep(spec, again)
 
-        # The runner at the same scale, executing every cell afresh.
-        cold = fig5_keydb(record_count=16_384, total_ops=20_000,
-                          backend="auto")
+        # The grid built again at the same scale, executing every cell
+        # afresh without a cache.
+        fresh = fig5_sweep_spec(record_count=16_384, total_ops=20_000,
+                                backend="auto")
+        cold = fig5_from_sweep(fresh, run_sweep(fresh, workers=1).raise_failures())
         # Pickled bytes compare every field (histogram buckets, Welford
         # state, counters) of the cached and the freshly computed results.
         for workload, per_config in cold.results.items():

@@ -34,18 +34,6 @@ class TestTracerUnit:
         assert check["violations"] == [op.op_id]
         assert check["max_rel_error"] == pytest.approx(0.5)
 
-    def test_capacity_drops_whole_ops(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            op = tracer.op("get", float(i))
-            op.span("app", "cpu", float(i), 1.0)
-            op.finish(i + 1.0)
-        assert len(tracer.ops) == 2
-        assert tracer.dropped_ops == 3
-        # Every kept op is still internally consistent.
-        assert tracer.validate()["within_tolerance"]
-        assert tracer.as_dict()["dropped_ops"] == 3
-
     def test_as_dict_limit(self):
         tracer = Tracer()
         for i in range(10):

@@ -13,9 +13,15 @@ from repro.overload import (
     calibrate_capacity_ops_per_s,
     run_fault_comparison,
     run_offered_load,
-    sweep_offered_load,
 )
-from repro.overload.runner import baseline_policy, control_policy, default_budget_ns
+from repro.overload.runner import (
+    baseline_policy,
+    control_policy,
+    default_budget_ns,
+    offered_load_from_sweep,
+    offered_load_sweep_spec,
+)
+from repro.parallel import run_sweep
 
 RECORDS = 2048
 DURATION_NS = 5e6
@@ -92,13 +98,14 @@ class TestSummaryShape:
 
 class TestSweepAndFaults:
     def test_sweep_covers_every_factor(self):
-        summaries = sweep_offered_load(
+        spec = offered_load_sweep_spec(
             factors=[0.5, 1.0],
             controlled=True,
             duration_ns=DURATION_NS,
             record_count=RECORDS,
             seed=SEED,
         )
+        summaries = offered_load_from_sweep(spec, run_sweep(spec).raise_failures())
         assert [s.load_factor for s in summaries] == [0.5, 1.0]
         assert all(s.offered > 0 for s in summaries)
 

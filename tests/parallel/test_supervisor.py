@@ -2,15 +2,17 @@
 quarantine, unpicklable demotion, and graceful drain with resume."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
-from repro.cache import SweepCache, load_resume_manifest
+from repro.cache import SweepCache
 from repro.errors import (
     ConfigurationError,
     FaultError,
@@ -63,6 +65,13 @@ def unpicklable_result_point(params, seed):
 def permanent_error_point(params, seed):
     """Module-level (spawn-importable); a non-retryable logic bug."""
     raise RuntimeError("logic bug")
+
+
+def failing_first_point(params, seed):
+    """Module-level (spawn-importable); point 0 raises, the rest succeed."""
+    if params["i"] == 0:
+        raise ValueError("bad first point")
+    return {"i": params["i"]}
 
 
 class TestClassification:
@@ -294,7 +303,8 @@ _DRAIN_SCRIPT = textwrap.dedent("""\
         print("ready", flush=True)
         try:
             run_sweep(spec, workers=int(sys.argv[3]), cache=cache)
-        except KeyboardInterrupt:
+        except KeyboardInterrupt as exc:
+            print(exc, file=sys.stderr)
             return 130
         return 0
 
@@ -302,6 +312,30 @@ _DRAIN_SCRIPT = textwrap.dedent("""\
     if __name__ == "__main__":
         sys.exit(main())
 """)
+
+
+def _drain_line(text):
+    """``(reason, k, n)`` from the one drain line in ``text``."""
+    lines = re.findall(r"drained on (\w+): (\d+)/(\d+) points completed"
+                       r" and persisted$", text, re.M)
+    assert len(lines) == 1, text
+    reason, done, total = lines[0]
+    return reason, int(done), int(total)
+
+
+def _drainable_spec(log):
+    return SweepSpec(
+        name="drainable",
+        task=slow_logging_point,
+        points=tuple(
+            SweepPoint(
+                key=f"p{i}",
+                params={"name": f"p{i}", "log_dir": str(log)},
+                seed=100 + i,
+            )
+            for i in range(8)
+        ),
+    )
 
 
 def slow_logging_point(params, seed):
@@ -339,43 +373,27 @@ class TestDrain:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 130, stderr
 
-        cache = SweepCache(root=str(cache_root))
-        manifest = load_resume_manifest(cache, "drainable")
-        assert manifest is not None, stderr
-        assert manifest.reason == "SIGINT"
-        assert manifest.total == 8 and manifest.workers == 2
-        assert 0 < len(manifest.completed) < 8
+        reason, done, total = _drain_line(stderr)
+        assert reason == "SIGINT" and total == 8
+        assert 0 < done < 8
+        assert not (cache_root / "manifests").exists()
 
-        # Resume in-process: completed points are cache hits, the rest
-        # execute, and the full result set matches a clean serial run.
-        spec = SweepSpec(
-            name="drainable",
-            task=slow_logging_point,
-            points=tuple(
-                SweepPoint(
-                    key=f"p{i}",
-                    params={"name": f"p{i}", "log_dir": str(log)},
-                    seed=100 + i,
-                )
-                for i in range(8)
-            ),
-        )
-        resumed = run_sweep(spec, workers=2, cache=cache)
+        # Resume in-process: exactly the k completed points are cache
+        # hits, the rest execute, and the full result set matches a
+        # clean serial run.
+        cache = SweepCache(root=str(cache_root))
+        resumed = run_sweep(_drainable_spec(log), workers=2, cache=cache)
         assert resumed.ok and len(resumed.results) == 8
-        assert resumed.cache_stats.hits == len(manifest.completed)
-        cached_keys = {pr.key for pr in resumed.results if pr.cached}
-        assert cached_keys == set(manifest.completed)  # zero points lost
+        assert resumed.cache_stats.hits == done  # zero points lost
+        assert sum(pr.cached for pr in resumed.results) == done
         assert [pr.value for pr in resumed.results] == [
             {"name": f"p{i}", "seed": (100 + i) * 3} for i in range(8)
         ]
-        # Successful completion cleared the manifest.
-        assert load_resume_manifest(cache, "drainable") is None
 
     def test_sigterm_drains_serial_run(self, tmp_path):
         # The workers=1 path has no supervisor to own signals; its own
-        # SIGTERM hook must still drain with a manifest — this is the
-        # path `repro serve --workers 1` jobs and plain serial CLI
-        # sweeps take.
+        # SIGTERM hook must still drain with its drain line — this is
+        # the path plain serial CLI sweeps take.
         cache_root = tmp_path / "cache"
         log = tmp_path / "log"
         log.mkdir()
@@ -399,34 +417,21 @@ class TestDrain:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 130, stderr
 
+        reason, done, total = _drain_line(stderr)
+        assert reason == "SIGTERM" and total == 8
+        assert 0 < done < 8
+        assert not (cache_root / "manifests").exists()
+
+        # Exactly the k points the drain line counts are cache hits.
         cache = SweepCache(root=str(cache_root))
-        manifest = load_resume_manifest(cache, "drainable")
-        assert manifest is not None, stderr
-        assert manifest.reason == "SIGTERM"
-        assert manifest.workers == 1
-        assert 0 < len(manifest.completed) < 8
-
-        # Every manifest-listed point really is a cache hit on resume.
-        spec = SweepSpec(
-            name="drainable",
-            task=slow_logging_point,
-            points=tuple(
-                SweepPoint(
-                    key=f"p{i}",
-                    params={"name": f"p{i}", "log_dir": str(log)},
-                    seed=100 + i,
-                )
-                for i in range(8)
-            ),
-        )
-        resumed = run_sweep(spec, workers=1, cache=cache)
+        resumed = run_sweep(_drainable_spec(log), workers=1, cache=cache)
         assert resumed.ok
-        assert {pr.key for pr in resumed.results if pr.cached} >= set(
-            manifest.completed
+        assert resumed.cache_stats.hits == done
+        assert [pr.cached for pr in resumed.results] == (
+            [True] * done + [False] * (8 - done)
         )
-        assert load_resume_manifest(cache, "drainable") is None
 
-    def test_serial_interrupt_writes_manifest(self, tmp_path):
+    def test_serial_interrupt_drains_with_its_count(self, tmp_path):
         cache = SweepCache(root=str(tmp_path / "cache"))
         log = tmp_path / "log"
         log.mkdir()
@@ -445,17 +450,40 @@ class TestDrain:
             if done == 2:
                 raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt) as drained:
             run_sweep(spec, workers=1, cache=cache, progress=kill_after_two)
-        manifest = load_resume_manifest(cache, "serial-drain")
-        assert manifest is not None
-        assert manifest.completed == ("p0", "p1")
-        assert manifest.remaining == 2
-        assert manifest.reason == "interrupt"
+        assert _drain_line(str(drained.value)) == ("interrupt", 2, 4)
+        assert not os.path.exists(os.path.join(cache.root, "manifests"))
 
         resumed = run_sweep(spec, workers=1, cache=cache)
         assert resumed.ok
-        assert load_resume_manifest(cache, "serial-drain") is None
+        assert [pr.cached for pr in resumed.results] == [True, True, False, False]
+
+    def test_drain_line_counts_only_successful_points(self, tmp_path):
+        # The first point fails; the sweep is cancelled once two points
+        # have landed, so one point completed, and "persisted" is said
+        # only when a cache is attached.
+        def cancelled_sweep(cache):
+            cancel = threading.Event()
+
+            def cancel_after_two(done, total, pr):
+                if done == 2:
+                    cancel.set()
+
+            spec = _spec(failing_first_point, n=4)
+            with pytest.raises(KeyboardInterrupt) as drained:
+                run_sweep(spec, workers=1, cache=cache,
+                          progress=cancel_after_two, cancel=cancel)
+            return str(drained.value)
+
+        cache = SweepCache(root=str(tmp_path / "cache"))
+        assert cancelled_sweep(cache).endswith(
+            "drained on cancelled: 1/4 points completed and persisted"
+        )
+        assert len(list(cache.entries())) == 1
+        assert cancelled_sweep(None).endswith(
+            "drained on cancelled: 1/4 points completed"
+        )
 
 
 class TestHealthSidecar:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.cache import SweepCache, load_resume_manifest
+from repro.cache import SweepCache
 from repro.parallel import merge_metrics_documents, run_sweep
 from repro.serve import jobs as jobs_module
 from repro.serve.jobs import JobManager, build_sweep_spec, demo_sweep_spec
@@ -116,11 +116,6 @@ class TestLifecycle:
         _, job, _ = manager.submit(DEMO)
         _wait_terminal(manager, job.id)
         assert manager.result_bytes(job.id) == reference_bytes(DEMO)
-
-    def test_done_job_clears_its_resume_manifest(self, manager):
-        _, job, _ = manager.submit(DEMO)
-        _wait_terminal(manager, job.id)
-        assert load_resume_manifest(manager.cache, "serve-demo-3x64") is None
 
     def test_bad_spec_raises_before_admission(self, manager):
         from repro.errors import ConfigurationError
